@@ -24,6 +24,7 @@ from .observables import (
     correlation_matrix,
     theta_for_concurrence,
     tpd_degree,
+    tpd_family,
     tpd_series,
 )
 from .oracle import (
@@ -52,6 +53,7 @@ __all__ = [
     "theta_for_concurrence",
     "correlation_matrix",
     "tpd_degree",
+    "tpd_family",
     "tpd_series",
     "TwoPhotonBasis",
     "TwoPhotonStateVector",

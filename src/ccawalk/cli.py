@@ -17,7 +17,6 @@ repeated ``--set key.path=value`` overrides.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import __version__
@@ -27,6 +26,7 @@ from .config import (
     config_from_dict,
     config_to_dict,
     default_config_dict,
+    read_config_document,
 )
 from .errors import ValidationError
 from .lattice import decompose
@@ -35,6 +35,7 @@ from .observables import (
     concurrence,
     correlation_matrix,
     theta_for_concurrence,
+    tpd_family,
     tpd_series,
 )
 from .output import provenance, render, write_text
@@ -134,15 +135,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load_scenario(args) -> ScenarioConfig:
     if args.config is not None:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            try:
-                raw = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"config is not valid JSON: {exc}") from exc
+        raw = read_config_document(args.config)
     else:
         raw = default_config_dict()
-    raw = apply_overrides(raw, args.overrides)
-    return config_from_dict(raw)
+    return config_from_dict(apply_overrides(raw, args.overrides))
 
 
 def _out_path(args, cfg: ScenarioConfig) -> str | None:
@@ -226,19 +222,14 @@ def cmd_sweep(cfg: ScenarioConfig, args) -> int:
     if len(set(thetas)) != len(thetas):
         raise ValidationError("sweep values contain duplicates")
 
-    decomp = decompose(cfg.lattice)
-    grid = cfg.time_grid()
-    rows = []
-    for theta in thetas:
-        noon = NoonInput(
-            theta=theta, site_r=cfg.input.site_r, site_s=cfg.input.site_s
-        )
-        series = tpd_series(decomp, noon, grid)
-        c = concurrence(noon)
-        rows.extend(
-            (theta, c, float(t), float(eta))
-            for t, eta in zip(series.times, series.eta)
-        )
+    site_r, site_s = cfg.input.site_r, cfg.input.site_s
+    noons = [NoonInput(theta=theta, site_r=site_r, site_s=site_s) for theta in thetas]
+    family = tpd_family(decompose(cfg.lattice), noons, cfg.time_grid())
+    rows = [
+        (theta, concurrence(noon), float(t), float(eta))
+        for theta, noon, series in zip(thetas, noons, family)
+        for t, eta in zip(series.times, series.eta)
+    ]
     extra = {"thetas": thetas}
     _emit(cfg, args, "sweep", extra, ["theta", "concurrence", "t", "eta"], rows)
     return EXIT_OK

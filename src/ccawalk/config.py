@@ -31,7 +31,7 @@ from typing import Any
 
 from .errors import ValidationError
 from .lattice import LatticeSpec
-from .observables import NoonInput, concurrence as _concurrence, theta_for_concurrence
+from .observables import NoonInput, theta_for_concurrence
 
 
 @dataclass(frozen=True)
@@ -224,22 +224,31 @@ def config_from_dict(raw: dict) -> ScenarioConfig:
         return ScenarioConfig(
             lattice=lattice, input=inp, time=time, output=output, sweep=sweep
         )
-    except TypeError as exc:
+    except ValidationError:
+        raise
+    except (TypeError, ValueError) as exc:
         raise ValidationError(f"malformed config: {exc}") from exc
 
 
-def parse_config(text: str) -> ScenarioConfig:
+def _decode(text: str) -> dict:
     try:
-        raw = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"config is not valid JSON: {exc}") from exc
-    return config_from_dict(raw)
+
+
+def parse_config(text: str) -> ScenarioConfig:
+    return config_from_dict(_decode(text))
+
+
+def read_config_document(path: str) -> dict:
+    """Raw JSON document of a scenario file, for ``apply_overrides``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return _decode(fh.read())
 
 
 def load_config(path: str) -> ScenarioConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    return parse_config(text)
+    return config_from_dict(read_config_document(path))
 
 
 def config_to_dict(cfg: ScenarioConfig) -> dict:
@@ -278,6 +287,8 @@ def apply_overrides(raw: dict, assignments: list[str]) -> dict:
     Returns a new dict, input untouched.
     """
     doc = json.loads(json.dumps(raw))
+    if not isinstance(doc, dict):
+        raise ValidationError("config document must be a JSON object")
     for assignment in assignments:
         if "=" not in assignment:
             raise ValidationError(
@@ -311,8 +322,3 @@ def default_config_dict() -> dict:
         "time": {"t_max": 83.57, "steps": 2000, "scale": "omega"},
         "output": {"format": "csv", "path": None},
     }
-
-
-def input_concurrence(cfg: ScenarioConfig) -> float:
-    """Concurrence of the configured input state."""
-    return _concurrence(cfg.input.to_noon())

@@ -186,21 +186,24 @@ def propagator_columns(
     list of PropagatorColumn, in the order the sites were requested.
     """
     t = _checked_time(t)
-    s = decomp.transform
+    columns = _column_block(decomp, sites, np.array([t]))[:, 0]
+    return [PropagatorColumn(t, int(site), g) for site, g in zip(sites, columns)]
+
+
+def _column_block(decomp: SpectralDecomposition, sites, times) -> np.ndarray:
+    """G[:, site](t) for each site and each entry of the 1-d array ``times``.
+
+    The one place where the mode phases meet S for columns (one matrix
+    product per site).  Returns a read-only (len(sites), len(times), N)
+    array whose rows at t == 0 are exact unit vectors: G(0) = I exactly.
+    """
     n = decomp.num_cavities
-    phases = np.exp(-1j * decomp.frequencies * t)
-    columns = []
-    for site in sites:
-        site = _checked_site(site, n)
-        if t == 0.0:
-            amplitudes = np.zeros(n, dtype=complex)
-            amplitudes[site - 1] = 1.0
-        else:
-            amplitudes = (phases * s[site - 1, :]) @ s
-        columns.append(
-            PropagatorColumn(time=t, site=site, amplitudes=_readonly(amplitudes))
-        )
-    return columns
+    index = np.array([_checked_site(site, n) - 1 for site in sites], dtype=int)
+    s = decomp.transform
+    phases = np.exp(-1j * np.outer(times, decomp.frequencies))
+    columns = (s[index, None, :] * phases) @ s
+    columns[:, times == 0.0] = (np.arange(n) == index[:, None])[:, None, :]
+    return _readonly(columns)
 
 
 def _checked_site(site: int, n: int) -> int:

@@ -23,6 +23,14 @@ assignment (sin with r, cos with s) follows from expanding the coincidence
 expectation value on the input above; ``ccawalk verify`` cross-checks it
 against the brute-force reference and flags a swapped assignment.
 
+With a = G[:, r]**2 and b = G[:, s]**2 (elementwise), eta has the Gram form
+
+    eta = 1 - (sin^2 theta sum|a|^2 + cos^2 theta sum|b|^2
+               + 2 sin theta cos theta Re sum a conj(b)),
+
+so angles on one site pair share one pair of columns.  The code folds the
+1 into the first two terms (sin^2 + cos^2 = 1): G(0) = I gives eta(0) = 0.
+
 Everything here is pure and O(N^2) per time point, driven by just the two
 propagator columns r and s.
 """
@@ -35,7 +43,7 @@ from math import asin, cos, isfinite, pi, sin
 import numpy as np
 
 from .errors import ValidationError
-from .lattice import SpectralDecomposition, propagator_columns
+from .lattice import SpectralDecomposition, _checked_time, _column_block, propagator_columns
 
 NEGATIVE_TOLERANCE = 1e-12
 
@@ -137,13 +145,6 @@ def _clean_probabilities(p: np.ndarray) -> np.ndarray:
     return p
 
 
-def _pair_columns(
-    decomp: SpectralDecomposition, noon: NoonInput, t: float
-) -> tuple[np.ndarray, np.ndarray]:
-    col_r, col_s = propagator_columns(decomp, t, [noon.site_r, noon.site_s])
-    return col_r.amplitudes, col_s.amplitudes
-
-
 def correlation_matrix(
     decomp: SpectralDecomposition, noon: NoonInput, t: float
 ) -> CorrelationMatrix:
@@ -153,7 +154,8 @@ def correlation_matrix(
     O(N^2) total.  The result is symmetric by construction and its entries
     sum to 2 up to roundoff (a consequence of propagator unitarity).
     """
-    g_r, g_s = _pair_columns(decomp, noon, t)
+    col_r, col_s = propagator_columns(decomp, t, [noon.site_r, noon.site_s])
+    g_r, g_s = col_r.amplitudes, col_s.amplitudes
     amplitude = sin(noon.theta) * np.outer(g_r, g_r) + cos(noon.theta) * np.outer(
         g_s, g_s
     )
@@ -169,29 +171,29 @@ def correlation_matrix(
 def tpd_degree(decomp: SpectralDecomposition, noon: NoonInput, t: float) -> float:
     """Delocalization degree eta(t) = 1 - (1/2) sum_n P[n, n](t).
 
-    Computed from the diagonal amplitudes alone; cost is dominated by the
-    two propagator columns.  Always 0 at t = 0 (the input is fully
+    One point of ``tpd_family``.  Any finite ``t`` is accepted: eta is even
+    in t because G(-t) = conj(G(t)).  Always 0 at t = 0 (the input is fully
     localized) and confined to [0, 1] up to roundoff.
     """
-    g_r, g_s = _pair_columns(decomp, noon, t)  # also validates t and sites
-    if float(t) == 0.0:
-        return 0.0  # exactly localized input, no phase accumulated yet
-    diag = sin(noon.theta) * g_r**2 + cos(noon.theta) * g_s**2
-    return float(1.0 - np.sum(diag.real**2 + diag.imag**2))
+    return float(tpd_family(decomp, [noon], [abs(_checked_time(t))])[0].eta[0])
 
 
 _SERIES_BLOCK = 8192  # time samples per vectorized block; bounds memory
 
 
-def tpd_series(
-    decomp: SpectralDecomposition, noon: NoonInput, t_grid
-) -> TpdSeries:
-    """Evaluate eta on a strictly increasing, non-negative time grid.
+def tpd_family(
+    decomp: SpectralDecomposition, noons: list[NoonInput], t_grid
+) -> list[TpdSeries]:
+    """Evaluate eta for several inputs that share one site pair.
 
-    Grid points are independent of each other (the evaluation is
-    vectorized in blocks); output order always matches the input grid.
+    The two propagator columns are computed once per block of times; each
+    input then adds O(N) per time point (the Gram form above).  The grid
+    must be strictly increasing and non-negative; the result holds one
+    series per input, in order, all sharing one read-only ``times`` array.
     """
-    times = np.asarray(t_grid, dtype=float)
+    if not noons or len({(noon.site_r, noon.site_s) for noon in noons}) != 1:
+        raise ValidationError("an eta family needs inputs on exactly one site pair")
+    times = np.array(t_grid, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise ValidationError("time grid must be a non-empty 1-d sequence")
     if not np.all(np.isfinite(times)):
@@ -201,29 +203,23 @@ def tpd_series(
     if times.size > 1 and not np.all(np.diff(times) > 0.0):
         raise ValidationError("time grid must be strictly increasing")
 
-    s = decomp.transform
-    n = decomp.num_cavities
-    for site in (noon.site_r, noon.site_s):
-        if site > n:
-            raise ValidationError(f"cavity index {site} out of range 1..{n}")
-    row_r = s[noon.site_r - 1, :]
-    row_s = s[noon.site_s - 1, :]
-    w_r, w_s = sin(noon.theta), cos(noon.theta)
-
-    eta = np.empty(times.size, dtype=float)
+    w_r = np.array([[sin(noon.theta)] for noon in noons])  # one row per input
+    w_s = np.array([[cos(noon.theta)] for noon in noons])
+    sites = [noons[0].site_r, noons[0].site_s]
+    eta = np.empty((len(noons), times.size), dtype=float)
     for start in range(0, times.size, _SERIES_BLOCK):
-        block = times[start : start + _SERIES_BLOCK]
-        phases = np.exp(-1j * np.outer(block, decomp.frequencies))
-        g_r = (phases * row_r) @ s
-        g_s = (phases * row_s) @ s
-        diag = w_r * g_r**2 + w_s * g_s**2
-        eta[start : start + _SERIES_BLOCK] = 1.0 - np.sum(
-            diag.real**2 + diag.imag**2, axis=1
+        block = slice(start, start + _SERIES_BLOCK)
+        a, b = _column_block(decomp, sites, times[block]) ** 2
+        eta[:, block] = (
+            w_r**2 * (1.0 - np.sum(a.real**2 + a.imag**2, axis=1))
+            + w_s**2 * (1.0 - np.sum(b.real**2 + b.imag**2, axis=1))
+            - 2.0 * w_r * w_s * np.sum(a.real * b.real + a.imag * b.imag, axis=1)
         )
-    if times[0] == 0.0:
-        eta[0] = 0.0  # the input is exactly localized, no phase accumulated
-
-    times = times.copy()
     times.setflags(write=False)
     eta.setflags(write=False)
-    return TpdSeries(times=times, eta=eta)
+    return [TpdSeries(times=times, eta=row) for row in eta]
+
+
+def tpd_series(decomp: SpectralDecomposition, noon: NoonInput, t_grid) -> TpdSeries:
+    """Eta of one input on a strictly increasing, non-negative time grid."""
+    return tpd_family(decomp, [noon], t_grid)[0]

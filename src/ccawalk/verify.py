@@ -14,12 +14,12 @@ theta = pi/4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import cos, sin
+from dataclasses import dataclass, replace
+from math import pi
 
 import numpy as np
 
-from .lattice import LatticeSpec, decompose, propagator_columns, propagator_matrix
+from .lattice import LatticeSpec, decompose, propagator_matrix
 from .observables import NoonInput, correlation_matrix, tpd_degree
 from .oracle import (
     TwoPhotonBasis,
@@ -99,14 +99,6 @@ def shrink_scenario(
     return small, NoonInput(theta=noon.theta, site_r=r, site_s=s)
 
 
-def _swapped_correlation(decomp, noon: NoonInput, t: float) -> np.ndarray:
-    # Weight assignment deliberately exchanged; diagnostic only.
-    col_r, col_s = propagator_columns(decomp, t, [noon.site_r, noon.site_s])
-    g_r, g_s = col_r.amplitudes, col_s.amplitudes
-    amp = cos(noon.theta) * np.outer(g_r, g_r) + sin(noon.theta) * np.outer(g_s, g_s)
-    return 2.0 * (amp.real**2 + amp.imag**2)
-
-
 def run_verification(
     lattice: LatticeSpec,
     noon: NoonInput,
@@ -127,6 +119,8 @@ def run_verification(
     hamiltonian = build_two_photon_hamiltonian(lattice)
     basis = TwoPhotonBasis(n)
     initial = noon_state(basis, noon)
+    # swapped weights (cos theta on r, sin theta on s) are theta -> pi/2 - theta
+    closed_input = replace(noon, theta=pi / 2 - noon.theta) if swap_weights else noon
 
     oracle_dev = 0.0
     unitarity_dev = 0.0
@@ -136,10 +130,7 @@ def run_verification(
     identity = np.eye(n)
     for t in times:
         reference = oracle_correlation(evolve(initial, hamiltonian, t), time=t)
-        if swap_weights:
-            closed = _swapped_correlation(decomp, noon, t)
-        else:
-            closed = correlation_matrix(decomp, noon, t).entries
+        closed = correlation_matrix(decomp, closed_input, t).entries
         oracle_dev = max(oracle_dev, float(np.abs(closed - reference.entries).max()))
 
         g = propagator_matrix(decomp, t).entries

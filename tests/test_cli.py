@@ -1,10 +1,13 @@
 import json
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from conftest import read_csv
+from conftest import REPO_ROOT, read_csv
 
 from ccawalk import LatticeSpec, NoonInput, correlation_matrix, decompose
 from ccawalk.cli import main
@@ -135,6 +138,21 @@ class TestSweep:
         assert [r[3] for r in sweep_rows] == [r[3] for r in tpd_rows]
         assert [r[2] for r in sweep_rows] == [r[0] for r in tpd_rows]
 
+    def test_every_family_angle_reduces_to_tpd(self, tmp_path, scenarios_dir):
+        cfg = scenarios_dir / "fig2.json"
+        sweep_out = tmp_path / "sweep.csv"
+        assert run("sweep", "--config", str(cfg), "--out", str(sweep_out)) == 0
+        _, _, sweep_rows = read_csv(sweep_out)
+        thetas = json.loads(cfg.read_text())["sweep"]["theta"]
+        assert len(thetas) == 3
+        for theta in thetas:
+            tpd_out = tmp_path / f"tpd-{theta!r}.csv"
+            assert run("tpd", "--config", str(cfg), "--set", f"input.theta={theta!r}",
+                       "--out", str(tpd_out)) == 0
+            _, _, tpd_rows = read_csv(tpd_out)
+            family_rows = [r for r in sweep_rows if float(r[0]) == theta]
+            assert [r[3] for r in family_rows] == [r[3] for r in tpd_rows]
+
     def test_config_block_family_theta_major(self, tmp_path, scenarios_dir):
         out = tmp_path / "sweep.csv"
         assert run("sweep", "--config", str(scenarios_dir / "fig2.json"),
@@ -248,6 +266,29 @@ class TestFailureModes:
 
     def test_unknown_subcommand(self):
         assert run("nonsense") == 1
+
+    @pytest.mark.parametrize(
+        "command, override",
+        [
+            ("sweep", 'sweep.theta=["x"]'),
+            ("sweep", 'sweep.concurrence=["x"]'),
+            ("tpd", "input.theta=x"),
+        ],
+    )
+    def test_non_numeric_value_is_one_line_error(self, command, override):
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(REPO_ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "ccawalk.cli", command, "--set", override,
+             "--out", "-"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("error: ")
 
 
 class TestDeterminism:

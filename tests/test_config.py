@@ -139,6 +139,11 @@ def test_override_requires_assignment():
         apply_overrides(MINIMAL, ["=3"])
 
 
+def test_override_on_non_object_document_rejected():
+    with pytest.raises(ValidationError):
+        apply_overrides([1], ["lattice.hopping=0.5"])
+
+
 def test_default_config_is_valid():
     cfg = config_from_dict(default_config_dict())
     assert cfg.lattice.num_cavities == 29

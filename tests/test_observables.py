@@ -15,6 +15,7 @@ from ccawalk import (
     oracle_correlation,
     theta_for_concurrence,
     tpd_degree,
+    tpd_family,
     tpd_series,
 )
 from ccawalk.observables import _clean_probabilities
@@ -265,3 +266,92 @@ class TestTpdSeries:
         noon = NoonInput(theta=0.4, site_r=1, site_s=3)
         with pytest.raises(ValidationError):
             tpd_series(decomp, noon, grid)
+
+
+class TestTpdFamily:
+    @pytest.mark.parametrize("n", [2, 9, 29])
+    def test_matches_correlation_trace(self, n):
+        rng = np.random.default_rng(n)
+        decomp = decompose(LatticeSpec(num_cavities=n, omega=1.0, hopping=0.7))
+        r, s = (int(v) for v in rng.choice(np.arange(1, n + 1), 2, replace=False))
+        thetas = [0.0, PI / 4, PI / 2, *rng.uniform(0.0, PI / 2, size=2)]
+        noons = [NoonInput(theta=float(theta), site_r=r, site_s=s) for theta in thetas]
+        times = np.sort(rng.uniform(0.0, 100.0, size=12))
+        for noon, series in zip(noons, tpd_family(decomp, noons, times)):
+            for t, eta in zip(times, series.eta):
+                trace = correlation_matrix(decomp, noon, t).entries.trace()
+                assert abs(eta - (1.0 - trace / 2.0)) <= 1e-13
+
+    def test_rows_bitwise_equal_single_angle_series(self):
+        decomp = decompose(LatticeSpec(num_cavities=29, omega=1.0, hopping=0.1))
+        thetas = [0.0, PI / 12, 0.3, PI / 4, 1.2, PI / 2]
+        noons = [NoonInput(theta=theta, site_r=15, site_s=16) for theta in thetas]
+        times = np.linspace(0.0, 1000.0, 9001)  # spans two evaluation blocks
+        family = tpd_family(decomp, noons, times)
+        assert len(family) == len(noons)
+        for noon, row in zip(noons, family):
+            single = tpd_series(decomp, noon, times)
+            assert row.times.tobytes() == single.times.tobytes()
+            assert row.eta.tobytes() == single.eta.tobytes()
+
+    @pytest.mark.parametrize(
+        "theta", [0.0, 0.0622, 0.4405, PI / 4, 0.8453, 1.4901, PI / 2]
+    )
+    def test_exactly_zero_at_start(self, theta):
+        # includes angles where sin^2 + cos^2 rounds away from 1
+        decomp = decompose(LatticeSpec(num_cavities=9, omega=1.0, hopping=0.7))
+        noon = NoonInput(theta=theta, site_r=4, site_s=6)
+        (series,) = tpd_family(decomp, [noon], [0.0, 2.5])
+        for eta in (series.eta[0], tpd_degree(decomp, noon, 0.0)):
+            assert eta == 0.0 and not np.signbit(eta)
+
+    def test_degree_accepts_negative_time(self):
+        # G(-t) = conj(G(t)), so eta is even in t
+        decomp = decompose(LatticeSpec(num_cavities=9, omega=1.0, hopping=0.7))
+        noon = NoonInput(theta=0.4, site_r=4, site_s=6)
+        for t in (0.7, 5.3, 41.0):
+            assert tpd_degree(decomp, noon, -t) == pytest.approx(
+                tpd_degree(decomp, noon, t), abs=1e-14
+            )
+
+    def test_results_are_read_only(self):
+        decomp = decompose(LatticeSpec(num_cavities=5, omega=1.0, hopping=1.0))
+        noons = [NoonInput(theta=theta, site_r=2, site_s=3) for theta in (0.2, 0.9)]
+        for series in tpd_family(decomp, noons, [0.0, 1.0]):
+            with pytest.raises(ValueError):
+                series.eta[0] = 1.0
+            with pytest.raises(ValueError):
+                series.times[0] = 1.0
+
+    def test_rejects_empty_family(self):
+        decomp = decompose(LatticeSpec(num_cavities=5, omega=1.0, hopping=1.0))
+        with pytest.raises(ValidationError):
+            tpd_family(decomp, [], [0.0, 1.0])
+
+    @pytest.mark.parametrize("second_pair", [(2, 1), (1, 3), (3, 2)])
+    def test_rejects_mixed_site_pairs(self, second_pair):
+        decomp = decompose(LatticeSpec(num_cavities=5, omega=1.0, hopping=1.0))
+        noons = [
+            NoonInput(theta=0.3, site_r=1, site_s=2),
+            NoonInput(theta=0.5, site_r=second_pair[0], site_s=second_pair[1]),
+        ]
+        with pytest.raises(ValidationError):
+            tpd_family(decomp, noons, [0.0, 1.0])
+
+    @pytest.mark.parametrize("theta", [-0.1, PI / 2 + 1e-9, float("nan")])
+    def test_rejects_out_of_range_theta(self, theta):
+        decomp = decompose(LatticeSpec(num_cavities=5, omega=1.0, hopping=1.0))
+        with pytest.raises(ValidationError):
+            tpd_family(
+                decomp,
+                [
+                    NoonInput(theta=0.3, site_r=1, site_s=2),
+                    NoonInput(theta=theta, site_r=1, site_s=2),
+                ],
+                [0.0, 1.0],
+            )
+
+    def test_rejects_site_beyond_chain(self):
+        decomp = decompose(LatticeSpec(num_cavities=5, omega=1.0, hopping=1.0))
+        with pytest.raises(ValidationError):
+            tpd_family(decomp, [NoonInput(theta=0.3, site_r=1, site_s=6)], [0.0, 1.0])
