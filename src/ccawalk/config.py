@@ -26,10 +26,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
-from math import isfinite
 from typing import Any
 
-from .errors import ValidationError
+from .errors import ValidationError, checked_choice, checked_int, checked_real
 from .lattice import LatticeSpec
 from .observables import NoonInput, theta_for_concurrence
 
@@ -49,14 +48,11 @@ class InputConfig:
             raise ValidationError(
                 "input must specify exactly one of 'theta' or 'concurrence'"
             )
-        if self.branch not in ("low", "high"):
-            raise ValidationError(
-                f"input.branch must be 'low' or 'high', got {self.branch!r}"
-            )
+        checked_choice(self.branch, "input.branch", ("low", "high"))
 
     def resolved_theta(self) -> float:
         if self.theta is not None:
-            return float(self.theta)
+            return self.theta  # NoonInput checks it
         return theta_for_concurrence(self.concurrence, self.branch)
 
     def to_noon(self) -> NoonInput:
@@ -74,19 +70,9 @@ class TimeConfig:
     scale: str = "omega"
 
     def __post_init__(self) -> None:
-        if not isinstance(self.t_max, (int, float)) or isinstance(self.t_max, bool):
-            raise ValidationError("time.t_max must be a number")
-        if not isfinite(float(self.t_max)) or self.t_max < 0:
-            raise ValidationError(f"time.t_max must be >= 0, got {self.t_max}")
-        if isinstance(self.steps, bool) or not isinstance(self.steps, int):
-            raise ValidationError("time.steps must be an integer")
-        if self.steps < 1:
-            raise ValidationError(f"time.steps must be >= 1, got {self.steps}")
-        if self.scale not in ("omega", "hopping"):
-            raise ValidationError(
-                f"time.scale must be 'omega' or 'hopping', got {self.scale!r}"
-            )
-        object.__setattr__(self, "t_max", float(self.t_max))
+        object.__setattr__(self, "t_max", checked_real(self.t_max, "time.t_max", 0.0))
+        object.__setattr__(self, "steps", checked_int(self.steps, "time.steps", 1))
+        checked_choice(self.scale, "time.scale", ("omega", "hopping"))
 
 
 @dataclass(frozen=True)
@@ -95,10 +81,7 @@ class OutputConfig:
     path: str | None = None
 
     def __post_init__(self) -> None:
-        if self.format not in ("csv", "json"):
-            raise ValidationError(
-                f"output.format must be 'csv' or 'json', got {self.format!r}"
-            )
+        checked_choice(self.format, "output.format", ("csv", "json"))
         if self.path is not None and not isinstance(self.path, str):
             raise ValidationError("output.path must be a string or null")
 
@@ -116,12 +99,12 @@ class SweepConfig:
             raise ValidationError(
                 "sweep must specify exactly one of 'theta' or 'concurrence'"
             )
-        if self.branch not in ("low", "high"):
-            raise ValidationError("sweep.branch must be 'low' or 'high'")
+        checked_choice(self.branch, "sweep.branch", ("low", "high"))
         for name in ("theta", "concurrence"):
             values = getattr(self, name)
             if values is not None:
-                object.__setattr__(self, name, tuple(float(v) for v in values))
+                entries = tuple(checked_real(v, f"sweep.{name} entry") for v in values)
+                object.__setattr__(self, name, entries)
 
     def resolved_thetas(self) -> tuple[float, ...]:
         if self.theta is not None:
@@ -142,11 +125,8 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         for name in ("site_r", "site_s"):
             site = getattr(self.input, name)
-            if not 1 <= site <= self.lattice.num_cavities:
-                raise ValidationError(
-                    f"input.{name}={site} out of range 1..{self.lattice.num_cavities}"
-                )
-        # NoonInput re-validates theta range and site distinctness.
+            checked_int(site, f"input.{name}", 1, self.lattice.num_cavities)
+        # NoonInput checks theta (or the concurrence) and site distinctness.
         self.input.to_noon()
         if self.time.scale == "hopping" and self.lattice.hopping == 0.0:
             raise ValidationError(
@@ -233,7 +213,7 @@ def config_from_dict(raw: dict) -> ScenarioConfig:
 def _decode(text: str) -> dict:
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer past the int-from-str digit limit
         raise ValidationError(f"config is not valid JSON: {exc}") from exc
 
 
@@ -244,7 +224,11 @@ def parse_config(text: str) -> ScenarioConfig:
 def read_config_document(path: str) -> dict:
     """Raw JSON document of a scenario file, for ``apply_overrides``."""
     with open(path, "r", encoding="utf-8") as fh:
-        return _decode(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"config file is not valid UTF-8: {exc}") from None
+    return _decode(text)
 
 
 def load_config(path: str) -> ScenarioConfig:
@@ -300,7 +284,7 @@ def apply_overrides(raw: dict, assignments: list[str]) -> dict:
             raise ValidationError(f"override {assignment!r} has an empty path segment")
         try:
             value = json.loads(raw_value)
-        except json.JSONDecodeError:
+        except ValueError:
             value = raw_value
         node = doc
         for key in keys[:-1]:

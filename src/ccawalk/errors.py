@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception type and the scalar checks shared across the package.
+
+Every integer, real and choice parameter is validated here, so one rule
+holds everywhere: ``bool`` is not a number and ``str`` is not a number.
+"""
+
+from math import isfinite
+from numbers import Integral, Real
 
 
 class ValidationError(ValueError):
@@ -6,3 +13,48 @@ class ValidationError(ValueError):
 
     The CLI maps this to exit code 1.
     """
+
+
+def _check_range(value, name: str, low, high) -> None:
+    if low is not None and high is not None:
+        if not low <= value <= high:
+            raise ValidationError(f"{name} must lie in [{low}, {high}], got {value}")
+    elif low is not None and not value >= low:
+        raise ValidationError(f"{name} must be >= {low}, got {value}")
+    elif high is not None and not value <= high:
+        raise ValidationError(f"{name} must be <= {high}, got {value}")
+
+
+def checked_int(
+    value, name: str, low: int | None = None, high: int | None = None
+) -> int:
+    """``value`` as an ``int`` in the closed range [low, high] (None: unbounded)."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    _check_range(value, name, low, high)
+    return value
+
+
+def checked_real(
+    value, name: str, low: float | None = None, high: float | None = None
+) -> float:
+    """``value`` as a finite ``float`` in the closed range [low, high]."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ValidationError(f"{name} must be a real number, got {value!r}")
+    try:
+        value = float(value)
+    except OverflowError:  # an integer beyond the double range
+        value = float("inf")
+    if not isfinite(value):
+        raise ValidationError(f"{name} must be finite, got {value}")
+    _check_range(value, name, low, high)
+    return value
+
+
+def checked_choice(value, name: str, choices: tuple[str, ...]) -> str:
+    """``value`` if it is one of the strings in ``choices``."""
+    if not isinstance(value, str) or value not in choices:
+        options = " or ".join(repr(choice) for choice in choices)
+        raise ValidationError(f"{name} must be {options}, got {value!r}")
+    return value

@@ -24,11 +24,10 @@ safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, checked_int, checked_real
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -56,27 +55,13 @@ class LatticeSpec:
     hopping: float
 
     def __post_init__(self) -> None:
-        if isinstance(self.num_cavities, bool) or not isinstance(
-            self.num_cavities, (int, np.integer)
-        ):
-            raise ValidationError("num_cavities must be an integer")
-        if self.num_cavities < 2:
-            raise ValidationError(
-                f"num_cavities must be >= 2, got {self.num_cavities}"
-            )
-        for name in ("omega", "hopping"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, float, np.floating, np.integer)) or not isfinite(
-                float(value)
-            ):
-                raise ValidationError(f"{name} must be a finite real number")
-        if not self.omega > 0:
-            raise ValidationError(f"omega must be > 0, got {self.omega}")
-        if self.hopping < 0:
-            raise ValidationError(f"hopping must be >= 0, got {self.hopping}")
-        object.__setattr__(self, "num_cavities", int(self.num_cavities))
-        object.__setattr__(self, "omega", float(self.omega))
-        object.__setattr__(self, "hopping", float(self.hopping))
+        n = checked_int(self.num_cavities, "num_cavities", 2)
+        omega = checked_real(self.omega, "omega")
+        if not omega > 0:
+            raise ValidationError(f"omega must be > 0, got {omega}")
+        object.__setattr__(self, "num_cavities", n)
+        object.__setattr__(self, "omega", omega)
+        object.__setattr__(self, "hopping", checked_real(self.hopping, "hopping", 0.0))
 
 
 @dataclass(frozen=True)
@@ -134,16 +119,6 @@ def decompose(lattice: LatticeSpec) -> SpectralDecomposition:
     return SpectralDecomposition(transform=_readonly(s), frequencies=_readonly(freqs))
 
 
-def _checked_time(t: float) -> float:
-    try:
-        t = float(t)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"time must be a real number, got {t!r}") from exc
-    if not isfinite(t):
-        raise ValidationError(f"time must be finite, got {t}")
-    return t
-
-
 def propagator_matrix(decomp: SpectralDecomposition, t: float) -> PropagatorMatrix:
     """Full propagator G(t) = S diag(exp(-i Omega t)) S.
 
@@ -151,7 +126,7 @@ def propagator_matrix(decomp: SpectralDecomposition, t: float) -> PropagatorMatr
     formula imposes no sign restriction.  The product is symmetrized after
     the two dense multiplications so G[j, l] == G[l, j] holds exactly.
     """
-    t = _checked_time(t)
+    t = checked_real(t, "time")
     if t == 0.0:
         # G(0) = I exactly; skip the product so no roundoff dust appears
         # where the answer is known in closed form.
@@ -185,7 +160,7 @@ def propagator_columns(
     -------
     list of PropagatorColumn, in the order the sites were requested.
     """
-    t = _checked_time(t)
+    t = checked_real(t, "time")
     columns = _column_block(decomp, sites, np.array([t]))[:, 0]
     return [PropagatorColumn(t, int(site), g) for site, g in zip(sites, columns)]
 
@@ -198,17 +173,12 @@ def _column_block(decomp: SpectralDecomposition, sites, times) -> np.ndarray:
     array whose rows at t == 0 are exact unit vectors: G(0) = I exactly.
     """
     n = decomp.num_cavities
-    index = np.array([_checked_site(site, n) - 1 for site in sites], dtype=int)
+    index = np.array(
+        [checked_int(site, "cavity index", 1, n) - 1 for site in sites], dtype=int
+    )
     s = decomp.transform
     phases = np.exp(-1j * np.outer(times, decomp.frequencies))
     columns = (s[index, None, :] * phases) @ s
     columns[:, times == 0.0] = (np.arange(n) == index[:, None])[:, None, :]
     return _readonly(columns)
 
-
-def _checked_site(site: int, n: int) -> int:
-    if isinstance(site, bool) or not isinstance(site, (int, np.integer)):
-        raise ValidationError(f"cavity index must be an integer, got {site!r}")
-    if not 1 <= site <= n:
-        raise ValidationError(f"cavity index {site} out of range 1..{n}")
-    return int(site)

@@ -38,14 +38,12 @@ propagator columns r and s.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import asin, cos, isfinite, pi, sin
+from math import asin, cos, pi, sin
 
 import numpy as np
 
-from .errors import ValidationError
-from .lattice import SpectralDecomposition, _checked_time, _column_block, propagator_columns
-
-NEGATIVE_TOLERANCE = 1e-12
+from .errors import ValidationError, checked_choice, checked_int, checked_real
+from .lattice import SpectralDecomposition, _column_block, propagator_columns
 
 
 @dataclass(frozen=True)
@@ -61,22 +59,12 @@ class NoonInput:
     site_s: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.theta, (int, float, np.floating)) or not isfinite(
-            float(self.theta)
-        ):
-            raise ValidationError("theta must be a finite real number")
-        if not 0.0 <= self.theta <= pi / 2:
-            raise ValidationError(f"theta must lie in [0, pi/2], got {self.theta}")
+        theta = checked_real(self.theta, "theta", 0.0, pi / 2)
         for name in ("site_r", "site_s"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValidationError(f"{name} must be an integer cavity index")
-            if value < 1:
-                raise ValidationError(f"{name} must be >= 1, got {value}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, checked_int(getattr(self, name), name, 1))
         if self.site_r == self.site_s:
             raise ValidationError("site_r and site_s must differ")
-        object.__setattr__(self, "theta", float(self.theta))
+        object.__setattr__(self, "theta", theta)
 
 
 @dataclass(frozen=True)
@@ -118,31 +106,10 @@ def theta_for_concurrence(c: float, branch: str = "low") -> float:
     ``"low"`` gives theta = arcsin(c)/2 in [0, pi/4], ``"high"`` gives
     theta = pi/2 - arcsin(c)/2 in [pi/4, pi/2].
     """
-    if not isinstance(c, (int, float, np.floating)) or not isfinite(float(c)):
-        raise ValidationError("concurrence must be a finite real number")
-    if not 0.0 <= c <= 1.0:
-        raise ValidationError(f"concurrence must lie in [0, 1], got {c}")
-    if branch == "low":
+    c = checked_real(c, "concurrence", 0.0, 1.0)
+    if checked_choice(branch, "branch", ("low", "high")) == "low":
         return asin(c) / 2.0
-    if branch == "high":
-        return pi / 2.0 - asin(c) / 2.0
-    raise ValidationError(f"branch must be 'low' or 'high', got {branch!r}")
-
-
-def _clean_probabilities(p: np.ndarray) -> np.ndarray:
-    """Clamp float-cancellation negatives within tolerance to exact zero.
-
-    Anything below -1e-12 signals a real defect upstream and raises.
-    """
-    smallest = p.min()
-    if smallest < -NEGATIVE_TOLERANCE:
-        raise ValueError(
-            f"coincidence probability {smallest} below -{NEGATIVE_TOLERANCE}; "
-            "this indicates a computation bug, not roundoff"
-        )
-    if smallest < 0.0:
-        p = np.where(p < 0.0, 0.0, p)
-    return p
+    return pi / 2.0 - asin(c) / 2.0
 
 
 def correlation_matrix(
@@ -163,7 +130,6 @@ def correlation_matrix(
     # vectorized complex multiplies are not lane-commutative in the last ulp,
     # so force index symmetry explicitly
     p = 0.5 * (p + p.T)
-    p = _clean_probabilities(p)
     p.setflags(write=False)
     return CorrelationMatrix(time=float(t), entries=p)
 
@@ -175,10 +141,10 @@ def tpd_degree(decomp: SpectralDecomposition, noon: NoonInput, t: float) -> floa
     in t because G(-t) = conj(G(t)).  Always 0 at t = 0 (the input is fully
     localized) and confined to [0, 1] up to roundoff.
     """
-    return float(tpd_family(decomp, [noon], [abs(_checked_time(t))])[0].eta[0])
+    return float(tpd_family(decomp, [noon], [abs(checked_real(t, "time"))])[0].eta[0])
 
 
-_SERIES_BLOCK = 8192  # time samples per vectorized block; bounds memory
+_BLOCK_ELEMENTS = 1 << 21  # (time, cavity) pairs per vectorized block; bounds memory
 
 
 def tpd_family(
@@ -207,8 +173,9 @@ def tpd_family(
     w_s = np.array([[cos(noon.theta)] for noon in noons])
     sites = [noons[0].site_r, noons[0].site_s]
     eta = np.empty((len(noons), times.size), dtype=float)
-    for start in range(0, times.size, _SERIES_BLOCK):
-        block = slice(start, start + _SERIES_BLOCK)
+    step = max(1, _BLOCK_ELEMENTS // decomp.num_cavities)
+    for start in range(0, times.size, step):
+        block = slice(start, start + step)
         a, b = _column_block(decomp, sites, times[block]) ** 2
         eta[:, block] = (
             w_r**2 * (1.0 - np.sum(a.real**2 + a.imag**2, axis=1))

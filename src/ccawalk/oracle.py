@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from math import isfinite, sqrt
+from math import sqrt
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, checked_int, checked_real
 from .lattice import LatticeSpec
-from .observables import CorrelationMatrix, NoonInput, _clean_probabilities
+from .observables import CorrelationMatrix, NoonInput
 
 MAX_DIMENSION = 5000  # dense D x D storage guard
 
@@ -41,13 +41,7 @@ class TwoPhotonBasis:
     labels: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if isinstance(self.num_cavities, bool) or not isinstance(
-            self.num_cavities, (int, np.integer)
-        ):
-            raise ValidationError("num_cavities must be an integer")
-        if self.num_cavities < 2:
-            raise ValidationError("num_cavities must be >= 2")
-        n = int(self.num_cavities)
+        n = checked_int(self.num_cavities, "num_cavities", 2)
         object.__setattr__(self, "num_cavities", n)
         labels = tuple((m, k) for m in range(1, n + 1) for k in range(m, n + 1))
         object.__setattr__(self, "labels", labels)
@@ -93,11 +87,6 @@ class TwoPhotonStateVector:
 
 def noon_state(basis: TwoPhotonBasis, noon: NoonInput) -> TwoPhotonStateVector:
     """The NOON-type input as a basis vector: sin(theta) on (r, r), cos(theta) on (s, s)."""
-    for site in (noon.site_r, noon.site_s):
-        if site > basis.num_cavities:
-            raise ValidationError(
-                f"cavity index {site} out of range 1..{basis.num_cavities}"
-            )
     amps = np.zeros(basis.dimension, dtype=complex)
     amps[basis.index(noon.site_r, noon.site_r)] = np.sin(noon.theta)
     amps[basis.index(noon.site_s, noon.site_s)] = np.cos(noon.theta)
@@ -180,12 +169,7 @@ def evolve(
     times over one Hamiltonian diagonalizes once.  Norm is preserved to
     eigensolver accuracy (well inside 1e-10).
     """
-    try:
-        t = float(t)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"time must be a real number, got {t!r}") from exc
-    if not isfinite(t):
-        raise ValidationError("time must be finite")
+    t = checked_real(t, "time")
     hamiltonian = np.asarray(hamiltonian)
     d = state.basis.dimension
     if hamiltonian.shape != (d, d):
@@ -218,6 +202,5 @@ def oracle_correlation(
         else:
             p[m - 1, k - 1] = probs[i]
             p[k - 1, m - 1] = probs[i]
-    p = _clean_probabilities(p)
     p.setflags(write=False)
     return CorrelationMatrix(time=float(time), entries=p)

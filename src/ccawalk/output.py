@@ -18,12 +18,8 @@ FLOAT_FORMAT = ".17g"
 
 
 def format_value(value: Any) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return format(value, FLOAT_FORMAT)
-    if isinstance(value, int):
-        return str(value)
     return str(value)
 
 

@@ -19,6 +19,7 @@ from math import pi
 
 import numpy as np
 
+from .errors import checked_int
 from .lattice import LatticeSpec, decompose, propagator_matrix
 from .observables import NoonInput, correlation_matrix, tpd_degree
 from .oracle import (
@@ -80,14 +81,12 @@ class VerificationReport:
 def shrink_scenario(
     lattice: LatticeSpec, noon: NoonInput, max_cavities: int = 8
 ) -> tuple[LatticeSpec, NoonInput]:
-    """Shrink a scenario to at most ``max_cavities`` sites.
+    """Shrink a scenario to at most ``max_cavities`` sites (at least 2).
 
     Keeps omega, hopping and theta; the site pair keeps its spacing when it
     fits (capped at N'-1 otherwise) and is re-centered on the short chain.
     """
-    if max_cavities < 2:
-        max_cavities = 2
-    n = min(lattice.num_cavities, max_cavities)
+    n = min(lattice.num_cavities, checked_int(max_cavities, "max_cavities", 2))
     small = LatticeSpec(num_cavities=n, omega=lattice.omega, hopping=lattice.hopping)
     spacing = min(abs(noon.site_s - noon.site_r), n - 1)
     lo = max(1, (n - spacing + 1) // 2)
@@ -109,7 +108,7 @@ def run_verification(
 ) -> VerificationReport:
     """Run the equivalence and invariant suite on a shrunk scenario."""
     lattice, noon = shrink_scenario(lattice, noon, max_cavities)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(checked_int(seed, "seed", 0))
     if times is None:
         times = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 50.0, size=24))))
     times = np.asarray(times, dtype=float)

@@ -24,6 +24,13 @@ def run(*argv):
     return main(list(argv))
 
 
+def assert_one_line_error(capsys, *argv):
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")
+
+
 class TestSpectrum:
     def test_small_chain_rows(self, tmp_path):
         out = tmp_path / "spec.csv"
@@ -261,6 +268,11 @@ class TestFailureModes:
         bad.write_text("{not json")
         assert run("spectrum", "--config", str(bad)) == 1
 
+    def test_non_utf8_config(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe{}")
+        assert_one_line_error(capsys, "spectrum", "--config", str(bad))
+
     def test_invalid_override_value(self):
         assert run("spectrum", "--set", "lattice.hopping=-2") == 1
 
@@ -289,6 +301,33 @@ class TestFailureModes:
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.splitlines()) == 1
         assert proc.stderr.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "command, overrides",
+        [
+            ("tpd", ["lattice.num_cavities=true"]),
+            ("tpd", ["lattice.omega=true"]),
+            ("tpd", ["lattice.hopping=false"]),
+            ("tpd", ["input.site_r=true"]),
+            ("tpd", ["input.theta=true"]),
+            ("tpd", ["input.theta=null", "input.concurrence=false"]),
+            ("tpd", ["time.t_max=true"]),
+            ("tpd", ["time.steps=true"]),
+            ("sweep", ["sweep.theta=[true]"]),
+        ],
+        ids=lambda value: value if isinstance(value, str) else ",".join(value),
+    )
+    def test_bool_is_not_a_number(self, capsys, command, overrides):
+        argv = [command, "--out", "-"]
+        for override in overrides:
+            argv += ["--set", override]
+        assert_one_line_error(capsys, *argv)
+
+    @pytest.mark.parametrize(
+        "flag", [["--seed", "-1"], ["--max-n", "0"], ["--max-n", "-5"]], ids=" ".join
+    )
+    def test_bad_verify_flag_is_one_line_error(self, capsys, flag):
+        assert_one_line_error(capsys, "verify", *flag)
 
 
 class TestDeterminism:

@@ -1,9 +1,12 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ccawalk import ValidationError
 from ccawalk.config import (
+    _SECTION_KEYS,
+    ScenarioConfig,
     apply_overrides,
     config_from_dict,
     default_config_dict,
@@ -167,3 +170,40 @@ def test_shipped_scenarios_parse(scenarios_dir):
 def test_invalid_json_rejected():
     with pytest.raises(ValidationError):
         parse_config("{not json")
+
+
+# 400 digits overflow a double; 5000 pass the int-from-str digit limit
+@pytest.mark.parametrize("length", [400, 5000])
+def test_oversized_integer_literal_rejected(length):
+    digits = "9" * length
+    with pytest.raises(ValidationError):
+        parse_config('{"lattice": {"omega": %s}}' % digits)
+    with pytest.raises(ValidationError):
+        config_from_dict(apply_overrides(MINIMAL, [f"lattice.omega={digits}"]))
+
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(2**1024, 2**1100)  # valid JSON, beyond the double range
+    | st.floats()
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+DOTTED_KEYS = sorted(
+    f"{section}.{key}" for section, keys in _SECTION_KEYS.items() for key in keys
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(DOTTED_KEYS), JSON_VALUES), max_size=4))
+def test_any_override_gives_config_or_validation_error(assignments):
+    sets = [f"{key}={json.dumps(value)}" for key, value in assignments]
+    try:
+        cfg = config_from_dict(apply_overrides(default_config_dict(), sets))
+    except ValidationError:
+        return
+    assert isinstance(cfg, ScenarioConfig)

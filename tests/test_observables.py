@@ -18,7 +18,6 @@ from ccawalk import (
     tpd_family,
     tpd_series,
 )
-from ccawalk.observables import _clean_probabilities
 
 PI = np.pi
 
@@ -175,16 +174,6 @@ class TestCorrelationMatrix:
             correlation_matrix(decomp, NoonInput(theta=0.3, site_r=1, site_s=9), 1.0)
 
 
-class TestCleanProbabilities:
-    def test_clamps_tiny_negatives(self):
-        cleaned = _clean_probabilities(np.array([1.0, -1e-13, 0.0]))
-        assert cleaned[1] == 0.0
-
-    def test_rejects_real_negatives(self):
-        with pytest.raises(ValueError):
-            _clean_probabilities(np.array([0.5, -1e-9]))
-
-
 class TestTpdDegree:
     def test_zero_at_start_for_any_input(self):
         decomp = decompose(LatticeSpec(num_cavities=29, omega=1.0, hopping=0.1))
@@ -282,11 +271,13 @@ class TestTpdFamily:
                 trace = correlation_matrix(decomp, noon, t).entries.trace()
                 assert abs(eta - (1.0 - trace / 2.0)) <= 1e-13
 
-    def test_rows_bitwise_equal_single_angle_series(self):
-        decomp = decompose(LatticeSpec(num_cavities=29, omega=1.0, hopping=0.1))
+    # 12001 times at N=200 span two evaluation blocks of 2**21 // N times
+    @pytest.mark.parametrize("n, steps", [(29, 9001), (200, 12001)])
+    def test_rows_bitwise_equal_single_angle_series(self, n, steps):
+        decomp = decompose(LatticeSpec(num_cavities=n, omega=1.0, hopping=0.1))
         thetas = [0.0, PI / 12, 0.3, PI / 4, 1.2, PI / 2]
         noons = [NoonInput(theta=theta, site_r=15, site_s=16) for theta in thetas]
-        times = np.linspace(0.0, 1000.0, 9001)  # spans two evaluation blocks
+        times = np.linspace(0.0, 1000.0, steps)
         family = tpd_family(decomp, noons, times)
         assert len(family) == len(noons)
         for noon, row in zip(noons, family):
