@@ -16,9 +16,9 @@ time t is
 
     G[j, l](t) = sum_k exp(-i Omega_k t) S(j, k) S(l, k),
 
-computed here either as a full N x N matrix or column by column.  All
-functions are pure and all returned arrays are read-only, so values are
-safe to share across threads.
+computed here by one kernel, for the full N x N matrix or selected
+columns.  All functions are pure and all returned arrays are read-only, so
+values are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -28,6 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError, checked_int, checked_real
+
+MAX_CAVITIES = 5000  # the dense N x N transform S takes 200 MB at this size
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -42,7 +44,7 @@ class LatticeSpec:
     Attributes
     ----------
     num_cavities : int
-        Number of cavities N, at least 2.
+        Number of cavities N, between 2 and ``MAX_CAVITIES`` (5000).
     omega : float
         Bare cavity frequency, strictly positive (hbar = 1).
     hopping : float
@@ -55,7 +57,7 @@ class LatticeSpec:
     hopping: float
 
     def __post_init__(self) -> None:
-        n = checked_int(self.num_cavities, "num_cavities", 2)
+        n = checked_int(self.num_cavities, "num_cavities", 2, MAX_CAVITIES)
         omega = checked_real(self.omega, "omega")
         if not omega > 0:
             raise ValidationError(f"omega must be > 0, got {omega}")
@@ -123,19 +125,12 @@ def propagator_matrix(decomp: SpectralDecomposition, t: float) -> PropagatorMatr
     """Full propagator G(t) = S diag(exp(-i Omega t)) S.
 
     Negative ``t`` is accepted and means time-reversed evolution; the
-    formula imposes no sign restriction.  The product is symmetrized after
-    the two dense multiplications so G[j, l] == G[l, j] holds exactly.
+    formula imposes no sign restriction.  Built from all N columns of the
+    one kernel, then symmetrized so G[j, l] == G[l, j] holds exactly.
     """
     t = checked_real(t, "time")
-    if t == 0.0:
-        # G(0) = I exactly; skip the product so no roundoff dust appears
-        # where the answer is known in closed form.
-        g = np.eye(decomp.num_cavities, dtype=complex)
-    else:
-        s = decomp.transform
-        phases = np.exp(-1j * decomp.frequencies * t)
-        g = (s * phases) @ s
-        g = 0.5 * (g + g.T)
+    g = _column_block(decomp, range(1, decomp.num_cavities + 1), np.array([t]))[:, 0]
+    g = 0.5 * (g + g.T)
     return PropagatorMatrix(time=t, entries=_readonly(g))
 
 
@@ -168,9 +163,9 @@ def propagator_columns(
 def _column_block(decomp: SpectralDecomposition, sites, times) -> np.ndarray:
     """G[:, site](t) for each site and each entry of the 1-d array ``times``.
 
-    The one place where the mode phases meet S for columns (one matrix
-    product per site).  Returns a read-only (len(sites), len(times), N)
-    array whose rows at t == 0 are exact unit vectors: G(0) = I exactly.
+    The one place where the mode phases meet S (one matrix product per
+    site).  Returns a read-only (len(sites), len(times), N) array whose
+    rows at t == 0 are exact unit vectors: G(0) = I exactly.
     """
     n = decomp.num_cavities
     index = np.array(

@@ -15,7 +15,6 @@ vectors themselves.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 from math import sqrt
 
@@ -139,47 +138,33 @@ def build_two_photon_hamiltonian(lattice: LatticeSpec) -> np.ndarray:
     return h
 
 
-_eig_memo: dict[int, tuple[weakref.ref, np.ndarray, np.ndarray]] = {}
-_EIG_MEMO_MAX = 8
-
-
-def _eigensystem(hamiltonian: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hamiltonian, memoized per array object."""
-    key = id(hamiltonian)
-    hit = _eig_memo.get(key)
-    if hit is not None and hit[0]() is hamiltonian:
-        return hit[1], hit[2]
-    evals, evecs = np.linalg.eigh(hamiltonian)
-    if len(_eig_memo) >= _EIG_MEMO_MAX:
-        dead = [k for k, entry in _eig_memo.items() if entry[0]() is None]
-        for k in dead:
-            del _eig_memo[k]
-        while len(_eig_memo) >= _EIG_MEMO_MAX:
-            _eig_memo.pop(next(iter(_eig_memo)))
-    _eig_memo[key] = (weakref.ref(hamiltonian), evals, evecs)
-    return evals, evecs
-
-
 def evolve(
-    state: TwoPhotonStateVector, hamiltonian: np.ndarray, t: float
+    state: TwoPhotonStateVector,
+    eigensystem: tuple[np.ndarray, np.ndarray],
+    t: float,
 ) -> TwoPhotonStateVector:
-    """Exact evolution exp(-i H t) |state> via eigendecomposition.
+    """Exact evolution exp(-i H t) |state> from H's eigendecomposition.
 
-    The decomposition is cached per Hamiltonian array, so sweeping many
-    times over one Hamiltonian diagonalizes once.  Norm is preserved to
-    eigensolver accuracy (well inside 1e-10).
+    ``eigensystem`` is the ``(eigenvalues, eigenvectors)`` pair that
+    ``np.linalg.eigh(H)`` returns; decompose once and pass it to every call
+    that evolves under the same H.  Norm is preserved to eigensolver
+    accuracy (well inside 1e-10).
     """
     t = checked_real(t, "time")
-    hamiltonian = np.asarray(hamiltonian)
+    evals, evecs = eigensystem
     d = state.basis.dimension
-    if hamiltonian.shape != (d, d):
+    if evecs.shape != (d, d):
         raise ValidationError(
-            f"hamiltonian shape {hamiltonian.shape} does not match state "
+            f"eigenvector matrix shape {evecs.shape} does not match state "
             f"dimension {d}"
         )
-    evals, evecs = _eigensystem(hamiltonian)
-    modes = evecs.conj().T @ state.amplitudes
-    evolved = evecs @ (np.exp(-1j * evals * t) * modes)
+    # Apply the (usually real) eigenvectors to the real and imaginary parts
+    # separately, so a real evecs is never copied to complex.
+    adjoint = evecs.conj().T
+    amps = state.amplitudes
+    modes = adjoint @ amps.real + 1j * (adjoint @ amps.imag)
+    modes *= np.exp(-1j * evals * t)
+    evolved = evecs @ modes.real + 1j * (evecs @ modes.imag)
     return TwoPhotonStateVector(basis=state.basis, amplitudes=evolved)
 
 

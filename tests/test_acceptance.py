@@ -68,7 +68,9 @@ def randomized_cases():
         decomp = decompose(lattice)
         closed = correlation_matrix(decomp, noon, t).entries
         hamiltonian = build_two_photon_hamiltonian(lattice)
-        state = evolve(noon_state(TwoPhotonBasis(n), noon), hamiltonian, t)
+        state = evolve(
+            noon_state(TwoPhotonBasis(n), noon), np.linalg.eigh(hamiltonian), t
+        )
         reference = oracle_correlation(state, time=t).entries
 
         g = propagator_matrix(decomp, t).entries

@@ -329,6 +329,15 @@ class TestFailureModes:
     def test_bad_verify_flag_is_one_line_error(self, capsys, flag):
         assert_one_line_error(capsys, "verify", *flag)
 
+    @pytest.mark.parametrize(
+        "num_cavities", ["5001", "9" * 401], ids=["5001", "401-digits"]
+    )
+    def test_chain_beyond_size_limit_is_one_line_error(self, capsys, num_cavities):
+        assert_one_line_error(
+            capsys, "spectrum", "--out", "-",
+            "--set", f"lattice.num_cavities={num_cavities}",
+        )
+
 
 class TestDeterminism:
     def test_repeat_runs_identical_bytes(self, tmp_path, scenarios_dir):

@@ -26,7 +26,8 @@ def oracle_correlation_at(lattice, noon, t):
     """Brute-force coincidence matrix, bypassing the spectral path entirely."""
     hamiltonian = build_two_photon_hamiltonian(lattice)
     state = noon_state(TwoPhotonBasis(lattice.num_cavities), noon)
-    return oracle_correlation(evolve(state, hamiltonian, t), time=t).entries
+    evolved = evolve(state, np.linalg.eigh(hamiltonian), t)
+    return oracle_correlation(evolved, time=t).entries
 
 
 class TestConcurrence:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from ccawalk import (
     LatticeSpec,
@@ -117,7 +118,7 @@ class TestEvolve:
         lattice = LatticeSpec(num_cavities=4, omega=1.0, hopping=0.5)
         h = build_two_photon_hamiltonian(lattice)
         state = noon_state(TwoPhotonBasis(4), NoonInput(theta=0.4, site_r=1, site_s=3))
-        evolved = evolve(state, h, 0.0)
+        evolved = evolve(state, np.linalg.eigh(h), 0.0)
         assert np.abs(evolved.amplitudes - state.amplitudes).max() < 1e-12
 
     def test_no_hopping_gives_global_phase(self):
@@ -126,7 +127,7 @@ class TestEvolve:
         h = build_two_photon_hamiltonian(lattice)
         state = noon_state(TwoPhotonBasis(4), NoonInput(theta=0.9, site_r=2, site_s=4))
         t = 7.7
-        evolved = evolve(state, h, t)
+        evolved = evolve(state, np.linalg.eigh(h), t)
         expected = np.exp(-2j * omega * t) * state.amplitudes
         assert np.abs(evolved.amplitudes - expected).max() < 1e-12
         assert np.abs(
@@ -138,22 +139,41 @@ class TestEvolve:
         h = build_two_photon_hamiltonian(lattice)
         state = noon_state(TwoPhotonBasis(8), NoonInput(theta=1.1, site_r=3, site_s=4))
         for t in (0.1, 50.0, 987.6):
-            evolved = evolve(state, h, t)
+            evolved = evolve(state, np.linalg.eigh(h), t)
             assert abs(np.linalg.norm(evolved.amplitudes) - 1.0) < 1e-10
 
-    def test_repeated_calls_reuse_decomposition(self):
+    def test_repeated_calls_are_bitwise_equal(self):
         lattice = LatticeSpec(num_cavities=5, omega=1.0, hopping=0.3)
         h = build_two_photon_hamiltonian(lattice)
         state = noon_state(TwoPhotonBasis(5), NoonInput(theta=0.5, site_r=1, site_s=5))
-        first = evolve(state, h, 3.0).amplitudes
-        second = evolve(state, h, 3.0).amplitudes
+        first = evolve(state, np.linalg.eigh(h), 3.0).amplitudes
+        second = evolve(state, np.linalg.eigh(h), 3.0).amplitudes
         assert np.array_equal(first, second)
+
+    @pytest.mark.parametrize("case", ["random-complex-hermitian", "chain-n5"])
+    def test_matches_matrix_exponential(self, case):
+        rng = np.random.default_rng(29)
+        basis = TwoPhotonBasis(5 if case == "chain-n5" else 4)
+        d = basis.dimension
+        if case == "chain-n5":
+            lattice = LatticeSpec(num_cavities=5, omega=1.0, hopping=0.7)
+            h = build_two_photon_hamiltonian(lattice)
+        else:
+            raw = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            h = 0.5 * (raw + raw.conj().T)
+        raw = rng.normal(size=d) + 1j * rng.normal(size=d)
+        state = TwoPhotonStateVector(basis, raw / np.linalg.norm(raw))
+        eigensystem = np.linalg.eigh(h)
+        for t in (0.0, 0.3, 4.1, 17.0, 50.0):
+            evolved = evolve(state, eigensystem, t).amplitudes
+            expected = expm(-1j * h * t) @ state.amplitudes
+            assert np.abs(evolved - expected).max() < 1e-12
 
     def test_dimension_mismatch(self):
         state = noon_state(TwoPhotonBasis(3), NoonInput(theta=0.5, site_r=1, site_s=2))
         wrong = np.eye(4)
         with pytest.raises(ValidationError):
-            evolve(state, wrong, 1.0)
+            evolve(state, np.linalg.eigh(wrong), 1.0)
 
     def test_two_site_matches_closed_form_at_random_times(self):
         lattice = LatticeSpec(num_cavities=2, omega=1.0, hopping=1.0)
@@ -163,7 +183,8 @@ class TestEvolve:
         decomp = decompose(lattice)
         rng = np.random.default_rng(11)
         for t in rng.uniform(0.0, 40.0, size=20):
-            reference = oracle_correlation(evolve(state, h, t), time=t).entries
+            evolved = evolve(state, np.linalg.eigh(h), t)
+            reference = oracle_correlation(evolved, time=t).entries
             closed = correlation_matrix(decomp, noon, t).entries
             assert np.abs(reference - closed).max() < 1e-10
 
