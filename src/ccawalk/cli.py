@@ -22,6 +22,7 @@ import sys
 from . import __version__
 from .config import (
     ScenarioConfig,
+    SweepConfig,
     apply_overrides,
     config_from_dict,
     config_to_dict,
@@ -34,7 +35,6 @@ from .observables import (
     NoonInput,
     concurrence,
     correlation_matrix,
-    theta_for_concurrence,
     tpd_family,
     tpd_series,
 )
@@ -206,21 +206,18 @@ def cmd_tpd(cfg: ScenarioConfig, args) -> int:
 
 def cmd_sweep(cfg: ScenarioConfig, args) -> int:
     if args.theta is not None:
-        thetas = _parse_float_list(args.theta, "theta")
+        sweep = SweepConfig(theta=_parse_float_list(args.theta, "theta"))
     elif args.concurrence is not None:
-        thetas = [
-            theta_for_concurrence(c, args.branch)
-            for c in _parse_float_list(args.concurrence, "concurrence")
-        ]
+        concurrences = _parse_float_list(args.concurrence, "concurrence")
+        sweep = SweepConfig(concurrence=concurrences, branch=args.branch)
     elif cfg.sweep is not None:
-        thetas = list(cfg.sweep.resolved_thetas())
+        sweep = cfg.sweep
     else:
         raise ValidationError(
             "no sweep values: pass --theta or --concurrence, or add a 'sweep' "
             "block to the config"
         )
-    if len(set(thetas)) != len(thetas):
-        raise ValidationError("sweep values contain duplicates")
+    thetas = list(sweep.resolved_thetas())
 
     site_r, site_s = cfg.input.site_r, cfg.input.site_s
     noons = [NoonInput(theta=theta, site_r=site_r, site_s=site_s) for theta in thetas]

@@ -16,7 +16,9 @@ with an optional ``branch``, "low" or "high", defaulting to "low").
 omega*t, "hopping" means t_max is J*t; absolute times are t_max divided by
 the corresponding rate.  ``output.path`` of null means stdout.  The
 optional ``sweep`` block provides default angle families for the sweep
-command, as a theta list or a concurrence list plus branch.
+command, under the same rule as ``input``: a non-empty theta list or a
+concurrence list plus branch, in range and free of duplicates.  A null
+``output`` or ``sweep`` section is the same as an absent one.
 
 CLI ``--set key=value`` overrides use dotted paths into this document and
 JSON-parsed values (bare words fall back to strings, ``null`` deletes).
@@ -25,12 +27,35 @@ JSON-parsed values (bare words fall back to strings, ``null`` deletes).
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
-from typing import Any
+from dataclasses import asdict, dataclass, fields
+from math import pi
 
 from .errors import ValidationError, checked_choice, checked_int, checked_real
 from .lattice import LatticeSpec
 from .observables import NoonInput, theta_for_concurrence
+
+MAX_STEPS = 10**6  # time_grid() is a Python list of steps + 1 floats
+
+
+def _angle_branch(section: str, theta, concurrence, branch) -> str | None:
+    """The angle rule of ``input`` and ``sweep``, resolving their branch.
+
+    Exactly one of theta or concurrence is given; a branch goes only with a
+    concurrence and defaults to "low" there.
+    """
+    if (theta is None) == (concurrence is None):
+        raise ValidationError(
+            f"{section} must specify exactly one of 'theta' or 'concurrence'"
+        )
+    if concurrence is None:
+        if branch is not None:
+            raise ValidationError(
+                f"{section}.branch is only meaningful together with "
+                f"{section}.concurrence"
+            )
+        return None
+    branch = "low" if branch is None else branch
+    return checked_choice(branch, f"{section}.branch", ("low", "high"))
 
 
 @dataclass(frozen=True)
@@ -41,14 +66,11 @@ class InputConfig:
     site_s: int
     theta: float | None = None
     concurrence: float | None = None
-    branch: str = "low"
+    branch: str | None = None
 
     def __post_init__(self) -> None:
-        if (self.theta is None) == (self.concurrence is None):
-            raise ValidationError(
-                "input must specify exactly one of 'theta' or 'concurrence'"
-            )
-        checked_choice(self.branch, "input.branch", ("low", "high"))
+        branch = _angle_branch("input", self.theta, self.concurrence, self.branch)
+        object.__setattr__(self, "branch", branch)
 
     def resolved_theta(self) -> float:
         if self.theta is not None:
@@ -71,7 +93,8 @@ class TimeConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "t_max", checked_real(self.t_max, "time.t_max", 0.0))
-        object.__setattr__(self, "steps", checked_int(self.steps, "time.steps", 1))
+        steps = checked_int(self.steps, "time.steps", 1, MAX_STEPS)
+        object.__setattr__(self, "steps", steps)
         checked_choice(self.scale, "time.scale", ("omega", "hopping"))
 
 
@@ -88,23 +111,26 @@ class OutputConfig:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Default angle family for the sweep command."""
+    """Angle family for the sweep command: a theta or a concurrence list."""
 
     theta: tuple[float, ...] | None = None
     concurrence: tuple[float, ...] | None = None
-    branch: str = "low"
+    branch: str | None = None
 
     def __post_init__(self) -> None:
-        if (self.theta is None) == (self.concurrence is None):
-            raise ValidationError(
-                "sweep must specify exactly one of 'theta' or 'concurrence'"
-            )
-        checked_choice(self.branch, "sweep.branch", ("low", "high"))
-        for name in ("theta", "concurrence"):
-            values = getattr(self, name)
-            if values is not None:
-                entries = tuple(checked_real(v, f"sweep.{name} entry") for v in values)
-                object.__setattr__(self, name, entries)
+        branch = _angle_branch("sweep", self.theta, self.concurrence, self.branch)
+        object.__setattr__(self, "branch", branch)
+        name, high = ("theta", pi / 2) if branch is None else ("concurrence", 1.0)
+        values = getattr(self, name)
+        if not isinstance(values, (list, tuple)) or not values:
+            raise ValidationError(f"sweep.{name} must be a non-empty list")
+        entries = tuple(
+            checked_real(v, f"sweep.{name} entry", 0.0, high) for v in values
+        )
+        object.__setattr__(self, name, entries)
+        thetas = self.resolved_thetas()
+        if len(set(thetas)) != len(thetas):
+            raise ValidationError("sweep values contain duplicates")
 
     def resolved_thetas(self) -> tuple[float, ...]:
         if self.theta is not None:
@@ -119,7 +145,7 @@ class ScenarioConfig:
     lattice: LatticeSpec
     input: InputConfig
     time: TimeConfig
-    output: OutputConfig
+    output: OutputConfig = OutputConfig()
     sweep: SweepConfig | None = None
 
     def __post_init__(self) -> None:
@@ -145,80 +171,49 @@ class ScenarioConfig:
         return [t_end * i / steps for i in range(steps + 1)]
 
 
+# Section name -> (dataclass, required).  The dataclass fields are the keys
+# a section may carry; an absent or null optional section takes the
+# ScenarioConfig default.
+_SECTIONS = {
+    "lattice": (LatticeSpec, True),
+    "input": (InputConfig, True),
+    "time": (TimeConfig, True),
+    "output": (OutputConfig, False),
+    "sweep": (SweepConfig, False),
+}
 _SECTION_KEYS = {
-    "lattice": {"num_cavities", "omega", "hopping"},
-    "input": {"site_r", "site_s", "theta", "concurrence", "branch"},
-    "time": {"t_max", "steps", "scale"},
-    "output": {"format", "path"},
-    "sweep": {"theta", "concurrence", "branch"},
+    name: {field.name for field in fields(cls)} for name, (cls, _) in _SECTIONS.items()
 }
 
 
-def _check_keys(section: str, data: dict) -> None:
-    unknown = set(data) - _SECTION_KEYS[section]
-    if unknown:
-        raise ValidationError(
-            f"unknown key(s) in '{section}': {', '.join(sorted(unknown))}"
-        )
+def _reject_unknown(keys, known, what: str) -> None:
+    unknown = sorted(set(keys) - set(known))
+    if unknown:  # repr keeps a name with a line break on one line
+        raise ValidationError(f"unknown {what}: {', '.join(map(repr, unknown))}")
 
 
 def config_from_dict(raw: dict) -> ScenarioConfig:
     """Validate a raw JSON document into a ScenarioConfig."""
     if not isinstance(raw, dict):
         raise ValidationError("config document must be a JSON object")
-    unknown = set(raw) - set(_SECTION_KEYS)
-    if unknown:
-        raise ValidationError(f"unknown config section(s): {', '.join(sorted(unknown))}")
-    for section in ("lattice", "input", "time"):
-        if section not in raw:
-            raise ValidationError(f"config is missing the '{section}' section")
-        if not isinstance(raw[section], dict):
-            raise ValidationError(f"config section '{section}' must be an object")
-
+    _reject_unknown(raw, _SECTIONS, "config section(s)")
+    sections = {}
     try:
-        _check_keys("lattice", raw["lattice"])
-        lattice = LatticeSpec(**raw["lattice"])
-        _check_keys("input", raw["input"])
-        if "theta" in raw["input"] and "branch" in raw["input"]:
-            raise ValidationError(
-                "input.branch is only meaningful together with input.concurrence"
-            )
-        inp = InputConfig(**raw["input"])
-        _check_keys("time", raw["time"])
-        time = TimeConfig(**raw["time"])
-        out_raw = raw.get("output", {})
-        if not isinstance(out_raw, dict):
-            raise ValidationError("config section 'output' must be an object")
-        _check_keys("output", out_raw)
-        output = OutputConfig(**out_raw)
-        sweep = None
-        if raw.get("sweep") is not None:
-            if not isinstance(raw["sweep"], dict):
-                raise ValidationError("config section 'sweep' must be an object")
-            _check_keys("sweep", raw["sweep"])
-            sweep_raw = dict(raw["sweep"])
-            for key in ("theta", "concurrence"):
-                if key in sweep_raw and not isinstance(sweep_raw[key], (list, tuple)):
-                    raise ValidationError(f"sweep.{key} must be a list")
-            sweep = SweepConfig(**sweep_raw)
-        return ScenarioConfig(
-            lattice=lattice, input=inp, time=time, output=output, sweep=sweep
-        )
+        for name, (cls, required) in _SECTIONS.items():
+            data = raw.get(name)
+            if data is None:
+                if required:
+                    raise ValidationError(f"config is missing the '{name}' section")
+                continue
+            if not isinstance(data, dict):
+                raise ValidationError(f"config section '{name}' must be an object")
+            _reject_unknown(data, _SECTION_KEYS[name], f"key(s) in '{name}'")
+            sections[name] = cls(**data)
+        return ScenarioConfig(**sections)
     except ValidationError:
         raise
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"malformed config: {exc}") from exc
-
-
-def _decode(text: str) -> dict:
-    try:
-        return json.loads(text)
-    except ValueError as exc:  # also an integer past the int-from-str digit limit
-        raise ValidationError(f"config is not valid JSON: {exc}") from exc
-
-
-def parse_config(text: str) -> ScenarioConfig:
-    return config_from_dict(_decode(text))
 
 
 def read_config_document(path: str) -> dict:
@@ -228,39 +223,25 @@ def read_config_document(path: str) -> dict:
             text = fh.read()
         except UnicodeDecodeError as exc:
             raise ValidationError(f"config file is not valid UTF-8: {exc}") from None
-    return _decode(text)
-
-
-def load_config(path: str) -> ScenarioConfig:
-    return config_from_dict(read_config_document(path))
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # also an integer past the int-from-str digit limit
+        raise ValidationError(f"config is not valid JSON: {exc}") from exc
 
 
 def config_to_dict(cfg: ScenarioConfig) -> dict:
-    """Plain-dict form of a config; parse(serialize(.)) round-trips exactly."""
-    doc: dict[str, Any] = {
-        "lattice": asdict(cfg.lattice),
-        "input": {"site_r": cfg.input.site_r, "site_s": cfg.input.site_s},
-        "time": asdict(cfg.time),
-        "output": asdict(cfg.output),
+    """Plain-dict form of a config, which ``config_from_dict`` maps back to it.
+
+    Unset keys and an absent ``sweep`` are left out; ``output.path`` stays
+    explicit, null meaning stdout.
+    """
+    doc = {
+        name: {key: value for key, value in section.items() if value is not None}
+        for name, section in asdict(cfg).items()
+        if section is not None
     }
-    if cfg.input.theta is not None:
-        doc["input"]["theta"] = cfg.input.theta
-    else:
-        doc["input"]["concurrence"] = cfg.input.concurrence
-        doc["input"]["branch"] = cfg.input.branch
-    if cfg.sweep is not None:
-        if cfg.sweep.theta is not None:
-            doc["sweep"] = {"theta": list(cfg.sweep.theta)}
-        else:
-            doc["sweep"] = {
-                "concurrence": list(cfg.sweep.concurrence),
-                "branch": cfg.sweep.branch,
-            }
+    doc["output"]["path"] = cfg.output.path
     return doc
-
-
-def serialize_config(cfg: ScenarioConfig) -> str:
-    return json.dumps(config_to_dict(cfg), indent=2, sort_keys=True) + "\n"
 
 
 def apply_overrides(raw: dict, assignments: list[str]) -> dict:

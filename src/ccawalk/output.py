@@ -10,7 +10,10 @@ array of records under a "provenance" header object.
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
+import stat
 import sys
 from typing import Any, Iterable
 
@@ -69,9 +72,40 @@ def render(
 
 
 def write_text(text: str, path: str | None) -> None:
-    """Write to ``path``, or stdout when path is None or '-'. Single writer."""
+    """Write to ``path``, or stdout when path is None or '-'. Single writer.
+
+    A file is written whole or not at all: the text goes to a temporary file
+    beside the target, which then replaces it.  The permission bits are
+    those a plain ``open()`` would leave: an existing file keeps its own, a
+    new one gets 0o666 under the umask.  A target that exists but is not a
+    regular file, such as a device or a pipe, is written to in place.
+    """
     if path is None or path == "-":
         sys.stdout.write(text)
         return
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    target = os.path.realpath(path)
+    try:
+        existing = os.stat(target)
+    except FileNotFoundError:
+        existing = None
+    if existing is not None and not stat.S_ISREG(existing.st_mode):
+        with open(target, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        return
+    head, tail = os.path.split(target)
+    temporary = os.path.join(head, f".{tail}.{os.urandom(8).hex()}.tmp")
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL
+    try:
+        fd = os.open(temporary, flags, 0o666)  # not mkstemp, which makes 0o600
+    except OSError as exc:  # name the target, not the temporary file
+        raise OSError(exc.errno, exc.strerror, path) from None
+    try:
+        with open(fd, "w", encoding="utf-8", newline="\n") as fh:
+            if existing is not None:
+                os.chmod(temporary, stat.S_IMODE(existing.st_mode))
+            fh.write(text)
+        os.replace(temporary, target)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(temporary)
+        raise

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
 
@@ -337,6 +338,89 @@ class TestFailureModes:
             capsys, "spectrum", "--out", "-",
             "--set", f"lattice.num_cavities={num_cavities}",
         )
+
+    @pytest.mark.parametrize("command", ["spectrum", "correlation", "tpd", "sweep", "verify"])
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            ["sweep.theta=[5.0]"],
+            ["sweep.theta=[]"],
+            ["sweep.branch=high"],
+            ["sweep.theta=[0.1,0.1]"],
+            ["sweep.theta=null", "sweep.concurrence=[1.5]"],
+            ["sweep.theta=null", "sweep.concurrence=[1,1]"],
+            ["time.steps=1000001"],
+            ["time.steps=" + "9" * 400],
+        ],
+        ids=lambda value: ",".join(value)[:40],
+    )
+    def test_rejected_at_load_for_every_command(
+        self, capsys, scenarios_dir, command, overrides
+    ):
+        argv = [command, "--config", str(scenarios_dir / "fig1.json"), "--out", "-"]
+        for override in overrides:
+            argv += ["--set", override]
+        assert_one_line_error(capsys, *argv)
+
+    def test_null_output_section_is_absent(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "lattice": {"num_cavities": 3, "omega": 1.0, "hopping": 1.0},
+            "input": {"site_r": 1, "site_s": 2, "theta": 0.4},
+            "time": {"t_max": 1.0, "steps": 2, "scale": "omega"},
+            "output": None,
+            "sweep": None,
+        }))
+        out = tmp_path / "spec.csv"
+        assert run("spectrum", "--config", str(cfg_path), "--out", str(out)) == 0
+        assert '"output":{"format":"csv","path":null}' in out.read_text()
+
+
+class TestAtomicOut:
+    def test_failed_replace_keeps_old_file(self, tmp_path, monkeypatch, capsys):
+        target = tmp_path / "spec.csv"
+        target.write_bytes(b"old bytes\n")
+
+        def failing_replace(src, dst):
+            raise OSError("replace failed")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        assert run("spectrum", *SMALL_CHAIN, "--out", str(target)) == 3
+        assert capsys.readouterr().err.startswith("i/o error: ")
+        assert target.read_bytes() == b"old bytes\n"
+        assert sorted(tmp_path.iterdir()) == [target]
+
+    def test_new_file_mode_follows_umask(self, tmp_path):
+        target = tmp_path / "spec.csv"
+        old_umask = os.umask(0o027)
+        try:
+            assert run("spectrum", *SMALL_CHAIN, "--out", str(target)) == 0
+        finally:
+            os.umask(old_umask)
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
+        assert sorted(tmp_path.iterdir()) == [target]
+
+    def test_replaces_existing_file_whole_keeping_its_mode(self, tmp_path):
+        target = tmp_path / "spec.csv"
+        target.write_text("x" * 100000)
+        target.chmod(0o600)
+        assert run("spectrum", *SMALL_CHAIN, "--out", str(target)) == 0
+        assert stat.S_IMODE(target.stat().st_mode) == 0o600
+        comments, header, rows = read_csv(target)
+        assert header == ["k", "Omega_k"] and len(rows) == 3
+        assert sorted(tmp_path.iterdir()) == [target]
+
+    def test_symlink_target_is_replaced_behind_the_link(self, tmp_path):
+        real, link = tmp_path / "real.csv", tmp_path / "link.csv"
+        real.write_text("old\n")
+        link.symlink_to(real)
+        assert run("spectrum", *SMALL_CHAIN, "--out", str(link)) == 0
+        assert link.is_symlink()
+        assert real.read_text().startswith("# tool = ccawalk")
+
+    def test_device_target_is_written_in_place(self):
+        assert run("spectrum", *SMALL_CHAIN, "--out", os.devnull) == 0
+        assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
 
 
 class TestDeterminism:

@@ -1,19 +1,34 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ccawalk import ValidationError
+from ccawalk.cli import main
 from ccawalk.config import (
     _SECTION_KEYS,
+    MAX_STEPS,
     ScenarioConfig,
     apply_overrides,
     config_from_dict,
+    config_to_dict,
     default_config_dict,
-    load_config,
-    parse_config,
-    serialize_config,
+    read_config_document,
 )
+
+
+def load_config(path):
+    return config_from_dict(read_config_document(str(path)))
+
+
+def through_json(cfg):
+    """The config after a trip through its JSON text form."""
+    return config_from_dict(json.loads(json.dumps(config_to_dict(cfg))))
+
 
 MINIMAL = {
     "lattice": {"num_cavities": 5, "omega": 1.0, "hopping": 0.5},
@@ -32,7 +47,7 @@ def test_parse_minimal_applies_output_defaults():
 
 def test_round_trip_theta_form():
     cfg = config_from_dict(MINIMAL)
-    assert parse_config(serialize_config(cfg)) == cfg
+    assert through_json(cfg) == cfg
 
 
 def test_round_trip_concurrence_form():
@@ -40,7 +55,7 @@ def test_round_trip_concurrence_form():
     raw["input"] = {"site_r": 2, "site_s": 3, "concurrence": 0.5, "branch": "high"}
     raw["sweep"] = {"concurrence": [0.0, 0.5, 1.0], "branch": "low"}
     cfg = config_from_dict(raw)
-    assert parse_config(serialize_config(cfg)) == cfg
+    assert through_json(cfg) == cfg
     assert cfg.input.resolved_theta() == pytest.approx(
         (3.14159265358979 / 2) - 0.5235987755982988 / 2, rel=1e-12
     )
@@ -96,6 +111,53 @@ def test_bad_time_values():
         raw["time"].update(patch)
         with pytest.raises(ValidationError):
             config_from_dict(raw)
+
+
+def test_steps_limit_is_checked_before_any_grid():
+    raw = json.loads(json.dumps(MINIMAL))
+    raw["time"]["steps"] = MAX_STEPS
+    assert config_from_dict(raw).time.steps == 10**6
+    raw["time"]["steps"] = MAX_STEPS + 1
+    with pytest.raises(ValidationError, match="time.steps must lie in"):
+        config_from_dict(raw)
+
+
+def test_null_optional_section_is_absent():
+    absent = config_from_dict(MINIMAL)
+    assert config_from_dict({**MINIMAL, "output": None, "sweep": None}) == absent
+    with pytest.raises(ValidationError, match="missing the 'time' section"):
+        config_from_dict({**MINIMAL, "time": None})
+
+
+@pytest.mark.parametrize(
+    "sweep, message",
+    [
+        ({"theta": [5.0]}, "sweep.theta entry must lie in"),
+        ({"theta": []}, "sweep.theta must be a non-empty list"),
+        ({"theta": 0.1}, "sweep.theta must be a non-empty list"),
+        ({"concurrence": [1.5]}, "sweep.concurrence entry must lie in"),
+        ({"theta": [0.1, 0.2], "branch": "high"}, "only meaningful together"),
+        ({"theta": [0.1, 0.1]}, "duplicates"),
+        ({"concurrence": [1, 1.0]}, "duplicates"),
+        ({"concurrence": [0.5], "branch": "mid"}, "sweep.branch must be"),
+        ({"theta": [0.1], "concurrence": [0.5]}, "exactly one of"),
+        ({}, "exactly one of"),
+    ],
+)
+def test_sweep_follows_the_input_angle_rule(sweep, message):
+    with pytest.raises(ValidationError, match=message):
+        config_from_dict({**MINIMAL, "sweep": sweep})
+
+
+def test_concurrence_branch_defaults_to_low_and_round_trips():
+    raw = {**MINIMAL, "sweep": {"concurrence": [0.0, 0.5]}}
+    raw["input"] = {"site_r": 2, "site_s": 3, "concurrence": 0.5}
+    cfg = config_from_dict(raw)
+    assert cfg.input.branch == "low" and cfg.sweep.branch == "low"
+    doc = config_to_dict(cfg)
+    assert doc["input"]["branch"] == "low" and doc["sweep"]["branch"] == "low"
+    assert "branch" not in config_to_dict(config_from_dict(MINIMAL))["input"]
+    assert config_from_dict(doc) == cfg
 
 
 def test_time_grid_endpoints_and_scaling():
@@ -167,17 +229,27 @@ def test_shipped_scenarios_parse(scenarios_dir):
     assert fig3.lattice.hopping == pytest.approx(0.1)
 
 
-def test_invalid_json_rejected():
+def test_invalid_json_rejected(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
     with pytest.raises(ValidationError):
-        parse_config("{not json")
+        load_config(bad)
 
 
 # 400 digits overflow a double; 5000 pass the int-from-str digit limit
-@pytest.mark.parametrize("length", [400, 5000])
-def test_oversized_integer_literal_rejected(length):
+@pytest.mark.parametrize(
+    "length, message",
+    [(400, "omega must be finite"), (5000, "not valid JSON")],
+    ids=["400", "5000"],
+)
+def test_oversized_integer_literal_rejected(tmp_path, length, message):
     digits = "9" * length
-    with pytest.raises(ValidationError):
-        parse_config('{"lattice": {"omega": %s}}' % digits)
+    text = json.dumps(MINIMAL).replace('"omega": 1.0', f'"omega": {digits}')
+    assert digits in text
+    path = tmp_path / "big.json"
+    path.write_text(text)
+    with pytest.raises(ValidationError, match=message):
+        load_config(path)
     with pytest.raises(ValidationError):
         config_from_dict(apply_overrides(MINIMAL, [f"lattice.omega={digits}"]))
 
@@ -198,8 +270,18 @@ DOTTED_KEYS = sorted(
 )
 
 
+# Lists that can make a valid theta or concurrence family, so the round
+# trip also meets sweep blocks.
+ANGLE_LISTS = st.lists(st.floats(0.0, 1.6), min_size=1, max_size=3)
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.tuples(st.sampled_from(DOTTED_KEYS), JSON_VALUES), max_size=4))
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(DOTTED_KEYS), JSON_VALUES | ANGLE_LISTS),
+        max_size=4,
+    )
+)
 def test_any_override_gives_config_or_validation_error(assignments):
     sets = [f"{key}={json.dumps(value)}" for key, value in assignments]
     try:
@@ -207,3 +289,114 @@ def test_any_override_gives_config_or_validation_error(assignments):
     except ValidationError:
         return
     assert isinstance(cfg, ScenarioConfig)
+    assert config_from_dict(config_to_dict(cfg)) == cfg
+
+
+def unique_lists(values):
+    return st.lists(values, min_size=1, max_size=3, unique=True)
+
+
+# Sections that often load, for the fuzz below to spoil.  num_cavities never
+# exceeds 64, which bounds the memory and time of a run.
+SITES = {"site_r": st.integers(1, 3), "site_s": st.integers(1, 3)}
+BRANCH = {"branch": st.sampled_from(["low", "high"])}
+GOOD_SECTIONS = {
+    "lattice": st.fixed_dictionaries(
+        {
+            "num_cavities": st.integers(2, 64),
+            "omega": st.floats(0.1, 3.0),
+            "hopping": st.floats(0.0, 2.0),
+        }
+    ),
+    "input": st.fixed_dictionaries({**SITES, "theta": st.floats(0.0, 1.6)})
+    | st.fixed_dictionaries(
+        {**SITES, "concurrence": st.floats(0.0, 1.0)}, optional=BRANCH
+    ),
+    "time": st.fixed_dictionaries(
+        {
+            "t_max": st.floats(0.0, 100.0),
+            "steps": st.integers(1, MAX_STEPS + 1),
+            "scale": st.sampled_from(["omega", "hopping"]),
+        }
+    ),
+    "output": st.fixed_dictionaries(
+        {}, optional={"format": st.sampled_from(["csv", "json"]), "path": st.none()}
+    ),
+    "sweep": st.fixed_dictionaries({"theta": unique_lists(st.floats(0.0, 1.5))})
+    | st.fixed_dictionaries(
+        {"concurrence": unique_lists(st.floats(0.0, 1.0))}, optional=BRANCH
+    ),
+}
+SMALL_JSON_VALUES = JSON_VALUES.filter(
+    lambda v: not (type(v) is int and 64 < v <= 5000)
+)
+
+
+def _sometimes(strategy, otherwise):
+    """``strategy`` one time in eight, else ``otherwise``."""
+    pick = st.sampled_from([False] * 7 + [True])
+    return pick.flatmap(lambda chosen: strategy if chosen else otherwise)
+
+
+JUNK_KEYS = _sometimes(
+    st.dictionaries(st.text(max_size=6), JSON_VALUES, min_size=1, max_size=2),
+    st.just({}),
+)
+
+
+def _mixed(good, dropped, spoiled, junk):
+    section = {key: value for key, value in good.items() if key not in dropped}
+    return {**junk, **section, **spoiled}
+
+
+def _section(name):
+    """A good section with keys dropped, any key of the schema set to any
+    JSON value and junk keys added, or at times any JSON value instead."""
+    keys = sorted(_SECTION_KEYS[name])
+    spoiled = st.one_of(
+        [
+            st.tuples(
+                st.just(key),
+                SMALL_JSON_VALUES if key == "num_cavities" else JSON_VALUES,
+            )
+            for key in keys
+        ]
+    )
+    mixed = st.builds(
+        _mixed,
+        GOOD_SECTIONS[name],
+        _sometimes(st.sets(st.sampled_from(keys), min_size=1, max_size=2), st.just(())),
+        _sometimes(st.lists(spoiled, min_size=1, max_size=2).map(dict), st.just({})),
+        JUNK_KEYS,
+    )
+    return _sometimes(JSON_VALUES, mixed)
+
+
+DOCUMENTS = _sometimes(
+    JSON_VALUES,
+    st.builds(
+        lambda sections, junk: {**junk, **sections},
+        st.fixed_dictionaries(
+            {name: _section(name) for name in ("lattice", "input", "time")},
+            optional={name: _section(name) for name in ("output", "sweep")},
+        ),
+        JUNK_KEYS,
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(DOCUMENTS)
+def test_any_document_exits_cleanly_through_the_cli(document):
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = Path(tmp, "doc.json"), Path(tmp, "out")
+        config.write_text(json.dumps(document), encoding="utf-8")
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = main(["spectrum", "--config", str(config), "--out", str(out)])
+        assert code in (0, 1)
+        if code == 0:
+            assert out.exists()
+        else:
+            assert len(stderr.getvalue().splitlines()) == 1
+            assert stderr.getvalue().startswith("error: ")
