@@ -237,6 +237,7 @@ def cmd_verify(cfg: ScenarioConfig, args) -> int:
     report = run_verification(
         cfg.lattice,
         noon,
+        cfg.absolute_time(cfg.time.t_max),
         seed=args.seed,
         swap_weights=args.swap_weights,
         max_cavities=args.max_n,

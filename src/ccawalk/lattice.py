@@ -14,11 +14,17 @@ with mode frequencies
 The single-photon transition amplitude from cavity l to cavity j after
 time t is
 
-    G[j, l](t) = sum_k exp(-i Omega_k t) S(j, k) S(l, k),
+    G[j, l](t) = sum_k exp(-i Omega_k t) S(j, k) S(l, k)
+               = exp(-i omega t) (c_|j-l|(t) - c_(j+l)(t)),
 
-computed here by one kernel, for the full N x N matrix or selected
-columns.  All functions are pure and all returned arrays are read-only, so
-values are safe to share across threads.
+with c_d(t) = (1/(N+1)) sum_k exp(-2 i J t cos theta_k) cos(d theta_k) and
+theta_k = pi k/(N+1).  One real FFT of length 2(N+1) per time point gives
+every c_d (the DCT-I as an FFT, Martucci, IEEE TSP 42, 1038 (1994)), so
+columns cost O(N log N) per time point however many are requested and S
+is never built; the full matrix is an O(N^2) index fill.  The carrier
+exp(-i omega t) is one factor per time, applied only where the complex G
+is returned.  All functions are pure and all returned arrays are
+read-only, so values are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -29,7 +35,8 @@ import numpy as np
 
 from .errors import ValidationError, checked_int, checked_real
 
-MAX_CAVITIES = 5000  # the dense N x N transform S takes 200 MB at this size
+# bounds the N x N outputs: correlation writes N^2 rows, 25 million at this size
+MAX_CAVITIES = 5000
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -70,17 +77,26 @@ class LatticeSpec:
 class SpectralDecomposition:
     """Sine-transform normal modes of a chain.
 
-    ``transform`` is the symmetric, involutory N x N matrix S (S @ S = I),
-    ``frequencies`` the mode frequencies Omega_k, decreasing in k and
-    confined to [omega - 2J, omega + 2J].
+    ``frequencies`` holds the mode frequencies Omega_k, decreasing in k and
+    confined to [omega - 2J, omega + 2J].  ``transform`` is the symmetric,
+    involutory N x N matrix S (S @ S = I), built on each access: the kernel
+    never reads it, so it serves as the independent dense reference.
     """
 
-    transform: np.ndarray
+    lattice: LatticeSpec
     frequencies: np.ndarray
 
     @property
     def num_cavities(self) -> int:
-        return self.transform.shape[0]
+        return self.lattice.num_cavities
+
+    @property
+    def transform(self) -> np.ndarray:
+        """Dense S, bitwise symmetric because the sine argument grid j*k is."""
+        n = self.num_cavities
+        j = np.arange(1, n + 1, dtype=float)
+        s = np.sqrt(2.0 / (n + 1)) * np.sin(np.outer(j, j) * (np.pi / (n + 1)))
+        return _readonly(s)
 
 
 @dataclass(frozen=True)
@@ -110,27 +126,25 @@ def decompose(lattice: LatticeSpec) -> SpectralDecomposition:
     Returns
     -------
     SpectralDecomposition
-        Transform matrix S and mode frequencies Omega_k.  Deterministic and
-        pure; S comes out bitwise symmetric because the sine argument grid
-        j*k is itself symmetric.
+        The lattice and its mode frequencies Omega_k.  Deterministic and
+        pure; O(N), since nothing N x N is built.
     """
     n = lattice.num_cavities
-    j = np.arange(1, n + 1, dtype=float)
-    s = np.sqrt(2.0 / (n + 1)) * np.sin(np.outer(j, j) * (np.pi / (n + 1)))
-    freqs = lattice.omega + 2.0 * lattice.hopping * np.cos(j * (np.pi / (n + 1)))
-    return SpectralDecomposition(transform=_readonly(s), frequencies=_readonly(freqs))
+    k = np.arange(1, n + 1, dtype=float)
+    freqs = lattice.omega + 2.0 * lattice.hopping * np.cos(k * (np.pi / (n + 1)))
+    return SpectralDecomposition(lattice=lattice, frequencies=_readonly(freqs))
 
 
 def propagator_matrix(decomp: SpectralDecomposition, t: float) -> PropagatorMatrix:
     """Full propagator G(t) = S diag(exp(-i Omega t)) S.
 
     Negative ``t`` is accepted and means time-reversed evolution; the
-    formula imposes no sign restriction.  Built from all N columns of the
-    one kernel, then symmetrized so G[j, l] == G[l, j] holds exactly.
+    formula imposes no sign restriction.  An O(N^2) fill from one row of
+    mode sums whose index pattern is symmetric, so G[j, l] == G[l, j]
+    holds exactly.
     """
     t = checked_real(t, "time")
-    g = _column_block(decomp, range(1, decomp.num_cavities + 1), np.array([t]))[:, 0]
-    g = 0.5 * (g + g.T)
+    g = _complex_columns(decomp, range(1, decomp.num_cavities + 1), t)
     return PropagatorMatrix(time=t, entries=_readonly(g))
 
 
@@ -139,9 +153,9 @@ def propagator_columns(
 ) -> list[PropagatorColumn]:
     """Selected columns of G(t) without forming the full matrix.
 
-    Each requested column costs O(N^2), independent of how many columns are
-    requested; this is the fast path behind the pair-correlation and
-    delocalization observables, which only ever need two columns.
+    Costs O(N log N) for the mode sums, shared by all requested columns,
+    plus O(N) per column; this is the fast path behind the
+    pair-correlation observable, which only ever needs two columns.
 
     Parameters
     ----------
@@ -156,24 +170,63 @@ def propagator_columns(
     list of PropagatorColumn, in the order the sites were requested.
     """
     t = checked_real(t, "time")
-    columns = _column_block(decomp, sites, np.array([t]))[:, 0]
+    columns = _complex_columns(decomp, sites, t)
     return [PropagatorColumn(t, int(site), g) for site, g in zip(sites, columns)]
 
 
-def _column_block(decomp: SpectralDecomposition, sites, times) -> np.ndarray:
-    """G[:, site](t) for each site and each entry of the 1-d array ``times``.
+def _complex_columns(decomp: SpectralDecomposition, sites, t: float) -> np.ndarray:
+    """G[:, site](t) for each site, as a (len(sites), N) array.
 
-    The one place where the mode phases meet S (one matrix product per
-    site).  Returns a read-only (len(sites), len(times), N) array whose
-    rows at t == 0 are exact unit vectors: G(0) = I exactly.
+    The carrier exp(-i omega t) enters here as one factor per time, never
+    inside the mode phases.
+    """
+    real = _column_block(decomp, sites, np.array([t]))[:, 0]
+    odd = (np.arange(1, decomp.num_cavities + 1) - np.array(sites)[:, None]) % 2
+    return real * (np.exp(-1j * decomp.lattice.omega * t) * np.where(odd, 1j, 1.0))
+
+
+def _column_block(decomp: SpectralDecomposition, sites, times) -> np.ndarray:
+    """Real columns R_l(t) for each site l and each entry of the 1-d ``times``.
+
+    G[j, l](t) = exp(-i omega t) i^((j - l) mod 2) R_l[j](t), where
+    R_l[j] = X[|j - l|] - X[min(j + l, 2(N+1) - j - l)] is a Toeplitz minus
+    a Hankel fill from the mode sums X of ``_mode_sums``.  Returns a
+    read-only (len(sites), len(times), N) array whose rows at t == 0 are
+    exact unit vectors: G(0) = I exactly.
     """
     n = decomp.num_cavities
     index = np.array(
-        [checked_int(site, "cavity index", 1, n) - 1 for site in sites], dtype=int
-    )
-    s = decomp.transform
-    phases = np.exp(-1j * np.outer(times, decomp.frequencies))
-    columns = (s[index, None, :] * phases) @ s
-    columns[:, times == 0.0] = (np.arange(n) == index[:, None])[:, None, :]
-    return _readonly(columns)
+        [checked_int(site, "cavity index", 1, n) for site in sites], dtype=int
+    )[:, None]
+    j = np.arange(1, n + 1)
+    far = j + index
+    sums = _mode_sums(decomp, times)
+    columns = sums[:, np.abs(j - index)] - sums[:, np.minimum(far, 2 * (n + 1) - far)]
+    return _readonly(np.moveaxis(columns, 1, 0))
 
+
+def _mode_sums(decomp: SpectralDecomposition, times) -> np.ndarray:
+    """X[:, d] = (1/(N+1)) sum_k x_k cos(d theta_k), d = 0..N+1, one row per time.
+
+    The one place where mode phases are formed.  With theta_k = pi k/(N+1)
+    and a_k = 2 J t cos(theta_k), x_k = cos(a_k) - sin(a_k); the carrier
+    omega is left out (it is a global phase).  The mirror mode N+1-k flips
+    a_k, so cos and sin are taken for the first ceil(N/2) modes only.  x is
+    extended evenly to length 2(N+1), so one real FFT per time point gives
+    the whole (real) row in O(N log N).  c_d = i^(d mod 2) X[d] is the
+    carrier-free amplitude sum (1/(N+1)) sum_k exp(-i a_k) cos(d theta_k):
+    the mirror pairs cancel the sin part for even d and the cos part for
+    odd d.  Rows at t == 0 are exactly e_0.
+    """
+    n = decomp.num_cavities
+    half, mirrored = (n + 1) // 2, n // 2
+    cos_theta = np.cos(np.arange(1, half + 1) * (np.pi / (n + 1)))
+    a = np.multiply.outer(2.0 * decomp.lattice.hopping * times, cos_theta)
+    cos_a, sin_a = np.cos(a), np.sin(a)
+    x = np.zeros((times.size, 2 * (n + 1)))
+    x[:, 1 : half + 1] = cos_a - sin_a
+    x[:, n + 1 - mirrored : n + 1] = (cos_a + sin_a)[:, mirrored - 1 :: -1]
+    x[:, n + 2 :] = x[:, n:0:-1]
+    sums = np.fft.rfft(x, axis=1).real / (2 * (n + 1))
+    sums[times == 0.0] = np.arange(n + 2) == 0
+    return sums

@@ -28,11 +28,19 @@ With a = G[:, r]**2 and b = G[:, s]**2 (elementwise), eta has the Gram form
     eta = 1 - (sin^2 theta sum|a|^2 + cos^2 theta sum|b|^2
                + 2 sin theta cos theta Re sum a conj(b)),
 
-so angles on one site pair share one pair of columns.  The code folds the
-1 into the first two terms (sin^2 + cos^2 = 1): G(0) = I gives eta(0) = 0.
+so angles on one site pair share one pair of columns.  The columns are
+G[n, l] = exp(-i omega t) i^((n - l) mod 2) R_l[n] with R_l real (see
+``lattice``), so a[n] = (-1)^(n-r) exp(-2 i omega t) R_r[n]**2 and eta is
+all-real:
 
-Everything here is pure and O(N^2) per time point, driven by just the two
-propagator columns r and s.
+    eta = sin^2 theta (1 - sum R_r^4) + cos^2 theta (1 - sum R_s^4)
+          - 2 (-1)^(r+s) sin theta cos theta sum R_r^2 R_s^2,
+
+with the 1 folded into the first two terms (sin^2 + cos^2 = 1): G(0) = I
+gives eta(0) = 0 exactly.
+
+Everything here is pure.  Eta costs O(N log N) per time point, driven by
+the two real propagator columns r and s; the coincidence matrix is O(N^2).
 """
 
 from __future__ import annotations
@@ -144,7 +152,7 @@ def tpd_degree(decomp: SpectralDecomposition, noon: NoonInput, t: float) -> floa
     return float(tpd_family(decomp, [noon], [abs(checked_real(t, "time"))])[0].eta[0])
 
 
-_BLOCK_ELEMENTS = 1 << 21  # (time, cavity) pairs per vectorized block; bounds memory
+_BLOCK_ELEMENTS = 1 << 18  # (time, cavity) pairs per block: about 20 MB of temporaries
 
 
 def tpd_family(
@@ -152,10 +160,11 @@ def tpd_family(
 ) -> list[TpdSeries]:
     """Evaluate eta for several inputs that share one site pair.
 
-    The two propagator columns are computed once per block of times; each
-    input then adds O(N) per time point (the Gram form above).  The grid
-    must be strictly increasing and non-negative; the result holds one
-    series per input, in order, all sharing one read-only ``times`` array.
+    The two real propagator columns are computed once per block of times;
+    each input then adds O(1) per time point (the all-real form above).
+    The grid must be strictly increasing and non-negative; the result holds
+    one series per input, in order, all sharing one read-only ``times``
+    array.
     """
     if not noons or len({(noon.site_r, noon.site_s) for noon in noons}) != 1:
         raise ValidationError("an eta family needs inputs on exactly one site pair")
@@ -171,16 +180,17 @@ def tpd_family(
 
     w_r = np.array([[sin(noon.theta)] for noon in noons])  # one row per input
     w_s = np.array([[cos(noon.theta)] for noon in noons])
-    sites = [noons[0].site_r, noons[0].site_s]
+    site_r, site_s = noons[0].site_r, noons[0].site_s
+    cross = -2.0 * (-1.0) ** (site_r + site_s) * w_r * w_s
     eta = np.empty((len(noons), times.size), dtype=float)
     step = max(1, _BLOCK_ELEMENTS // decomp.num_cavities)
     for start in range(0, times.size, step):
         block = slice(start, start + step)
-        a, b = _column_block(decomp, sites, times[block]) ** 2
+        a, b = _column_block(decomp, [site_r, site_s], times[block]) ** 2
         eta[:, block] = (
-            w_r**2 * (1.0 - np.sum(a.real**2 + a.imag**2, axis=1))
-            + w_s**2 * (1.0 - np.sum(b.real**2 + b.imag**2, axis=1))
-            - 2.0 * w_r * w_s * np.sum(a.real * b.real + a.imag * b.imag, axis=1)
+            w_r**2 * (1.0 - np.sum(a * a, axis=1))
+            + w_s**2 * (1.0 - np.sum(b * b, axis=1))
+            + cross * np.sum(a * b, axis=1)
         )
     times.setflags(write=False)
     eta.setflags(write=False)

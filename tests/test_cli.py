@@ -209,6 +209,16 @@ class TestVerify:
         assert deviation > 1e-3
         assert "overall: FAIL" in captured
 
+    @pytest.mark.parametrize(
+        "scenario, window", [("fig1", "83.57"), ("fig2", "10000")]
+    )
+    def test_header_shows_scenario_time_window(
+        self, capsys, scenarios_dir, scenario, window
+    ):
+        assert run("verify", "--config", str(scenarios_dir / f"{scenario}.json")) == 0
+        header = capsys.readouterr().out.splitlines()[0]
+        assert header.endswith(f", t in [0, {window}]")
+
     def test_size_guard_is_clean_validation_error(self, capsys):
         code = run("verify", "--set", "lattice.num_cavities=120", "--max-n", "120")
         assert code == 1

@@ -160,3 +160,34 @@ class TestPropagatorColumns:
         decomp = decompose(LatticeSpec(num_cavities=5, omega=1.0, hopping=0.5))
         cols = propagator_columns(decomp, 2.0, [4, 2, 4])
         assert [c.site for c in cols] == [4, 2, 4]
+
+
+def dense_reference(decomp, t):
+    """S diag(exp(-i Omega t)) S from the dense transform, one phase per mode."""
+    s = decomp.transform
+    return s @ np.diag(np.exp(-1j * decomp.frequencies * t)) @ s
+
+
+class TestKernelAgainstDenseReference:
+    # The dense reference rounds Omega_k t once per mode, an error of about
+    # |Omega| t * 1e-16; at |t| = 1e4 the band is scaled down (fig2's hopping,
+    # a carrier phase of 50 rad) so that the reference itself stays near 4e-14.
+    CASES = [
+        (1.0, 1.0, 0.0),
+        (1.0, 1.0, 0.7),
+        (1.0, 1.0, -0.7),
+        (1.0, 1.0, 83.57),
+        (0.005, 0.01, 1e4),
+        (0.005, 0.01, -1e4),
+    ]
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 29, 30, 200])
+    @pytest.mark.parametrize("omega, hopping, t", CASES)
+    def test_columns_and_matrix_match_dense_product(self, n, omega, hopping, t):
+        decomp = decompose(LatticeSpec(num_cavities=n, omega=omega, hopping=hopping))
+        reference = dense_reference(decomp, t)
+        sites = sorted({1, 2, n - 1, n})
+        for col in propagator_columns(decomp, t, sites):
+            assert np.abs(col.amplitudes - reference[:, col.site - 1]).max() < 1e-13
+        g = propagator_matrix(decomp, t).entries
+        assert np.abs(g - reference).max() < 1e-13

@@ -18,6 +18,7 @@ from ccawalk import (
     tpd_family,
     tpd_series,
 )
+from ccawalk.lattice import MAX_CAVITIES
 
 PI = np.pi
 
@@ -272,7 +273,7 @@ class TestTpdFamily:
                 trace = correlation_matrix(decomp, noon, t).entries.trace()
                 assert abs(eta - (1.0 - trace / 2.0)) <= 1e-13
 
-    # 12001 times at N=200 span two evaluation blocks of 2**21 // N times
+    # 12001 times at N=200 span several evaluation blocks
     @pytest.mark.parametrize("n, steps", [(29, 9001), (200, 12001)])
     def test_rows_bitwise_equal_single_angle_series(self, n, steps):
         decomp = decompose(LatticeSpec(num_cavities=n, omega=1.0, hopping=0.1))
@@ -347,3 +348,82 @@ class TestTpdFamily:
         decomp = decompose(LatticeSpec(num_cavities=5, omega=1.0, hopping=1.0))
         with pytest.raises(ValidationError):
             tpd_family(decomp, [NoonInput(theta=0.3, site_r=1, site_s=6)], [0.0, 1.0])
+
+
+def dense_gram_eta(decomp, noons, times):
+    """Eta from complex dense-transform columns in the Gram form, per angle."""
+    s = decomp.transform
+    r, q = noons[0].site_r - 1, noons[0].site_s - 1
+    phases = np.exp(-1j * np.outer(times, decomp.frequencies))
+    a = ((s[r] * phases) @ s) ** 2
+    b = ((s[q] * phases) @ s) ** 2
+    rows = []
+    for noon in noons:
+        w_r, w_s = np.sin(noon.theta), np.cos(noon.theta)
+        rows.append(
+            1.0
+            - w_r**2 * np.sum(np.abs(a) ** 2, axis=1)
+            - w_s**2 * np.sum(np.abs(b) ** 2, axis=1)
+            - 2.0 * w_r * w_s * np.sum((a * b.conj()).real, axis=1)
+        )
+    return np.array(rows)
+
+
+def long_double_eta(n, hopping, site_r, site_s, thetas, times):
+    """Eta in 80-bit long double from the dense sine transform, carrier dropped."""
+    ld = np.longdouble
+    pi = 4 * np.arctan(ld(1))
+    j = np.arange(1, n + 1, dtype=ld)
+    s = np.sqrt(ld(2) / (n + 1)) * np.sin(np.outer(j, j) * pi / (n + 1))
+    a = 2 * ld(hopping) * np.outer(np.array(times, dtype=ld), np.cos(j * pi / (n + 1)))
+    squares = []
+    for site in (site_r, site_s):
+        re = (np.cos(a) * s[site - 1]) @ s
+        im = -(np.sin(a) * s[site - 1]) @ s
+        squares.append((re * re - im * im, 2 * re * im))
+    (ar, ai), (br, bi) = squares
+    rows = []
+    for theta in thetas:
+        w_r, w_s = ld(np.sin(theta)), ld(np.cos(theta))
+        rows.append(
+            1 - np.sum((w_r * ar + w_s * br) ** 2 + (w_r * ai + w_s * bi) ** 2, axis=1)
+        )
+    return np.array(rows)
+
+
+class TestTpdKernelAccuracy:
+    THETAS = [0.0, 0.2617993877991494, 0.7853981633974483]
+
+    @pytest.mark.parametrize("n", [29, 200, 1000])
+    def test_family_matches_complex_gram_form(self, n):
+        decomp = decompose(LatticeSpec(num_cavities=n, omega=1.0, hopping=1.0))
+        times = np.linspace(0.0, 83.57, 41)
+        for r, s in [(n // 2, n // 2 + 1), (2, n - 1)]:
+            noons = [
+                NoonInput(theta=theta, site_r=r, site_s=s) for theta in self.THETAS
+            ]
+            eta = np.array([series.eta for series in tpd_family(decomp, noons, times)])
+            assert np.abs(eta - dense_gram_eta(decomp, noons, times)).max() <= 1e-13
+
+    def test_largest_chain(self):
+        decomp = decompose(
+            LatticeSpec(num_cavities=MAX_CAVITIES, omega=1.0, hopping=1.0)
+        )
+        mid = MAX_CAVITIES // 2
+        noon = NoonInput(theta=PI / 4, site_r=mid, site_s=mid + 1)
+        series = tpd_series(decomp, noon, np.linspace(0.0, 2000.0, 51))
+        assert series.eta[0] == 0.0
+        assert series.eta.min() >= -1e-12
+        assert series.eta.max() <= 1.0 + 1e-12
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps >= 1e-18, reason="long double is not extended"
+    )
+    def test_fig2_matches_long_double_reference(self):
+        # fig2: J = 0.01 up to J t = 100, so the mode phases reach 200 rad
+        decomp = decompose(LatticeSpec(num_cavities=29, omega=1.0, hopping=0.01))
+        times = np.linspace(0.0, 10000.0, 21)
+        noons = [NoonInput(theta=theta, site_r=15, site_s=16) for theta in self.THETAS]
+        eta = np.array([series.eta for series in tpd_family(decomp, noons, times)])
+        reference = long_double_eta(29, 0.01, 15, 16, self.THETAS, times)
+        assert float(np.abs(eta - reference).max()) <= 1e-14
