@@ -31,6 +31,7 @@ from .oracle import (
     TwoPhotonBasis,
     TwoPhotonStateVector,
     build_two_photon_hamiltonian,
+    eigh_by_parity,
     evolve,
     noon_state,
     oracle_correlation,
@@ -59,6 +60,7 @@ __all__ = [
     "TwoPhotonStateVector",
     "noon_state",
     "build_two_photon_hamiltonian",
+    "eigh_by_parity",
     "evolve",
     "oracle_correlation",
     "ValidationError",

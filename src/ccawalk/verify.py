@@ -26,6 +26,7 @@ from .observables import NoonInput, correlation_matrix, tpd_degree
 from .oracle import (
     TwoPhotonBasis,
     build_two_photon_hamiltonian,
+    eigh_by_parity,
     evolve,
     noon_state,
     oracle_correlation,
@@ -121,8 +122,9 @@ def run_verification(
 
     decomp = decompose(lattice)
     n = lattice.num_cavities
-    eigensystem = np.linalg.eigh(build_two_photon_hamiltonian(lattice))
+    hamiltonian = build_two_photon_hamiltonian(lattice)
     basis = TwoPhotonBasis(n)
+    eigensystem = eigh_by_parity(hamiltonian, basis)
     initial = noon_state(basis, noon)
     # swapped weights (cos theta on r, sin theta on s) are theta -> pi/2 - theta
     closed_input = replace(noon, theta=pi / 2 - noon.theta) if swap_weights else noon

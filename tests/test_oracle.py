@@ -1,3 +1,5 @@
+from math import sqrt
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -11,10 +13,50 @@ from ccawalk import (
     build_two_photon_hamiltonian,
     correlation_matrix,
     decompose,
+    eigh_by_parity,
     evolve,
     noon_state,
     oracle_correlation,
 )
+from ccawalk import oracle
+
+
+def loop_hamiltonian(lattice):
+    """Reference H: one Python pass over the labels, one hop at a time."""
+    n = lattice.num_cavities
+    basis = TwoPhotonBasis(n)
+    j = lattice.hopping
+    h = np.zeros((basis.dimension, basis.dimension))
+    np.fill_diagonal(h, 2.0 * lattice.omega)
+    root2 = sqrt(2.0)
+    for col, (m, k) in enumerate(basis.labels):
+        moves = ((m, k),) if m == k else ((m, k), (k, m))
+        for src, other in moves:
+            for dst in (src - 1, src + 1):
+                if not 1 <= dst <= n:
+                    continue
+                amplitude = j
+                if src == other:
+                    amplitude *= root2
+                if dst == other:
+                    amplitude *= root2
+                h[basis.index(dst, other), col] += amplitude
+    return h
+
+
+def loop_correlation(state):
+    """Reference coincidences: one Python pass over the labels."""
+    basis = state.basis
+    n = basis.num_cavities
+    probs = np.abs(state.amplitudes) ** 2
+    p = np.zeros((n, n))
+    for i, (m, k) in enumerate(basis.labels):
+        if m == k:
+            p[m - 1, m - 1] = 2.0 * probs[i]
+        else:
+            p[m - 1, k - 1] = probs[i]
+            p[k - 1, m - 1] = probs[i]
+    return p
 
 
 class TestTwoPhotonBasis:
@@ -38,6 +80,27 @@ class TestTwoPhotonBasis:
     def test_index_rejects_foreign_pair(self):
         with pytest.raises(ValidationError):
             TwoPhotonBasis(3).index(1, 4)
+        with pytest.raises(ValidationError):
+            TwoPhotonBasis(3).index(0, 2)
+        with pytest.raises(ValidationError):
+            TwoPhotonBasis(3).index(1.5, 2)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 8])
+    def test_pair_index_matches_labels(self, n):
+        basis = TwoPhotonBasis(n)
+        for i, (m, k) in enumerate(basis.labels):
+            assert basis.pair_index[m - 1, k - 1] == i
+            assert basis.pair_index[k - 1, m - 1] == i
+        assert not basis.pair_index.flags.writeable
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 29, 50])
+    def test_mirror_is_the_reflected_label_involution(self, n):
+        basis = TwoPhotonBasis(n)
+        mirror = basis.mirror
+        for i, (m, k) in enumerate(basis.labels):
+            assert mirror[i] == basis.index(n + 1 - k, n + 1 - m)
+        assert np.array_equal(mirror[mirror], np.arange(basis.dimension))
+        assert np.count_nonzero(mirror == np.arange(basis.dimension)) == (n + 1) // 2
 
 
 class TestBuildHamiltonian:
@@ -82,11 +145,77 @@ class TestBuildHamiltonian:
         spectrum = np.linalg.eigvalsh(build_two_photon_hamiltonian(lattice))
         assert np.abs(np.sort(spectrum) - expected).max() < 1e-10
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 29, 50])
+    @pytest.mark.parametrize("omega, hopping", [(1.0, 0.7), (0.37, 1.9), (1.3, 0.0)])
+    def test_bitwise_equal_to_loop_reference(self, n, omega, hopping):
+        lattice = LatticeSpec(num_cavities=n, omega=omega, hopping=hopping)
+        h = build_two_photon_hamiltonian(lattice)
+        assert h.tobytes() == loop_hamiltonian(lattice).tobytes()
+
     def test_size_guard(self):
         with pytest.raises(ValidationError):
             build_two_photon_hamiltonian(
                 LatticeSpec(num_cavities=100, omega=1.0, hopping=1.0)
             )
+
+    def test_size_guard_fires_before_the_basis_is_built(self, monkeypatch):
+        def unbuildable(n):
+            raise AssertionError(f"basis of {n} cavities built past the guard")
+
+        monkeypatch.setattr(oracle, "TwoPhotonBasis", unbuildable)
+        with pytest.raises(ValidationError, match="dense-storage guard"):
+            build_two_photon_hamiltonian(
+                LatticeSpec(num_cavities=5000, omega=1.0, hopping=1.0)
+            )
+
+
+PARITY_CASES = [pytest.param(n, 0.7, id=f"n{n}") for n in (2, 3, 4, 5, 8, 29, 50)] + [
+    pytest.param(n, 0.0, id=f"n{n}-no-hopping") for n in (5, 8)
+]
+
+
+class TestEighByParity:
+    @pytest.mark.parametrize("n, hopping", PARITY_CASES)
+    def test_matches_full_eigh(self, n, hopping):
+        lattice = LatticeSpec(num_cavities=n, omega=1.0, hopping=hopping)
+        basis = TwoPhotonBasis(n)
+        h = build_two_photon_hamiltonian(lattice)
+        evals, evecs = eigh_by_parity(h, basis)
+        full = np.linalg.eigh(h)
+        d = basis.dimension
+        assert evals.shape == (d,) and evecs.shape == (d, d)
+        assert np.isrealobj(evecs)
+        assert np.all(np.diff(evals) >= 0.0)
+        assert np.abs(evals - full[0]).max() < 1e-12
+        assert np.abs((evecs * evals) @ evecs.T - h).max() < 1e-12
+        assert np.abs(evecs.T @ evecs - np.eye(d)).max() < 1e-12
+
+        r, s = (n + 1) // 2, n
+        state = noon_state(basis, NoonInput(theta=0.4, site_r=r, site_s=s))
+        for t in (0.0, 0.3, 17.0, 987.6, 1.0e4):
+            split = evolve(state, (evals, evecs), t).amplitudes
+            dense = evolve(state, full, t).amplitudes
+            assert np.abs(split - dense).max() < 1e-10
+
+    @pytest.mark.parametrize("n", [2, 3, 8])
+    @pytest.mark.parametrize("row", ["swapped", "fixed"])
+    def test_rejects_matrix_off_mirror_symmetry(self, n, row):
+        basis = TwoPhotonBasis(n)
+        h = build_two_photon_hamiltonian(
+            LatticeSpec(num_cavities=n, omega=1.0, hopping=0.7)
+        ).copy()
+        # label (1, 1) is swapped with (N, N); label (1, N) is fixed
+        i, j = (0, 1) if row == "swapped" else (basis.index(1, n), 0)
+        h[i, j] = h[j, i] = np.nextafter(h[i, j], np.inf)
+        with pytest.raises(ValidationError, match="mirror"):
+            eigh_by_parity(h, basis)
+
+    def test_rejects_wrong_shape(self):
+        h = build_two_photon_hamiltonian(
+            LatticeSpec(num_cavities=4, omega=1.0, hopping=0.7)
+        )
+        with pytest.raises(ValidationError, match="does not match"):
+            eigh_by_parity(h, TwoPhotonBasis(5))
 
 
 class TestStateVector:
@@ -210,6 +339,17 @@ class TestOracleCorrelation:
         assert np.allclose(off, 1.0 / 3.0, atol=1e-12)
         assert np.all(p.diagonal() == 0.0)
         assert 1.0 - p.trace() / 2.0 == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    def test_bitwise_equal_to_loop_reference(self, n):
+        rng = np.random.default_rng(n)
+        basis = TwoPhotonBasis(n)
+        raw = rng.normal(size=basis.dimension) + 1j * rng.normal(size=basis.dimension)
+        state = TwoPhotonStateVector(basis, raw / np.linalg.norm(raw))
+        p = oracle_correlation(state, time=1.5)
+        assert p.entries.tobytes() == loop_correlation(state).tobytes()
+        assert p.time == 1.5
+        assert not p.entries.flags.writeable
 
     def test_random_state_total_pair_count(self):
         rng = np.random.default_rng(3)
