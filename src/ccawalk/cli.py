@@ -19,8 +19,11 @@ from __future__ import annotations
 import argparse
 import sys
 
+import numpy as np
+
 from . import __version__
 from .config import (
+    MAX_SWEEP_POINTS,
     ScenarioConfig,
     SweepConfig,
     apply_overrides,
@@ -45,6 +48,8 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_VERIFICATION = 2
 EXIT_IO = 3
+
+BLOCK_ROWS = 4096  # rows rendered and written at a time
 
 
 class _Parser(argparse.ArgumentParser):
@@ -158,16 +163,34 @@ def _parse_float_list(text: str, name: str) -> list[float]:
     return values
 
 
-def _emit(cfg: ScenarioConfig, args, command: str, extra: dict, columns, rows) -> None:
+def _grid_blocks(outer, inner, values):
+    """Rows of a K x T table in row-major order, BLOCK_ROWS at a time.
+
+    Row k*T + j holds every ``outer`` column (length K) at k, every
+    ``inner`` column (length T) at j, then ``values[k, j]``.  Index columns
+    are gathered per block, so no K x T copy of them ever exists.
+    """
+    flat = values.ravel()
+    width = values.shape[1]
+    for start in range(0, flat.size, BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, flat.size)
+        k, j = np.divmod(np.arange(start, stop), width)
+        yield [c[k] for c in outer] + [c[j] for c in inner] + [flat[start:stop]]
+
+
+def _emit(
+    cfg: ScenarioConfig, args, command: str, extra: dict, columns, blocks
+) -> None:
     prov = provenance(command, __version__, config_to_dict(cfg), extra)
-    text = render(cfg.output.format, prov, columns, rows)
+    text = render(cfg.output.format, prov, columns, blocks)
     write_text(text, _out_path(args, cfg))
 
 
 def cmd_spectrum(cfg: ScenarioConfig, args) -> int:
-    decomp = decompose(cfg.lattice)
-    rows = [(k + 1, float(freq)) for k, freq in enumerate(decomp.frequencies)]
-    _emit(cfg, args, "spectrum", {}, ["k", "Omega_k"], rows)
+    freqs = decompose(cfg.lattice).frequencies
+    modes = np.arange(1, freqs.size + 1)
+    blocks = _grid_blocks([], [modes], freqs[None])
+    _emit(cfg, args, "spectrum", {}, ["k", "Omega_k"], blocks)
     return EXIT_OK
 
 
@@ -176,10 +199,7 @@ def cmd_correlation(cfg: ScenarioConfig, args) -> int:
     t = cfg.absolute_time(scaled)
     noon = cfg.input.to_noon()
     corr = correlation_matrix(decompose(cfg.lattice), noon, t)
-    n = cfg.lattice.num_cavities
-    rows = [
-        (m + 1, k + 1, float(corr.entries[m, k])) for m in range(n) for k in range(n)
-    ]
+    sites = np.arange(1, cfg.lattice.num_cavities + 1)
     extra = {
         "t": t,
         "omega_t": t * cfg.lattice.omega,
@@ -187,20 +207,19 @@ def cmd_correlation(cfg: ScenarioConfig, args) -> int:
         "theta": noon.theta,
         "concurrence": concurrence(noon),
     }
-    _emit(cfg, args, "correlation", extra, ["m", "n", "P_mn"], rows)
+    blocks = _grid_blocks([sites], [sites], corr.entries)
+    _emit(cfg, args, "correlation", extra, ["m", "n", "P_mn"], blocks)
     return EXIT_OK
 
 
 def cmd_tpd(cfg: ScenarioConfig, args) -> int:
     noon = cfg.input.to_noon()
     series = tpd_series(decompose(cfg.lattice), noon, cfg.time_grid())
-    omega, hopping = cfg.lattice.omega, cfg.lattice.hopping
-    rows = [
-        (float(t), float(t * omega), float(t * hopping), float(eta))
-        for t, eta in zip(series.times, series.eta)
-    ]
+    t = series.times
+    times = [t, t * cfg.lattice.omega, t * cfg.lattice.hopping]
     extra = {"theta": noon.theta, "concurrence": concurrence(noon)}
-    _emit(cfg, args, "tpd", extra, ["t", "omega_t", "J_t", "eta"], rows)
+    blocks = _grid_blocks([], times, series.eta[None])
+    _emit(cfg, args, "tpd", extra, ["t", "omega_t", "J_t", "eta"], blocks)
     return EXIT_OK
 
 
@@ -218,17 +237,21 @@ def cmd_sweep(cfg: ScenarioConfig, args) -> int:
             "block to the config"
         )
     thetas = list(sweep.resolved_thetas())
+    points = len(thetas) * (cfg.time.steps + 1)
+    if points > MAX_SWEEP_POINTS:
+        raise ValidationError(
+            f"sweep of {len(thetas)} angles x {cfg.time.steps + 1} times is "
+            f"{points} points, above the limit of {MAX_SWEEP_POINTS}"
+        )
 
     site_r, site_s = cfg.input.site_r, cfg.input.site_s
     noons = [NoonInput(theta=theta, site_r=site_r, site_s=site_s) for theta in thetas]
     family = tpd_family(decompose(cfg.lattice), noons, cfg.time_grid())
-    rows = [
-        (theta, concurrence(noon), float(t), float(eta))
-        for theta, noon, series in zip(thetas, noons, family)
-        for t, eta in zip(series.times, series.eta)
-    ]
+    angles = [np.array(thetas), np.array([concurrence(noon) for noon in noons])]
+    eta = np.stack([series.eta for series in family])
+    blocks = _grid_blocks(angles, [family[0].times], eta)
     extra = {"thetas": thetas}
-    _emit(cfg, args, "sweep", extra, ["theta", "concurrence", "t", "eta"], rows)
+    _emit(cfg, args, "sweep", extra, ["theta", "concurrence", "t", "eta"], blocks)
     return EXIT_OK
 
 

@@ -30,11 +30,16 @@ import json
 from dataclasses import asdict, dataclass, fields
 from math import pi
 
+import numpy as np
+
 from .errors import ValidationError, checked_choice, checked_int, checked_real
 from .lattice import LatticeSpec
 from .observables import NoonInput, theta_for_concurrence
 
-MAX_STEPS = 10**6  # time_grid() is a Python list of steps + 1 floats
+MAX_STEPS = 10**6  # time_grid() is an array of steps + 1 floats
+# A sweep writes K x (steps + 1) rows for K angles and holds their eta as
+# one K x (steps + 1) array: 16 full-length series at most, 128 MB of eta.
+MAX_SWEEP_POINTS = 16 * (MAX_STEPS + 1)
 
 
 def _angle_branch(section: str, theta, concurrence, branch) -> str | None:
@@ -164,11 +169,15 @@ class ScenarioConfig:
         rate = self.lattice.omega if self.time.scale == "omega" else self.lattice.hopping
         return scaled / rate
 
-    def time_grid(self) -> list[float]:
-        """Absolute times: steps+1 uniform samples on [0, t_max/rate]."""
-        t_end = self.absolute_time(self.time.t_max)
-        steps = self.time.steps
-        return [t_end * i / steps for i in range(steps + 1)]
+    def time_grid(self) -> np.ndarray:
+        """Absolute times: steps+1 uniform samples on [0, t_max/rate], read-only.
+
+        Sample i is ``t_end * i / steps``, rounded in that order.
+        """
+        t_end, steps = self.absolute_time(self.time.t_max), self.time.steps
+        grid = t_end * np.arange(steps + 1, dtype=float) / steps
+        grid.setflags(write=False)
+        return grid
 
 
 # Section name -> (dataclass, required).  The dataclass fields are the keys

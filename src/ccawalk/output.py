@@ -5,7 +5,14 @@ with 17 significant digits (enough to round-trip a double exactly), lines
 end with '\\n', and '#'-prefixed comment lines before the column header
 carry everything needed to re-run the scenario: tool version, command, and
 the full config as one-line JSON.  JSON output mirrors the same rows as an
-array of records under a "provenance" header object.
+array of records under a "provenance" header object, laid out exactly as
+``json.dumps(doc, indent=2, sort_keys=True)`` would lay it out.
+
+Rows arrive as blocks of numpy columns.  ``render`` turns each block into
+one text chunk with a single %-template over the block's ``.tolist()``
+values, and ``write_text`` streams the chunks into a temporary file that
+replaces the target only once it is complete, so a file is never held in
+memory whole and an ``--out`` file is still either complete or absent.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ import json
 import os
 import stat
 import sys
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator, Sequence
 
 FLOAT_FORMAT = ".17g"
 
@@ -49,39 +56,84 @@ def _comment_lines(prov: dict) -> list[str]:
     return lines
 
 
-def render_csv(prov: dict, columns: list[str], rows: Iterable[Iterable[Any]]) -> str:
-    out = _comment_lines(prov)
-    out.append(",".join(columns))
-    for row in rows:
-        out.append(",".join(format_value(v) for v in row))
-    return "\n".join(out) + "\n"
+def _row_major(values: Sequence[list]) -> tuple:
+    """One block's values row by row: the arguments of its %-template."""
+    width = len(values)
+    flat = [None] * (len(values[0]) * width)
+    for slot, column in enumerate(values):
+        flat[slot::width] = column
+    return tuple(flat)
 
 
-def render_json(prov: dict, columns: list[str], rows: Iterable[Iterable[Any]]) -> str:
-    records = [dict(zip(columns, row)) for row in rows]
-    doc = {"provenance": prov, "records": records}
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+def _csv_chunks(prov: dict, columns: list[str], blocks) -> Iterator[str]:
+    yield "\n".join(_comment_lines(prov) + [",".join(columns)]) + "\n"
+    for block in blocks:
+        line = ",".join(
+            "%d" if c.dtype.kind in "iu" else "%" + FLOAT_FORMAT for c in block
+        )
+        yield (line + "\n") * len(block[0]) % _row_major([c.tolist() for c in block])
+
+
+def _json_column(column) -> tuple[str, list]:
+    """Template slot and values of one column, as ``json.dumps`` prints them.
+
+    ``%r`` of a Python int or finite float is what the encoder writes; a
+    float column holding NaN or an infinity takes the encoder's own names.
+    """
+    values = column.tolist()
+    if column.dtype.kind == "f" and not (abs(column) < float("inf")).all():
+        return "%s", [json.dumps(v) for v in values]
+    return "%r", values
+
+
+def _json_chunks(prov: dict, columns: list[str], blocks) -> Iterator[str]:
+    head = json.dumps({"provenance": prov, "records": []}, indent=2, sort_keys=True)
+    yield head[: -len("]\n}")]  # ends with '"records": ['
+    order = sorted(range(len(columns)), key=columns.__getitem__)
+    keys = [json.dumps(columns[i]).replace("%", "%%") for i in order]
+    separator = "\n"
+    for block in blocks:
+        rows = len(block[0])
+        if not rows:
+            continue
+        slots, values = zip(*(_json_column(block[i]) for i in order))
+        fields = ",\n".join(f"      {key}: {slot}" for key, slot in zip(keys, slots))
+        record = "    {\n" + fields + "\n    }"
+        yield separator + ",\n".join([record] * rows) % _row_major(values)
+        separator = ",\n"
+    yield "]\n}\n" if separator == "\n" else "\n  ]\n}\n"
 
 
 def render(
-    fmt: str, prov: dict, columns: list[str], rows: Iterable[Iterable[Any]]
-) -> str:
+    fmt: str, prov: dict, columns: list[str], blocks: Iterable[Sequence]
+) -> Iterator[str]:
+    """Text chunks of one artifact, rendered lazily block by block.
+
+    ``blocks`` yields row blocks, each a sequence of equal-length 1-d numpy
+    arrays in ``columns`` order; integer arrays print as integers, float
+    arrays with 17 significant digits in CSV and as ``repr`` in JSON.
+    """
     if fmt == "json":
-        return render_json(prov, columns, rows)
-    return render_csv(prov, columns, rows)
+        return _json_chunks(prov, columns, blocks)
+    return _csv_chunks(prov, columns, blocks)
 
 
-def write_text(text: str, path: str | None) -> None:
+def write_text(text: str | Iterable[str], path: str | None) -> None:
     """Write to ``path``, or stdout when path is None or '-'. Single writer.
 
-    A file is written whole or not at all: the text goes to a temporary file
-    beside the target, which then replaces it.  The permission bits are
-    those a plain ``open()`` would leave: an existing file keeps its own, a
-    new one gets 0o666 under the umask.  A target that exists but is not a
-    regular file, such as a device or a pipe, is written to in place.
+    ``text`` is one string or an iterable of string chunks, written in
+    order as they are produced.  A file is written whole or not at all: the
+    chunks go to a temporary file beside the target, which replaces it once
+    the last chunk is written; if producing or writing a chunk fails, the
+    temporary file is removed and the target is left as it was.  The
+    permission bits are those a plain ``open()`` would leave: an existing
+    file keeps its own, a new one gets 0o666 under the umask.  A target
+    that exists but is not a regular file, such as a device or a pipe, is
+    written to in place.
     """
+    chunks = (text,) if isinstance(text, str) else text
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     target = os.path.realpath(path)
     try:
@@ -90,7 +142,7 @@ def write_text(text: str, path: str | None) -> None:
         existing = None
     if existing is not None and not stat.S_ISREG(existing.st_mode):
         with open(target, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         return
     head, tail = os.path.split(target)
     temporary = os.path.join(head, f".{tail}.{os.urandom(8).hex()}.tmp")
@@ -103,7 +155,7 @@ def write_text(text: str, path: str | None) -> None:
         with open(fd, "w", encoding="utf-8", newline="\n") as fh:
             if existing is not None:
                 os.chmod(temporary, stat.S_IMODE(existing.st_mode))
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(temporary, target)
     except BaseException:
         with contextlib.suppress(OSError):

@@ -10,8 +10,9 @@ import pytest
 
 from conftest import REPO_ROOT, read_csv
 
-from ccawalk import LatticeSpec, NoonInput, correlation_matrix, decompose
+from ccawalk import LatticeSpec, NoonInput, cli, correlation_matrix, decompose
 from ccawalk.cli import main
+from ccawalk.config import MAX_STEPS
 
 PI = np.pi
 SMALL_CHAIN = [
@@ -189,6 +190,29 @@ class TestSweep:
     def test_no_values_anywhere_rejected(self, tmp_path):
         code = run("sweep", *SMALL_CHAIN, "--out", str(tmp_path / "x.csv"))
         assert code == 1
+
+    @pytest.mark.parametrize("flag", ["--theta", "--concurrence"])
+    def test_angles_times_steps_beyond_limit_is_one_line_error(
+        self, capsys, monkeypatch, scenarios_dir, flag
+    ):
+        def no_kernel(*args):
+            raise AssertionError("the limit must be checked before any eta exists")
+
+        monkeypatch.setattr(cli, "tpd_family", no_kernel)
+        values = ",".join(str(k / 40) for k in range(17))  # 17 x (MAX_STEPS + 1)
+        assert_one_line_error(
+            capsys, "sweep", "--config", str(scenarios_dir / "fig1.json"),
+            "--set", f"time.steps={MAX_STEPS}", flag, values, "--out", "-",
+        )
+
+    def test_points_limit_is_inclusive(
+        self, tmp_path, capsys, monkeypatch, scenarios_dir
+    ):
+        monkeypatch.setattr(cli, "MAX_SWEEP_POINTS", 3 * 11)
+        argv = ["sweep", "--config", str(scenarios_dir / "fig1.json"),
+                "--set", "time.steps=10", "--out", str(tmp_path / "x.csv")]
+        assert run(*argv) == 0  # the scenario's 3 angles x 11 times
+        assert_one_line_error(capsys, *argv, "--theta", "0.1,0.2,0.3,0.4")
 
 
 class TestVerify:

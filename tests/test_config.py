@@ -4,6 +4,7 @@ import json
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -172,6 +173,31 @@ def test_time_grid_endpoints_and_scaling():
     scaled = config_from_dict(raw)
     assert scaled.time_grid()[-1] == pytest.approx(10.0 / 0.5, rel=1e-15)
     assert scaled.absolute_time(5.0) == pytest.approx(10.0, rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "fig1",
+        "fig2",
+        "fig3",
+        {"t_max": 83.57, "steps": 7, "scale": "omega"},
+        {"t_max": 1e-300, "steps": 3, "scale": "hopping"},
+        {"t_max": 1e300, "steps": 999_983, "scale": "omega"},
+        {"t_max": 0.1, "steps": 1, "scale": "hopping"},
+        {"t_max": 0.0, "steps": 5, "scale": "omega"},
+    ],
+)
+def test_time_grid_is_bitwise_the_list_formula(scenarios_dir, source):
+    if isinstance(source, str):
+        cfg = load_config(scenarios_dir / f"{source}.json")
+    else:
+        cfg = config_from_dict({**MINIMAL, "time": source})
+    grid = cfg.time_grid()
+    t_end, steps = cfg.absolute_time(cfg.time.t_max), cfg.time.steps
+    expected = [t_end * i / steps for i in range(steps + 1)]
+    assert grid.dtype == np.float64 and not grid.flags.writeable
+    assert grid.tobytes() == np.array(expected).tobytes()
 
 
 def test_overrides_parse_json_values():
