@@ -31,10 +31,10 @@ from .oracle import (
     TwoPhotonBasis,
     TwoPhotonStateVector,
     build_two_photon_hamiltonian,
-    eigh_by_parity,
     evolve,
     noon_state,
     oracle_correlation,
+    solve_by_symmetry,
 )
 
 __version__ = "0.1.0"
@@ -60,7 +60,7 @@ __all__ = [
     "TwoPhotonStateVector",
     "noon_state",
     "build_two_photon_hamiltonian",
-    "eigh_by_parity",
+    "solve_by_symmetry",
     "evolve",
     "oracle_correlation",
     "ValidationError",

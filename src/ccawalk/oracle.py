@@ -1,20 +1,30 @@
 """Brute-force two-photon reference, independent of the spectral fast path.
 
 Builds the full two-photon sector of the chain Hamiltonian in the symmetric
-pair basis, evolves states exactly by dense eigendecomposition, and reads
-the coincidence matrix straight off the state amplitudes.  Nothing here
-touches the sine-transform machinery, so agreement between this module and
-the closed-form path is a genuine cross-check.
+pair basis, evolves states exactly, and reads the coincidence matrix
+straight off the state amplitudes.  Nothing here touches the
+sine-transform machinery, so agreement between this module and the
+closed-form path is a genuine cross-check.
 
-The eigendecomposition is split by the one symmetry the open chain has, the
-mirror j -> N + 1 - j.  It permutes the pair labels, (m, n) -> (N + 1 - n,
-N + 1 - m), and H commutes with that permutation exactly, so
-``eigh_by_parity`` diagonalizes a mirror-even and a mirror-odd block of
-about D/2 labels each: two half-size dense ``eigh`` calls, about a quarter
-of the cost of one full call.  The split uses only this lattice symmetry
-and brute-force dense ``eigh``, never the sine transform or its mode
-frequencies, so the reference stays independent of the path it checks; a
-matrix that does not commute with the mirror bit for bit is refused, never
+The solve uses two exact symmetries of the dense H, each checked bit for
+bit before it is used.  The chain mirror j -> N + 1 - j permutes the pair
+labels, (m, n) -> (N + 1 - n, N + 1 - m), and commutes with H, so H splits
+into a mirror-even and a mirror-odd block of about D/2 labels each.  Every
+hop moves one photon one site, so it changes m + n by one: within each
+block H is its constant diagonal d plus a part that only links even-sum to
+odd-sum labels, the rectangular block C.  One dense ``np.linalg.svd`` of C
+per block gives the eigenvalues d +- sigma and, with C = U S V^T,
+
+    exp(-i H t) = exp(-i d t) [[1 + U (cos St - 1) U^T, -i U sin(St) V^T],
+                               [-i V sin(St) U^T, 1 + V (cos St - 1) V^T]],
+
+so ``evolve`` advances a state to every requested time in one pass and no
+D x D eigenvector matrix is ever formed.  Both splits rest on H's matrix
+elements alone: the mirror on the lattice geometry, the sublattice on hops
+being nearest-neighbour, which holds for any amplitudes.  Neither uses the
+sine transform, its mode frequencies or the free-boson structure, and the
+SVD is a generic dense factorization, so the reference stays independent
+of the path it checks; a matrix without both symmetries is refused, never
 split.
 
 Basis convention: label (m, n) with m <= n is the normalized state with one
@@ -28,6 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import sqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -126,7 +137,7 @@ def build_two_photon_hamiltonian(lattice: LatticeSpec) -> np.ndarray:
     ------
     ValidationError
         If the sector dimension N (N + 1) / 2 exceeds 5000; dense storage
-        and eigendecomposition stop being cheap past that point.
+        and factorization stop being cheap past that point.
     """
     n = lattice.num_cavities
     d = n * (n + 1) // 2
@@ -156,103 +167,203 @@ def build_two_photon_hamiltonian(lattice: LatticeSpec) -> np.ndarray:
     return h
 
 
-def eigh_by_parity(
-    h: np.ndarray, basis: TwoPhotonBasis
-) -> tuple[np.ndarray, np.ndarray]:
-    """``np.linalg.eigh(h)`` for an ``h`` that commutes with the chain mirror.
+class SublatticeBlock(NamedTuple):
+    """One mirror block of H in sublattice form, d I + [[0, C], [C^T, 0]].
 
-    Returns ascending eigenvalues and an orthonormal D x D eigenvector
-    matrix, as ``eigh`` does, from two half-size ``eigh`` calls: one on the
-    mirror-even block, spanned by (e_i + e_Mi)/sqrt(2) and the fixed labels
-    of ``basis.mirror`` M, and one on the odd block, spanned by
-    (e_i - e_Mi)/sqrt(2).  The blocks are gathered from ``h`` with index
-    arrays and their eigenvectors scattered back into the full basis.
+    ``even_side`` and ``odd_side`` are the positions, among the block's
+    coordinates, of the labels with even and odd m + n; C couples the
+    first to the second and C = ``u`` diag(``sigma``) ``vt`` is its thin
+    SVD.  A block with an empty side has C empty and no singular values.
+    """
+
+    even_side: np.ndarray
+    odd_side: np.ndarray
+    u: np.ndarray
+    sigma: np.ndarray
+    vt: np.ndarray
+
+    def evolve(self, coeffs: np.ndarray, times: np.ndarray) -> np.ndarray:
+        """Block coordinates at each time, carrier left out: a (T, size) array.
+
+        With a = U^T x_even and b = V^T x_odd, exp(-i (H - d I) t) maps x
+        to x_even + U ((cos St - 1) a - i sin(St) b) on the even side and
+        x_odd + V ((cos St - 1) b - i sin(St) a) on the odd side.  Each side
+        is one real product with the 2T real and imaginary rows stacked.
+        """
+        x_even, x_odd = coeffs[self.even_side], coeffs[self.odd_side]
+        a = _real_product(x_even, self.u)
+        b = _real_product(x_odd, self.vt.T)
+        phase = np.multiply.outer(times, self.sigma)
+        cos_m1, sin = np.cos(phase) - 1.0, np.sin(phase)
+        out = np.empty((times.size, coeffs.size), dtype=complex)
+        out[:, self.even_side] = x_even + _real_product(
+            cos_m1 * a - 1j * sin * b, self.u.T
+        )
+        out[:, self.odd_side] = x_odd + _real_product(
+            cos_m1 * b - 1j * sin * a, self.vt
+        )
+        return out
+
+
+def _real_product(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``x @ m`` for a complex vector or (T, k) array ``x`` and a real ``m``.
+
+    The real and imaginary rows of ``x`` are stacked into one real operand,
+    so ``m`` is never copied to complex.
+    """
+    rows = np.atleast_2d(x)
+    prod = np.concatenate((rows.real, rows.imag)) @ m
+    out = prod[: len(rows)] + 1j * prod[len(rows) :]
+    return out[0] if x.ndim == 1 else out
+
+
+class TwoPhotonSolution(NamedTuple):
+    """Everything ``evolve`` needs to apply exp(-i H t), from ``solve_by_symmetry``.
+
+    ``diagonal`` is H's constant diagonal d (2 omega for the chain),
+    ``eigenvalues`` H's spectrum in ascending order, ``pairs`` one label of
+    each pair the mirror swaps, ``fixed`` the labels it fixes, and
+    ``blocks`` the mirror-even and mirror-odd blocks.  The even block's
+    coordinates are (e_i + e_Mi)/sqrt(2) over ``pairs`` followed by e_i over
+    ``fixed``; the odd block's are (e_i - e_Mi)/sqrt(2) over ``pairs``.
+    """
+
+    basis: TwoPhotonBasis
+    diagonal: float
+    eigenvalues: np.ndarray
+    pairs: np.ndarray
+    fixed: np.ndarray
+    blocks: tuple[SublatticeBlock, SublatticeBlock]
+
+
+def _sublattice_block(
+    h: np.ndarray,
+    mirror: np.ndarray,
+    odd_sum: np.ndarray,
+    labels: np.ndarray,
+    weights: np.ndarray,
+    sign: float,
+) -> SublatticeBlock:
+    """Fold H onto one mirror block and factor its even-to-odd coupling C.
+
+    The block entry of coordinates a, b is w_a w_b (h[a, b] + sign h[a, Mb])
+    over the representative ``labels``; ``odd_sum`` marks the labels whose
+    m + n is odd.
+    """
+    odd_side = np.flatnonzero(odd_sum[labels])
+    even_side = np.flatnonzero(~odd_sum[labels])
+    rows, cols = labels[even_side], labels[odd_side]
+    if rows.size == 0 or cols.size == 0:  # nothing to factor, and svd may refuse
+        u, sigma, vt = np.zeros((rows.size, 0)), np.zeros(0), np.zeros((0, cols.size))
+    else:
+        c = h[np.ix_(rows, cols)]
+        c += sign * h[np.ix_(rows, mirror[cols])]
+        c *= np.multiply.outer(weights[even_side], weights[odd_side])
+        u, sigma, vt = np.linalg.svd(c, full_matrices=False)
+    return SublatticeBlock(even_side, odd_side, u, sigma, vt)
+
+
+def solve_by_symmetry(h: np.ndarray, basis: TwoPhotonBasis) -> TwoPhotonSolution:
+    """Factor a two-photon H through its mirror and sublattice symmetries.
+
+    H must be real and symmetric, commute bit for bit with the chain
+    mirror M of ``basis``, have one constant diagonal d, and link no two
+    labels whose m + n have the same parity.  The mirror splits it into an
+    even and an odd block; within each, the part linking even-sum to
+    odd-sum labels is a rectangular C, and one ``np.linalg.svd(C)`` gives
+    that block's eigenvalues d +- sigma, plus d once per unpaired label.
+    No D x D eigenvector matrix is formed.
 
     Raises
     ------
     ValidationError
-        If ``h`` is not D x D or does not commute exactly with M (``h``
-        permuted by M on both sides differs from ``h`` in any bit); such a
-        matrix is never split.
+        If ``h`` is not a real D x D matrix, or breaks any of the conditions
+        above; the mirror is checked first.  Such a matrix is never split.
     """
     d = basis.dimension
-    if h.shape != (d, d):
+    if h.shape != (d, d) or not np.isrealobj(h):
         raise ValidationError(
-            f"matrix shape {h.shape} does not match the basis dimension {d}"
+            f"matrix of shape {h.shape} and type {h.dtype} does not match the "
+            f"real {d} x {d} matrices of the basis"
         )
     mirror = basis.mirror
-    labels = np.arange(d)
-    pairs = labels[labels < mirror]  # one label of each swapped pair
-    even = np.concatenate((pairs, labels[labels == mirror]))
-    # Rows ``even`` and their images cover every label, so comparing these
-    # rows with their mirror images checks h[M][:, M] == h in full.
-    top = h.take(even, axis=0)
-    if not np.array_equal(top, h.take(mirror[even], axis=0).take(mirror, axis=1)):
+    # Every condition is a statement about the nonzero entries: M and the
+    # transpose are bijections on positions, so a nonzero entry that maps
+    # onto an equal entry everywhere leaves no zero to map onto a nonzero.
+    flat = np.flatnonzero(h != 0.0)
+    rows, cols = np.divmod(flat, d)
+    values = h.ravel()[flat]
+    if not np.array_equal(h[mirror[rows], mirror[cols]], values):
         raise ValidationError(
             f"matrix does not commute with the mirror of the "
             f"{basis.num_cavities}-cavity pair basis"
         )
-    # <a|h|b> over the even basis is w_a w_b (h[a, b] + h[a, Mb]), with
-    # w = 1 on pairs and 1/sqrt(2) on fixed labels; odd is h[a, b] - h[a, Mb].
-    n_pairs = len(pairs)
-    w = np.ones(len(even))
-    w[n_pairs:] = sqrt(0.5)
-    even_block = top.take(even, axis=1)
-    even_block += top.take(mirror[even], axis=1)
-    even_block *= np.multiply.outer(w, w)
-    odd_block = top[:n_pairs].take(pairs, axis=1)
-    odd_block -= top[:n_pairs].take(mirror[pairs], axis=1)
-    del top  # half of h; free it before the eigensolves
-    even_vals, even_vecs = np.linalg.eigh(even_block)
-    odd_vals, odd_vecs = np.linalg.eigh(odd_block)
+    if not np.array_equal(h[cols, rows], values):
+        raise ValidationError("matrix is not symmetric")
+    diagonal = h.diagonal()
+    if not np.all(diagonal == diagonal[0]):
+        raise ValidationError("matrix diagonal is not one constant")
+    m, n = np.triu_indices(basis.num_cavities)
+    odd_sum = (m + n) % 2 == 1
+    hop = rows != cols
+    if np.any(odd_sum[rows[hop]] == odd_sum[cols[hop]]):
+        raise ValidationError(
+            "matrix links two pair labels whose site sums have the same parity"
+        )
 
-    evals = np.concatenate((even_vals, odd_vals))
-    order = np.argsort(evals, kind="stable")
-    column = np.empty(d, dtype=np.intp)  # output column of each block pair
-    column[order] = labels
-    even_cols = column[: len(even)]
-    odd_cols = column[len(even) :]
-    # Even vector a has u_a / sqrt(2) on a pair label and on its image, and
-    # u_a on a fixed label; odd vector a has +-u_a / sqrt(2).
-    evecs = np.zeros((d, d), dtype=np.result_type(even_vecs, odd_vecs))
-    even_vecs[:n_pairs] *= sqrt(0.5)
-    evecs[np.ix_(even, even_cols)] = even_vecs
-    evecs[np.ix_(mirror[pairs], even_cols)] = even_vecs[:n_pairs]
-    odd_vecs *= sqrt(0.5)
-    evecs[np.ix_(pairs, odd_cols)] = odd_vecs
-    evecs[np.ix_(mirror[pairs], odd_cols)] = -odd_vecs
-    return evals[order], evecs
+    labels = np.arange(d)
+    pairs = labels[labels < mirror]
+    fixed = labels[labels == mirror]
+    # w = 1 on swapped pairs and 1/sqrt(2) on fixed labels: a fixed label is
+    # its own image, so h[a, b] + h[a, Mb] counts it twice.
+    even_weights = np.concatenate((np.ones(pairs.size), np.full(fixed.size, sqrt(0.5))))
+    blocks = (
+        _sublattice_block(
+            h, mirror, odd_sum, np.concatenate((pairs, fixed)), even_weights, 1.0
+        ),
+        _sublattice_block(h, mirror, odd_sum, pairs, np.ones(pairs.size), -1.0),
+    )
+    center = float(diagonal[0])
+    sigma = np.concatenate([block.sigma for block in blocks])
+    unpaired = np.full(d - 2 * sigma.size, center)
+    evals = np.sort(np.concatenate((center - sigma, unpaired, center + sigma)))
+    evals.setflags(write=False)
+    return TwoPhotonSolution(basis, center, evals, pairs, fixed, blocks)
 
 
 def evolve(
-    state: TwoPhotonStateVector,
-    eigensystem: tuple[np.ndarray, np.ndarray],
-    t: float,
-) -> TwoPhotonStateVector:
-    """Exact evolution exp(-i H t) |state> from H's eigendecomposition.
+    state: TwoPhotonStateVector, solution: TwoPhotonSolution, times
+) -> tuple[TwoPhotonStateVector, ...]:
+    """Exact evolution exp(-i H t) |state> to every entry of ``times``.
 
-    ``eigensystem`` is the ``(eigenvalues, eigenvectors)`` pair that
-    ``np.linalg.eigh(H)`` or ``eigh_by_parity`` returns; decompose once and
-    pass it to every call that evolves under the same H.  Norm is preserved
-    to eigensolver accuracy (well inside 1e-10).
+    ``solution`` comes from ``solve_by_symmetry``; solve once and evolve
+    every time in one call.  The state is projected onto the two mirror
+    blocks once, each block advances all times with one real product per
+    sublattice side, and the carrier exp(-i d t) is one factor per time.
+    Norm is preserved to roundoff (well inside 1e-10).
     """
-    t = checked_real(t, "time")
-    evals, evecs = eigensystem
-    d = state.basis.dimension
-    if evecs.shape != (d, d):
+    if state.basis.dimension != solution.basis.dimension:
         raise ValidationError(
-            f"eigenvector matrix shape {evecs.shape} does not match state "
-            f"dimension {d}"
+            f"state dimension {state.basis.dimension} does not match the "
+            f"solved dimension {solution.basis.dimension}"
         )
-    # Apply the (usually real) eigenvectors to the real and imaginary parts
-    # separately, so a real evecs is never copied: neither to complex nor
-    # by a no-op conjugate.
-    adjoint = evecs.T if np.isrealobj(evecs) else evecs.conj().T
+    times = np.array([checked_real(t, "time") for t in times], dtype=float)
+    mirror = solution.basis.mirror
+    pairs, images, fixed = solution.pairs, mirror[solution.pairs], solution.fixed
     amps = state.amplitudes
-    modes = adjoint @ amps.real + 1j * (adjoint @ amps.imag)
-    modes *= np.exp(-1j * evals * t)
-    evolved = evecs @ modes.real + 1j * (evecs @ modes.imag)
-    return TwoPhotonStateVector(basis=state.basis, amplitudes=evolved)
+    lo, hi = amps[pairs], amps[images]
+    even, odd = solution.blocks
+    even_t = even.evolve(np.concatenate(((lo + hi) * sqrt(0.5), amps[fixed])), times)
+    odd_t = odd.evolve((lo - hi) * sqrt(0.5), times)
+    swapped = even_t[:, : pairs.size]
+    evolved = np.empty((times.size, amps.size), dtype=complex)
+    evolved[:, pairs] = (swapped + odd_t) * sqrt(0.5)
+    evolved[:, images] = (swapped - odd_t) * sqrt(0.5)
+    evolved[:, fixed] = even_t[:, pairs.size :]
+    evolved *= np.exp(-1j * solution.diagonal * times)[:, None]
+    return tuple(
+        TwoPhotonStateVector(basis=state.basis, amplitudes=row) for row in evolved
+    )
 
 
 def oracle_correlation(

@@ -19,6 +19,7 @@ from ccawalk import (
     noon_state,
     oracle_correlation,
     propagator_matrix,
+    solve_by_symmetry,
     theta_for_concurrence,
     tpd_degree,
     tpd_series,
@@ -67,10 +68,9 @@ def randomized_cases():
 
         decomp = decompose(lattice)
         closed = correlation_matrix(decomp, noon, t).entries
-        hamiltonian = build_two_photon_hamiltonian(lattice)
-        state = evolve(
-            noon_state(TwoPhotonBasis(n), noon), np.linalg.eigh(hamiltonian), t
-        )
+        basis = TwoPhotonBasis(n)
+        solution = solve_by_symmetry(build_two_photon_hamiltonian(lattice), basis)
+        (state,) = evolve(noon_state(basis, noon), solution, [t])
         reference = oracle_correlation(state, time=t).entries
 
         g = propagator_matrix(decomp, t).entries

@@ -13,6 +13,7 @@ from ccawalk import (
     evolve,
     noon_state,
     oracle_correlation,
+    solve_by_symmetry,
     theta_for_concurrence,
     tpd_degree,
     tpd_family,
@@ -25,9 +26,9 @@ PI = np.pi
 
 def oracle_correlation_at(lattice, noon, t):
     """Brute-force coincidence matrix, bypassing the spectral path entirely."""
-    hamiltonian = build_two_photon_hamiltonian(lattice)
-    state = noon_state(TwoPhotonBasis(lattice.num_cavities), noon)
-    evolved = evolve(state, np.linalg.eigh(hamiltonian), t)
+    basis = TwoPhotonBasis(lattice.num_cavities)
+    solution = solve_by_symmetry(build_two_photon_hamiltonian(lattice), basis)
+    (evolved,) = evolve(noon_state(basis, noon), solution, [t])
     return oracle_correlation(evolved, time=t).entries
 
 

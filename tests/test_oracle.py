@@ -13,12 +13,50 @@ from ccawalk import (
     build_two_photon_hamiltonian,
     correlation_matrix,
     decompose,
-    eigh_by_parity,
     evolve,
     noon_state,
     oracle_correlation,
+    solve_by_symmetry,
 )
 from ccawalk import oracle
+
+
+def dense_evolve(state, h, times):
+    """Reference evolution: one dense ``np.linalg.eigh`` of the whole H."""
+    evals, evecs = np.linalg.eigh(h)
+    modes = evecs.conj().T @ state.amplitudes
+    return [evecs @ (np.exp(-1j * evals * t) * modes) for t in times]
+
+
+def solved_evolve(state, h, times):
+    """Amplitudes at each time through ``solve_by_symmetry`` and ``evolve``."""
+    solution = solve_by_symmetry(h, state.basis)
+    return [evolved.amplitudes for evolved in evolve(state, solution, times)]
+
+
+def block_bases(solution):
+    """The mirror-even and mirror-odd block coordinates as D x L columns."""
+    d = solution.basis.dimension
+    pairs, fixed = solution.pairs, solution.fixed
+    images = solution.basis.mirror[pairs]
+    even = np.zeros((d, pairs.size + fixed.size))
+    odd = np.zeros((d, pairs.size))
+    columns = np.arange(pairs.size)
+    even[pairs, columns] = even[images, columns] = sqrt(0.5)
+    even[fixed, pairs.size + np.arange(fixed.size)] = 1.0
+    odd[pairs, columns] = sqrt(0.5)
+    odd[images, columns] = -sqrt(0.5)
+    return even, odd
+
+
+def worst(deviation):
+    """Largest absolute entry, 0 for an empty block."""
+    return float(np.abs(deviation).max(initial=0.0))
+
+
+def random_state(basis, rng):
+    raw = rng.normal(size=basis.dimension) + 1j * rng.normal(size=basis.dimension)
+    return TwoPhotonStateVector(basis, raw / np.linalg.norm(raw))
 
 
 def loop_hamiltonian(lattice):
@@ -174,28 +212,50 @@ PARITY_CASES = [pytest.param(n, 0.7, id=f"n{n}") for n in (2, 3, 4, 5, 8, 29, 50
 ]
 
 
-class TestEighByParity:
+class TestSolveBySymmetry:
     @pytest.mark.parametrize("n, hopping", PARITY_CASES)
     def test_matches_full_eigh(self, n, hopping):
         lattice = LatticeSpec(num_cavities=n, omega=1.0, hopping=hopping)
         basis = TwoPhotonBasis(n)
         h = build_two_photon_hamiltonian(lattice)
-        evals, evecs = eigh_by_parity(h, basis)
+        solution = solve_by_symmetry(h, basis)
         full = np.linalg.eigh(h)
+        evals = solution.eigenvalues
         d = basis.dimension
-        assert evals.shape == (d,) and evecs.shape == (d, d)
-        assert np.isrealobj(evecs)
+        assert evals.shape == (d,)
+        assert not evals.flags.writeable
         assert np.all(np.diff(evals) >= 0.0)
         assert np.abs(evals - full[0]).max() < 1e-12
-        assert np.abs((evecs * evals) @ evecs.T - h).max() < 1e-12
-        assert np.abs(evecs.T @ evecs - np.eye(d)).max() < 1e-12
+
+        # each block is d I + [[0, C], [C^T, 0]] with C = U diag(sigma) V^T,
+        # U and V orthonormal, and the two blocks do not mix
+        even, odd = block_bases(solution)
+        assert np.abs(even.T @ h @ odd).max() < 1e-12
+        for q, block in zip((even, odd), solution.blocks):
+            folded = q.T @ h @ q
+            size = q.shape[1]
+            assert sorted(np.concatenate((block.even_side, block.odd_side))) == list(
+                range(size)
+            )
+            c = folded[np.ix_(block.even_side, block.odd_side)]
+            assert worst((block.u * block.sigma) @ block.vt - c) < 1e-12
+            for side in (block.even_side, block.odd_side):
+                diagonal = folded[np.ix_(side, side)]
+                assert worst(diagonal - 2.0 * np.eye(side.size)) < 1e-12
+            assert worst(block.u.T @ block.u - np.eye(block.sigma.size)) < 1e-12
+            assert worst(block.vt @ block.vt.T - np.eye(block.sigma.size)) < 1e-12
 
         r, s = (n + 1) // 2, n
-        state = noon_state(basis, NoonInput(theta=0.4, site_r=r, site_s=s))
-        for t in (0.0, 0.3, 17.0, 987.6, 1.0e4):
-            split = evolve(state, (evals, evecs), t).amplitudes
-            dense = evolve(state, full, t).amplitudes
-            assert np.abs(split - dense).max() < 1e-10
+        rng = np.random.default_rng(n)
+        times = (0.0, 0.3, 17.0, 987.6, 1.0e4)
+        for state in (
+            noon_state(basis, NoonInput(theta=0.4, site_r=r, site_s=s)),
+            random_state(basis, rng),
+        ):
+            split = solved_evolve(state, h, times)
+            dense = dense_evolve(state, h, times)
+            for a, b in zip(split, dense):
+                assert np.abs(a - b).max() < 1e-10
 
     @pytest.mark.parametrize("n", [2, 3, 8])
     @pytest.mark.parametrize("row", ["swapped", "fixed"])
@@ -208,14 +268,79 @@ class TestEighByParity:
         i, j = (0, 1) if row == "swapped" else (basis.index(1, n), 0)
         h[i, j] = h[j, i] = np.nextafter(h[i, j], np.inf)
         with pytest.raises(ValidationError, match="mirror"):
-            eigh_by_parity(h, basis)
+            solve_by_symmetry(h, basis)
+
+    @pytest.mark.parametrize("n", [3, 4, 8])
+    def test_rejects_hop_inside_a_sublattice(self, n):
+        # (1, 1) and (1, 3) both have an even site sum; the one-ulp hop is
+        # placed on their mirror images too, so only the sublattice check fails
+        basis = TwoPhotonBasis(n)
+        h = build_two_photon_hamiltonian(
+            LatticeSpec(num_cavities=n, omega=1.0, hopping=0.7)
+        ).copy()
+        i, j = basis.index(1, 1), basis.index(1, 3)
+        for a, b in ((i, j), (basis.mirror[i], basis.mirror[j])):
+            h[a, b] = h[b, a] = np.nextafter(0.0, 1.0)
+        with pytest.raises(ValidationError, match="same parity"):
+            solve_by_symmetry(h, basis)
+
+    @pytest.mark.parametrize("label", ["swapped", "fixed"])
+    def test_rejects_non_constant_diagonal(self, label):
+        basis = TwoPhotonBasis(5)
+        h = build_two_photon_hamiltonian(
+            LatticeSpec(num_cavities=5, omega=1.0, hopping=0.7)
+        ).copy()
+        i = basis.index(1, 1) if label == "swapped" else basis.index(1, 5)
+        for a in {i, basis.mirror[i]}:
+            h[a, a] = np.nextafter(h[a, a], np.inf)
+        with pytest.raises(ValidationError, match="diagonal"):
+            solve_by_symmetry(h, basis)
+
+    def test_rejects_asymmetric_matrix(self):
+        basis = TwoPhotonBasis(4)
+        h = build_two_photon_hamiltonian(
+            LatticeSpec(num_cavities=4, omega=1.0, hopping=0.7)
+        ).copy()
+        i, j = basis.index(1, 1), basis.index(1, 2)
+        for a, b in ((i, j), (basis.mirror[i], basis.mirror[j])):
+            h[a, b] = np.nextafter(h[a, b], np.inf)
+        with pytest.raises(ValidationError, match="not symmetric"):
+            solve_by_symmetry(h, basis)
 
     def test_rejects_wrong_shape(self):
         h = build_two_photon_hamiltonian(
             LatticeSpec(num_cavities=4, omega=1.0, hopping=0.7)
         )
         with pytest.raises(ValidationError, match="does not match"):
-            eigh_by_parity(h, TwoPhotonBasis(5))
+            solve_by_symmetry(h, TwoPhotonBasis(5))
+
+    def test_rejects_complex_matrix(self):
+        h = build_two_photon_hamiltonian(
+            LatticeSpec(num_cavities=4, omega=1.0, hopping=0.7)
+        )
+        with pytest.raises(ValidationError, match="does not match"):
+            solve_by_symmetry(h.astype(complex), TwoPhotonBasis(4))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_empty_sublattice_side_never_reaches_svd(self, n, monkeypatch):
+        shapes = []
+        svd = np.linalg.svd
+
+        def recording_svd(c, *args, **kwargs):
+            shapes.append(c.shape)
+            return svd(c, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        h = build_two_photon_hamiltonian(
+            LatticeSpec(num_cavities=n, omega=1.0, hopping=0.7)
+        )
+        solution = solve_by_symmetry(h, TwoPhotonBasis(n))
+        assert all(min(shape) > 0 for shape in shapes)
+        sides = [(b.even_side.size, b.odd_side.size) for b in solution.blocks]
+        assert len(shapes) == sum(min(side) > 0 for side in sides)
+        if n == 2:  # the odd block is the single label (1, 1) - (2, 2)
+            assert sides == [(1, 1), (1, 0)]
+            assert shapes == [(1, 1)]
 
 
 class TestStateVector:
@@ -247,8 +372,8 @@ class TestEvolve:
         lattice = LatticeSpec(num_cavities=4, omega=1.0, hopping=0.5)
         h = build_two_photon_hamiltonian(lattice)
         state = noon_state(TwoPhotonBasis(4), NoonInput(theta=0.4, site_r=1, site_s=3))
-        evolved = evolve(state, np.linalg.eigh(h), 0.0)
-        assert np.abs(evolved.amplitudes - state.amplitudes).max() < 1e-12
+        (evolved,) = solved_evolve(state, h, [0.0])
+        assert np.abs(evolved - state.amplitudes).max() < 1e-12
 
     def test_no_hopping_gives_global_phase(self):
         omega = 1.3
@@ -256,28 +381,52 @@ class TestEvolve:
         h = build_two_photon_hamiltonian(lattice)
         state = noon_state(TwoPhotonBasis(4), NoonInput(theta=0.9, site_r=2, site_s=4))
         t = 7.7
-        evolved = evolve(state, np.linalg.eigh(h), t)
+        (evolved,) = solved_evolve(state, h, [t])
         expected = np.exp(-2j * omega * t) * state.amplitudes
-        assert np.abs(evolved.amplitudes - expected).max() < 1e-12
+        assert np.abs(evolved - expected).max() < 1e-12
         assert np.abs(
-            np.abs(evolved.amplitudes) ** 2 - np.abs(state.amplitudes) ** 2
+            np.abs(evolved) ** 2 - np.abs(state.amplitudes) ** 2
         ).max() < 1e-12
 
     def test_norm_preserved_over_long_times(self):
         lattice = LatticeSpec(num_cavities=8, omega=1.0, hopping=1.9)
         h = build_two_photon_hamiltonian(lattice)
         state = noon_state(TwoPhotonBasis(8), NoonInput(theta=1.1, site_r=3, site_s=4))
-        for t in (0.1, 50.0, 987.6):
-            evolved = evolve(state, np.linalg.eigh(h), t)
-            assert abs(np.linalg.norm(evolved.amplitudes) - 1.0) < 1e-10
+        for evolved in solved_evolve(state, h, (0.1, 50.0, 987.6)):
+            assert abs(np.linalg.norm(evolved) - 1.0) < 1e-10
 
     def test_repeated_calls_are_bitwise_equal(self):
         lattice = LatticeSpec(num_cavities=5, omega=1.0, hopping=0.3)
         h = build_two_photon_hamiltonian(lattice)
         state = noon_state(TwoPhotonBasis(5), NoonInput(theta=0.5, site_r=1, site_s=5))
-        first = evolve(state, np.linalg.eigh(h), 3.0).amplitudes
-        second = evolve(state, np.linalg.eigh(h), 3.0).amplitudes
+        first = solved_evolve(state, h, [3.0])[0]
+        second = solved_evolve(state, h, [3.0])[0]
         assert np.array_equal(first, second)
+
+    def test_all_times_in_one_call_match_one_call_per_time(self):
+        lattice = LatticeSpec(num_cavities=6, omega=1.2, hopping=0.8)
+        h = build_two_photon_hamiltonian(lattice)
+        basis = TwoPhotonBasis(6)
+        solution = solve_by_symmetry(h, basis)
+        state = random_state(basis, np.random.default_rng(5))
+        times = [4.0, 0.0, 4.0, 123.4, 0.5]  # unsorted, with a repeat
+        together = evolve(state, solution, times)
+        assert len(together) == len(times)
+        for t, evolved in zip(times, together):
+            (alone,) = evolve(state, solution, [t])
+            assert evolved.basis is basis
+            assert np.abs(evolved.amplitudes - alone.amplitudes).max() < 1e-14
+        assert evolve(state, solution, []) == ()
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), "1.0", True])
+    def test_rejects_invalid_time(self, bad):
+        h = build_two_photon_hamiltonian(
+            LatticeSpec(num_cavities=3, omega=1.0, hopping=0.5)
+        )
+        basis = TwoPhotonBasis(3)
+        state = noon_state(basis, NoonInput(theta=0.5, site_r=1, site_s=2))
+        with pytest.raises(ValidationError, match="time"):
+            evolve(state, solve_by_symmetry(h, basis), [1.0, bad])
 
     @pytest.mark.parametrize("case", ["random-complex-hermitian", "chain-n5"])
     def test_matches_matrix_exponential(self, case):
@@ -287,32 +436,39 @@ class TestEvolve:
         if case == "chain-n5":
             lattice = LatticeSpec(num_cavities=5, omega=1.0, hopping=0.7)
             h = build_two_photon_hamiltonian(lattice)
+            route = solved_evolve
         else:
+            # no chain symmetry: the solver refuses it, and the dense
+            # reference is checked on it instead
             raw = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
             h = 0.5 * (raw + raw.conj().T)
-        raw = rng.normal(size=d) + 1j * rng.normal(size=d)
-        state = TwoPhotonStateVector(basis, raw / np.linalg.norm(raw))
-        eigensystem = np.linalg.eigh(h)
-        for t in (0.0, 0.3, 4.1, 17.0, 50.0):
-            evolved = evolve(state, eigensystem, t).amplitudes
+            with pytest.raises(ValidationError):
+                solve_by_symmetry(h, basis)
+            route = dense_evolve
+        state = random_state(basis, rng)
+        times = (0.0, 0.3, 4.1, 17.0, 50.0)
+        for t, evolved in zip(times, route(state, h, times)):
             expected = expm(-1j * h * t) @ state.amplitudes
             assert np.abs(evolved - expected).max() < 1e-12
 
     def test_dimension_mismatch(self):
         state = noon_state(TwoPhotonBasis(3), NoonInput(theta=0.5, site_r=1, site_s=2))
-        wrong = np.eye(4)
+        h = build_two_photon_hamiltonian(
+            LatticeSpec(num_cavities=4, omega=1.0, hopping=0.5)
+        )
+        solution = solve_by_symmetry(h, TwoPhotonBasis(4))
         with pytest.raises(ValidationError):
-            evolve(state, np.linalg.eigh(wrong), 1.0)
+            evolve(state, solution, [1.0])
 
     def test_two_site_matches_closed_form_at_random_times(self):
         lattice = LatticeSpec(num_cavities=2, omega=1.0, hopping=1.0)
         noon = NoonInput(theta=np.pi / 4, site_r=1, site_s=2)
-        h = build_two_photon_hamiltonian(lattice)
-        state = noon_state(TwoPhotonBasis(2), noon)
+        basis = TwoPhotonBasis(2)
+        solution = solve_by_symmetry(build_two_photon_hamiltonian(lattice), basis)
+        state = noon_state(basis, noon)
         decomp = decompose(lattice)
-        rng = np.random.default_rng(11)
-        for t in rng.uniform(0.0, 40.0, size=20):
-            evolved = evolve(state, np.linalg.eigh(h), t)
+        times = np.random.default_rng(11).uniform(0.0, 40.0, size=20)
+        for t, evolved in zip(times, evolve(state, solution, times)):
             reference = oracle_correlation(evolved, time=t).entries
             closed = correlation_matrix(decomp, noon, t).entries
             assert np.abs(reference - closed).max() < 1e-10
