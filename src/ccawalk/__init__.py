@@ -9,12 +9,10 @@ against.  See the ``ccawalk`` CLI for scenario runs and data export.
 from .errors import ValidationError
 from .lattice import (
     LatticeSpec,
-    PropagatorColumn,
-    PropagatorMatrix,
     SpectralDecomposition,
     decompose,
-    propagator_columns,
-    propagator_matrix,
+    propagator,
+    propagator_block,
 )
 from .observables import (
     CorrelationMatrix,
@@ -42,11 +40,9 @@ __version__ = "0.1.0"
 __all__ = [
     "LatticeSpec",
     "SpectralDecomposition",
-    "PropagatorMatrix",
-    "PropagatorColumn",
     "decompose",
-    "propagator_matrix",
-    "propagator_columns",
+    "propagator",
+    "propagator_block",
     "NoonInput",
     "CorrelationMatrix",
     "TpdSeries",

@@ -1,11 +1,16 @@
-"""Exception type and the scalar checks shared across the package.
+"""Exception type and the checks shared across the package.
 
-Every integer, real and choice parameter is validated here, so one rule
-holds everywhere: ``bool`` is not a number and ``str`` is not a number.
+Every integer, real and choice parameter, and every array of cavity
+indices or times, is validated here, so one rule holds everywhere: ``bool``
+is not a number and ``str`` is not a number.
 """
 
 from math import isfinite
 from numbers import Integral, Real
+
+import numpy as np
+
+_BOOLS = frozenset((bool, np.bool_))
 
 
 class ValidationError(ValueError):
@@ -50,6 +55,26 @@ def checked_real(
         raise ValidationError(f"{name} must be finite, got {value}")
     _check_range(value, name, low, high)
     return value
+
+
+def checked_array(values, name: str, dtype=float, low=None, high=None) -> np.ndarray:
+    """``values`` as a new non-empty 1-d ``dtype`` array, finite and in [low, high].
+
+    One vectorised check in place of a scalar check per entry.  An ``int``
+    array must hold integers, and a bool is never a number, not even in a list.
+    """
+    array = np.asarray(values)
+    kinds, what = ("iu", "integers") if dtype is int else ("iuf", "real numbers")
+    if array.ndim != 1 or array.size == 0 or array.dtype.kind not in kinds:
+        raise ValidationError(f"{name} must be a non-empty 1-d sequence of {what}")
+    if not isinstance(values, np.ndarray) and not _BOOLS.isdisjoint(map(type, values)):
+        raise ValidationError(f"{name} must not contain booleans")
+    array = array.astype(dtype)
+    if not np.isfinite(array).all():
+        raise ValidationError(f"{name} must be finite")
+    _check_range(array.min(), name, low, high)
+    _check_range(array.max(), name, low, high)
+    return array
 
 
 def checked_choice(value, name: str, choices: tuple[str, ...]) -> str:

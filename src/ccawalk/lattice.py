@@ -21,10 +21,13 @@ with c_d(t) = (1/(N+1)) sum_k exp(-2 i J t cos theta_k) cos(d theta_k) and
 theta_k = pi k/(N+1).  One real FFT of length 2(N+1) per time point gives
 every c_d (the DCT-I as an FFT, Martucci, IEEE TSP 42, 1038 (1994)), so
 columns cost O(N log N) per time point however many are requested and S
-is never built; the full matrix is an O(N^2) index fill.  The carrier
-exp(-i omega t) is one factor per time, applied only where the complex G
-is returned.  All functions are pure and all returned arrays are
-read-only, so values are safe to share across threads.
+is never built; the full matrix is an O(N^2) index fill.
+
+``propagator_block`` is the one kernel: the real columns R_l of any sites
+at any times, as one (sites, times, N) array.  ``propagator`` adds the
+carrier exp(-i omega t), one factor per time, to give the complex G.  All
+functions are pure and all returned arrays are read-only, so values are
+safe to share across threads.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, checked_int, checked_real
+from .errors import ValidationError, checked_array, checked_int, checked_real
 
 # bounds the N x N outputs: correlation writes N^2 rows, 25 million at this size
 MAX_CAVITIES = 5000
@@ -99,23 +102,6 @@ class SpectralDecomposition:
         return _readonly(s)
 
 
-@dataclass(frozen=True)
-class PropagatorMatrix:
-    """Full single-photon propagator G(t), an N x N unitary symmetric matrix."""
-
-    time: float
-    entries: np.ndarray
-
-
-@dataclass(frozen=True)
-class PropagatorColumn:
-    """One column G[:, site](t): amplitudes to reach each cavity from ``site``."""
-
-    time: float
-    site: int
-    amplitudes: np.ndarray
-
-
 def decompose(lattice: LatticeSpec) -> SpectralDecomposition:
     """Exact normal-mode decomposition of the chain.
 
@@ -135,74 +121,35 @@ def decompose(lattice: LatticeSpec) -> SpectralDecomposition:
     return SpectralDecomposition(lattice=lattice, frequencies=_readonly(freqs))
 
 
-def propagator_matrix(decomp: SpectralDecomposition, t: float) -> PropagatorMatrix:
-    """Full propagator G(t) = S diag(exp(-i Omega t)) S.
-
-    Negative ``t`` is accepted and means time-reversed evolution; the
-    formula imposes no sign restriction.  An O(N^2) fill from one row of
-    mode sums whose index pattern is symmetric, so G[j, l] == G[l, j]
-    holds exactly.
-    """
-    t = checked_real(t, "time")
-    g = _complex_columns(decomp, range(1, decomp.num_cavities + 1), t)
-    return PropagatorMatrix(time=t, entries=_readonly(g))
-
-
-def propagator_columns(
-    decomp: SpectralDecomposition, t: float, sites: list[int]
-) -> list[PropagatorColumn]:
-    """Selected columns of G(t) without forming the full matrix.
-
-    Costs O(N log N) for the mode sums, shared by all requested columns,
-    plus O(N) per column; this is the fast path behind the
-    pair-correlation observable, which only ever needs two columns.
-
-    Parameters
-    ----------
-    decomp : SpectralDecomposition
-    t : float
-        Evaluation time (negative allowed, see ``propagator_matrix``).
-    sites : list of int
-        1-based cavity indices; each must lie in 1..N.
-
-    Returns
-    -------
-    list of PropagatorColumn, in the order the sites were requested.
-    """
-    t = checked_real(t, "time")
-    columns = _complex_columns(decomp, sites, t)
-    return [PropagatorColumn(t, int(site), g) for site, g in zip(sites, columns)]
-
-
-def _complex_columns(decomp: SpectralDecomposition, sites, t: float) -> np.ndarray:
-    """G[:, site](t) for each site, as a (len(sites), N) array.
-
-    The carrier exp(-i omega t) enters here as one factor per time, never
-    inside the mode phases.
-    """
-    real = _column_block(decomp, sites, np.array([t]))[:, 0]
-    odd = (np.arange(1, decomp.num_cavities + 1) - np.array(sites)[:, None]) % 2
-    return real * (np.exp(-1j * decomp.lattice.omega * t) * np.where(odd, 1j, 1.0))
-
-
-def _column_block(decomp: SpectralDecomposition, sites, times) -> np.ndarray:
-    """Real columns R_l(t) for each site l and each entry of the 1-d ``times``.
+def propagator_block(decomp: SpectralDecomposition, sites, times) -> np.ndarray:
+    """Real columns R_l(t) for each 1-based site l and each finite time t.
 
     G[j, l](t) = exp(-i omega t) i^((j - l) mod 2) R_l[j](t), where
     R_l[j] = X[|j - l|] - X[min(j + l, 2(N+1) - j - l)] is a Toeplitz minus
-    a Hankel fill from the mode sums X of ``_mode_sums``.  Returns a
-    read-only (len(sites), len(times), N) array whose rows at t == 0 are
-    exact unit vectors: G(0) = I exactly.
+    a Hankel fill from the mode sums X of ``_mode_sums``; a negative t is
+    time-reversed evolution.  Returns a read-only (len(sites), len(times), N)
+    array whose rows at t == 0 are exact unit vectors: G(0) = I exactly.
     """
     n = decomp.num_cavities
-    index = np.array(
-        [checked_int(site, "cavity index", 1, n) for site in sites], dtype=int
-    )[:, None]
+    index = checked_array(sites, "cavity index", int, 1, n)[:, None]
     j = np.arange(1, n + 1)
     far = j + index
-    sums = _mode_sums(decomp, times)
+    sums = _mode_sums(decomp, checked_array(times, "time"))
     columns = sums[:, np.abs(j - index)] - sums[:, np.minimum(far, 2 * (n + 1) - far)]
     return _readonly(np.moveaxis(columns, 1, 0))
+
+
+def propagator(decomp: SpectralDecomposition, sites, times) -> np.ndarray:
+    """Complex columns G[:, l](t) = S diag(exp(-i Omega t)) S e_l.
+
+    ``propagator_block`` times exp(-i omega t) i^((j - l) mod 2), in its
+    layout.  Over all sites, ``[:, k]`` is the whole matrix G(t_k), exactly
+    symmetric, and depends on t_k alone, bit for bit.
+    """
+    real = propagator_block(decomp, sites, times)
+    carrier = np.exp(-1j * decomp.lattice.omega * np.asarray(times, dtype=float))
+    odd = (np.arange(1, decomp.num_cavities + 1) - np.asarray(sites)[:, None]) % 2
+    return _readonly(real * (carrier[:, None] * np.where(odd, 1j, 1.0)[:, None]))
 
 
 def _mode_sums(decomp: SpectralDecomposition, times) -> np.ndarray:

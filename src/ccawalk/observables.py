@@ -50,8 +50,14 @@ from math import asin, cos, pi, sin
 
 import numpy as np
 
-from .errors import ValidationError, checked_choice, checked_int, checked_real
-from .lattice import SpectralDecomposition, _column_block, propagator_columns
+from .errors import (
+    ValidationError,
+    checked_array,
+    checked_choice,
+    checked_int,
+    checked_real,
+)
+from .lattice import SpectralDecomposition, propagator, propagator_block
 
 
 @dataclass(frozen=True)
@@ -129,8 +135,7 @@ def correlation_matrix(
     O(N^2) total.  The result is symmetric by construction and its entries
     sum to 2 up to roundoff (a consequence of propagator unitarity).
     """
-    col_r, col_s = propagator_columns(decomp, t, [noon.site_r, noon.site_s])
-    g_r, g_s = col_r.amplitudes, col_s.amplitudes
+    g_r, g_s = propagator(decomp, [noon.site_r, noon.site_s], [t])[:, 0]
     amplitude = sin(noon.theta) * np.outer(g_r, g_r) + cos(noon.theta) * np.outer(
         g_s, g_s
     )
@@ -168,14 +173,8 @@ def tpd_family(
     """
     if not noons or len({(noon.site_r, noon.site_s) for noon in noons}) != 1:
         raise ValidationError("an eta family needs inputs on exactly one site pair")
-    times = np.array(t_grid, dtype=float)
-    if times.ndim != 1 or times.size == 0:
-        raise ValidationError("time grid must be a non-empty 1-d sequence")
-    if not np.all(np.isfinite(times)):
-        raise ValidationError("time grid must be finite")
-    if times[0] < 0.0:
-        raise ValidationError("time grid must be non-negative")
-    if times.size > 1 and not np.all(np.diff(times) > 0.0):
+    times = checked_array(t_grid, "time grid", low=0.0)
+    if not np.all(np.diff(times) > 0.0):
         raise ValidationError("time grid must be strictly increasing")
 
     w_r = np.array([[sin(noon.theta)] for noon in noons])  # one row per input
@@ -186,7 +185,7 @@ def tpd_family(
     step = max(1, _BLOCK_ELEMENTS // decomp.num_cavities)
     for start in range(0, times.size, step):
         block = slice(start, start + step)
-        a, b = _column_block(decomp, [site_r, site_s], times[block]) ** 2
+        a, b = propagator_block(decomp, [site_r, site_s], times[block]) ** 2
         eta[:, block] = (
             w_r**2 * (1.0 - np.sum(a * a, axis=1))
             + w_s**2 * (1.0 - np.sum(b * b, axis=1))

@@ -5,7 +5,9 @@ sector and compares the resulting coincidence matrix elementwise with the
 closed-form expression at times drawn from the scenario's own time window;
 the rest are structural invariants (unitarity, normalization, spectrum
 additivity) with fixed tolerances.  Scenarios are shrunk to a small chain
-first so the dense reference stays cheap.
+first so the dense reference stays cheap.  Every propagator the checks
+need comes from one ``lattice.propagator`` call over all sites and all
+check times; the checks read slices of it.
 
 ``swap_weights`` corrupts the closed-form side by exchanging the two
 superposition weights; it exists to demonstrate that the equivalence check
@@ -21,7 +23,7 @@ from math import pi
 import numpy as np
 
 from .errors import checked_int, checked_real
-from .lattice import LatticeSpec, decompose, propagator_matrix
+from .lattice import LatticeSpec, decompose, propagator
 from .observables import NoonInput, correlation_matrix, tpd_family
 from .oracle import (
     TwoPhotonBasis,
@@ -82,6 +84,11 @@ class VerificationReport:
         return "\n".join(lines)
 
 
+def _deviation(a: np.ndarray, b: np.ndarray) -> float:
+    """Largest elementwise |a - b|."""
+    return float(np.abs(a - b).max())
+
+
 def shrink_scenario(
     lattice: LatticeSpec, noon: NoonInput, max_cavities: int = 8
 ) -> tuple[LatticeSpec, NoonInput]:
@@ -120,49 +127,45 @@ def run_verification(
     t_max = checked_real(t_max, "t_max", 0.0)
     rng = np.random.default_rng(checked_int(seed, "seed", 0))
     times = np.concatenate(([0.0], np.sort(rng.uniform(0.0, t_max, size=24))))
+    pairs = rng.uniform(0.0, t_max, size=(5, 2))
+    group_times = np.column_stack((pairs, pairs[:, 0] + pairs[:, 1])).ravel()
 
     decomp = decompose(lattice)
     n = lattice.num_cavities
     basis = TwoPhotonBasis(n)
     solution = solve_by_symmetry(build_two_photon_hamiltonian(lattice), basis)
     states = evolve(noon_state(basis, noon), solution, times)
+    # g[:, k] is G(t_k) (G is symmetric): the samples, t = 0, then t1, t2, t1 + t2
+    g = propagator(
+        decomp, np.arange(1, n + 1), np.concatenate((times, [0.0], group_times))
+    )
     # swapped weights (cos theta on r, sin theta on s) are theta -> pi/2 - theta
     closed_input = replace(noon, theta=pi / 2 - noon.theta) if swap_weights else noon
 
-    oracle_dev = 0.0
-    unitarity_dev = 0.0
-    pair_sum_dev = 0.0
+    closed = [correlation_matrix(decomp, closed_input, t).entries for t in times]
+    oracle_dev = max(
+        _deviation(p, oracle_correlation(state, time=t).entries)
+        for p, t, state in zip(closed, times, states)
+    )
+    pair_sum_dev = max(abs(float(p.sum()) - 2.0) for p in closed)
     identity = np.eye(n)
-    for t, state in zip(times, states):
-        reference = oracle_correlation(state, time=t)
-        closed = correlation_matrix(decomp, closed_input, t).entries
-        oracle_dev = max(oracle_dev, float(np.abs(closed - reference.entries).max()))
-
-        g = propagator_matrix(decomp, t).entries
-        unitarity_dev = max(
-            unitarity_dev, float(np.abs(g @ g.conj().T - identity).max())
-        )
-        pair_sum_dev = max(pair_sum_dev, abs(float(closed.sum()) - 2.0))
+    unitarity_dev = max(
+        _deviation(g[:, k] @ g[:, k].conj().T, identity) for k in range(times.size)
+    )
+    identity_dev = _deviation(g[:, times.size], identity)
+    group_dev = max(
+        _deviation(g[:, k] @ g[:, k + 1], g[:, k + 2])
+        for k in range(times.size + 1, g.shape[1], 3)
+    )
 
     # the samples start at t = 0 and may repeat (all of them when t_max = 0)
     eta = tpd_family(decomp, [noon], np.unique(times))[0].eta
     eta_range_dev = max(0.0, -float(eta.min()), float(eta.max()) - 1.0)
     eta_zero_dev = abs(float(eta[0]))
-    identity_dev = float(
-        np.abs(propagator_matrix(decomp, 0.0).entries - identity).max()
-    )
-
-    group_dev = 0.0
-    for _ in range(5):
-        t1, t2 = rng.uniform(0.0, t_max, size=2)
-        g1 = propagator_matrix(decomp, t1).entries
-        g2 = propagator_matrix(decomp, t2).entries
-        g12 = propagator_matrix(decomp, t1 + t2).entries
-        group_dev = max(group_dev, float(np.abs(g1 @ g2 - g12).max()))
 
     f = decomp.frequencies
     pair_sums = np.sort(np.add.outer(f, f)[np.triu_indices(n)])
-    spectrum_dev = float(np.abs(solution.eigenvalues - pair_sums).max())
+    spectrum_dev = _deviation(solution.eigenvalues, pair_sums)
 
     checks = (
         CheckResult("oracle-equivalence", oracle_dev, ORACLE_TOL),

@@ -1,6 +1,9 @@
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from ccawalk import propagator
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -21,3 +24,8 @@ def read_csv(path):
         else:
             rows.append(line.split(","))
     return comments, header, rows
+
+
+def full_propagator(decomp, t):
+    """G(t) as an N x N matrix: every site at one time (G is symmetric)."""
+    return propagator(decomp, np.arange(1, decomp.num_cavities + 1), [t])[:, 0]

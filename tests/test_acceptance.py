@@ -18,13 +18,13 @@ from ccawalk import (
     evolve,
     noon_state,
     oracle_correlation,
-    propagator_matrix,
     solve_by_symmetry,
     theta_for_concurrence,
     tpd_degree,
     tpd_series,
 )
 from ccawalk.cli import main
+from conftest import full_propagator
 
 PI = np.pi
 RANDOM_CASES = 200
@@ -73,7 +73,7 @@ def randomized_cases():
         (state,) = evolve(noon_state(basis, noon), solution, [t])
         reference = oracle_correlation(state, time=t).entries
 
-        g = propagator_matrix(decomp, t).entries
+        g = full_propagator(decomp, t)
         unitarity = float(np.abs(g @ g.conj().T - np.eye(n)).max())
         cases.append(
             {

@@ -6,9 +6,10 @@ from ccawalk import (
     LatticeSpec,
     ValidationError,
     decompose,
-    propagator_columns,
-    propagator_matrix,
+    propagator,
+    propagator_block,
 )
+from conftest import full_propagator
 
 
 def dense_single_photon_hamiltonian(n, omega, hopping):
@@ -92,14 +93,14 @@ class TestDecompose:
 class TestPropagatorMatrix:
     def test_identity_at_time_zero(self):
         decomp = decompose(LatticeSpec(num_cavities=11, omega=1.0, hopping=0.8))
-        g = propagator_matrix(decomp, 0.0)
-        assert np.abs(g.entries - np.eye(11)).max() < 1e-12
+        g = full_propagator(decomp, 0.0)
+        assert np.abs(g - np.eye(11)).max() < 1e-12
 
     @pytest.mark.parametrize("t", [0.3, 1.0, np.pi, 17.5])
     def test_two_site_closed_form(self, t):
         # omega = hopping = 1: diagonal e^{-it} cos t, off-diagonal -i e^{-it} sin t
         decomp = decompose(LatticeSpec(num_cavities=2, omega=1.0, hopping=1.0))
-        g = propagator_matrix(decomp, t).entries
+        g = full_propagator(decomp, t)
         phase = np.exp(-1j * t)
         assert g[0, 0] == pytest.approx(phase * np.cos(t), abs=1e-14)
         assert g[1, 1] == pytest.approx(phase * np.cos(t), abs=1e-14)
@@ -107,59 +108,79 @@ class TestPropagatorMatrix:
 
     def test_row_matches_matrix_exponential(self):
         lat = LatticeSpec(num_cavities=29, omega=1.0, hopping=1.0)
-        g = propagator_matrix(decompose(lat), 83.57).entries
+        g = full_propagator(decompose(lat), 83.57)
         u = expm(-1j * dense_single_photon_hamiltonian(29, 1.0, 1.0) * 83.57)
         assert np.abs(g[14, :] - u[14, :]).max() < 1e-9
         assert np.abs(g - u).max() < 1e-9
 
     def test_exact_index_symmetry(self):
         decomp = decompose(LatticeSpec(num_cavities=13, omega=1.3, hopping=0.6))
-        g = propagator_matrix(decomp, 42.1).entries
+        g = full_propagator(decomp, 42.1)
         assert np.array_equal(g, g.T)
 
     def test_negative_time_is_conjugate(self):
         decomp = decompose(LatticeSpec(num_cavities=7, omega=1.0, hopping=0.4))
-        forward = propagator_matrix(decomp, 5.5).entries
-        backward = propagator_matrix(decomp, -5.5).entries
+        forward = full_propagator(decomp, 5.5)
+        backward = full_propagator(decomp, -5.5)
         assert np.abs(backward - forward.conj()).max() < 1e-14
         assert np.abs(forward @ backward - np.eye(7)).max() < 1e-12
 
     def test_rejects_non_finite_time(self):
         decomp = decompose(LatticeSpec(num_cavities=3, omega=1.0, hopping=1.0))
         with pytest.raises(ValidationError):
-            propagator_matrix(decomp, float("nan"))
+            full_propagator(decomp, float("nan"))
 
 
 class TestPropagatorColumns:
     def test_unit_vector_at_time_zero(self):
         decomp = decompose(LatticeSpec(num_cavities=9, omega=1.0, hopping=1.0))
-        (col,) = propagator_columns(decomp, 0.0, [4])
+        (col,) = propagator(decomp, [4], [0.0])[:, 0]
         expected = np.zeros(9)
         expected[3] = 1.0
-        assert np.abs(col.amplitudes - expected).max() < 1e-12
+        assert np.abs(col - expected).max() < 1e-12
 
     def test_matches_full_matrix(self):
         decomp = decompose(LatticeSpec(num_cavities=29, omega=1.0, hopping=1.0))
-        full = propagator_matrix(decomp, 83.57).entries
-        cols = propagator_columns(decomp, 83.57, [15, 16])
-        for col in cols:
-            assert np.abs(col.amplitudes - full[:, col.site - 1]).max() < 1e-14
+        full = full_propagator(decomp, 83.57)
+        cols = propagator(decomp, [15, 16], [83.57])[:, 0]
+        for site, col in zip([15, 16], cols):
+            assert np.abs(col - full[:, site - 1]).max() < 1e-14
 
     def test_two_site_quarter_period(self):
         decomp = decompose(LatticeSpec(num_cavities=2, omega=1.0, hopping=1.0))
-        (col,) = propagator_columns(decomp, np.pi / 2, [1])
-        assert np.abs(col.amplitudes - np.array([0.0, -1.0])).max() < 1e-12
+        (col,) = propagator(decomp, [1], [np.pi / 2])[:, 0]
+        assert np.abs(col - np.array([0.0, -1.0])).max() < 1e-12
 
-    @pytest.mark.parametrize("site", [0, 30, -3])
-    def test_rejects_out_of_range_site(self, site):
+    @pytest.mark.parametrize("kernel", [propagator, propagator_block])
+    @pytest.mark.parametrize("site", [0, 30, -3, True, 2.0])
+    def test_rejects_out_of_range_site(self, kernel, site):
         decomp = decompose(LatticeSpec(num_cavities=29, omega=1.0, hopping=1.0))
         with pytest.raises(ValidationError):
-            propagator_columns(decomp, 1.0, [site])
+            kernel(decomp, [site], [1.0])
+
+    @pytest.mark.parametrize("kernel", [propagator, propagator_block])
+    @pytest.mark.parametrize(
+        "sites", [[1, True], [np.True_, 2], np.array([1, 2.0]), [[1, 2]], [], 3]
+    )
+    def test_rejects_malformed_site_arrays(self, kernel, sites):
+        decomp = decompose(LatticeSpec(num_cavities=29, omega=1.0, hopping=1.0))
+        with pytest.raises(ValidationError):
+            kernel(decomp, sites, [1.0])
+
+    @pytest.mark.parametrize("kernel", [propagator, propagator_block])
+    @pytest.mark.parametrize(
+        "times", [[float("nan")], [0.0, float("inf")], [], [[1.0]], [True], ["1.0"]]
+    )
+    def test_rejects_malformed_times(self, kernel, times):
+        decomp = decompose(LatticeSpec(num_cavities=29, omega=1.0, hopping=1.0))
+        with pytest.raises(ValidationError):
+            kernel(decomp, [1, 2], times)
 
     def test_order_follows_request(self):
         decomp = decompose(LatticeSpec(num_cavities=5, omega=1.0, hopping=0.5))
-        cols = propagator_columns(decomp, 2.0, [4, 2, 4])
-        assert [c.site for c in cols] == [4, 2, 4]
+        cols = propagator(decomp, [4, 2, 4], [2.0])[:, 0]
+        full = full_propagator(decomp, 2.0)
+        assert np.array_equal(cols, full[[3, 1, 3]])
 
 
 def dense_reference(decomp, t):
@@ -187,7 +208,50 @@ class TestKernelAgainstDenseReference:
         decomp = decompose(LatticeSpec(num_cavities=n, omega=omega, hopping=hopping))
         reference = dense_reference(decomp, t)
         sites = sorted({1, 2, n - 1, n})
-        for col in propagator_columns(decomp, t, sites):
-            assert np.abs(col.amplitudes - reference[:, col.site - 1]).max() < 1e-13
-        g = propagator_matrix(decomp, t).entries
+        for site, col in zip(sites, propagator(decomp, sites, [t])[:, 0]):
+            assert np.abs(col - reference[:, site - 1]).max() < 1e-13
+        g = full_propagator(decomp, t)
         assert np.abs(g - reference).max() < 1e-13
+
+
+def verify_like_times(t_max, seed):
+    """Sample times as ``run_verification`` lays them out for its one call."""
+    rng = np.random.default_rng(seed)
+    samples = np.concatenate(([0.0], np.sort(rng.uniform(0.0, t_max, size=24))))
+    pairs = rng.uniform(0.0, t_max, size=(5, 2))
+    group = np.column_stack((pairs, pairs[:, 0] + pairs[:, 1])).ravel()
+    return np.concatenate((samples, [0.0], group))
+
+
+class TestBlockKernel:
+    def test_layout_and_read_only(self):
+        decomp = decompose(LatticeSpec(num_cavities=7, omega=1.3, hopping=0.6))
+        real = propagator_block(decomp, [2, 5, 2], [0.0, 1.5, -4.0, 9.0])
+        g = propagator(decomp, [2, 5, 2], [0.0, 1.5, -4.0, 9.0])
+        assert real.shape == g.shape == (3, 4, 7)
+        assert real.dtype == np.float64 and g.dtype == np.complex128
+        assert np.abs(np.abs(g) - np.abs(real)).max() < 1e-15
+        for array in (real, g):
+            with pytest.raises(ValueError):
+                array[0, 0, 0] = 1.0
+
+    @pytest.mark.parametrize("n", [8, 29, 50])
+    @pytest.mark.parametrize(
+        "omega, hopping, t_max", [(1.0, 1.0, 83.57), (1.0, 0.01, 1e4)]
+    )
+    def test_each_time_slice_is_independent_of_the_batch(
+        self, n, omega, hopping, t_max
+    ):
+        # the property that keeps verify's one batched call bitwise equal to
+        # one call per time point
+        decomp = decompose(LatticeSpec(num_cavities=n, omega=omega, hopping=hopping))
+        sites = np.arange(1, n + 1)
+        times = verify_like_times(t_max, seed=n)
+        assert times.size == 41
+        g = propagator(decomp, sites, times)
+        real = propagator_block(decomp, sites, times)
+        for k in range(times.size):
+            one = times[k : k + 1]
+            assert np.array_equal(g[:, k], propagator(decomp, sites, one)[:, 0])
+            alone = propagator_block(decomp, sites, one)
+            assert np.array_equal(real[:, k], alone[:, 0])

@@ -9,11 +9,11 @@ from ccawalk import (
     concurrence,
     correlation_matrix,
     decompose,
-    propagator_columns,
-    propagator_matrix,
+    propagator,
     theta_for_concurrence,
     tpd_degree,
 )
+from conftest import full_propagator
 
 HALF_PI = float(np.pi / 2)
 
@@ -38,7 +38,7 @@ def lattice_with_noon(draw):
 @settings(max_examples=40, deadline=None)
 @given(lattices, st.floats(0.0, 100.0))
 def test_propagator_is_unitary(lattice, t):
-    g = propagator_matrix(decompose(lattice), t).entries
+    g = full_propagator(decompose(lattice), t)
     n = lattice.num_cavities
     assert np.abs(g @ g.conj().T - np.eye(n)).max() < 1e-10
 
@@ -47,16 +47,16 @@ def test_propagator_is_unitary(lattice, t):
 @given(lattices, st.floats(0.0, 100.0), st.floats(0.0, 100.0))
 def test_propagator_group_law(lattice, t1, t2):
     decomp = decompose(lattice)
-    g1 = propagator_matrix(decomp, t1).entries
-    g2 = propagator_matrix(decomp, t2).entries
-    g12 = propagator_matrix(decomp, t1 + t2).entries
+    g1 = full_propagator(decomp, t1)
+    g2 = full_propagator(decomp, t2)
+    g12 = full_propagator(decomp, t1 + t2)
     assert np.abs(g1 @ g2 - g12).max() < 1e-9
 
 
 @settings(max_examples=40, deadline=None)
 @given(lattices, st.floats(0.0, 100.0))
 def test_propagator_symmetries_and_bound(lattice, t):
-    g = propagator_matrix(decompose(lattice), t).entries
+    g = full_propagator(decompose(lattice), t)
     assert np.array_equal(g, g.T)
     # reflection through the chain centre leaves the open chain invariant
     assert np.abs(g - np.flip(g)).max() < 1e-12
@@ -68,9 +68,9 @@ def test_propagator_symmetries_and_bound(lattice, t):
 def test_columns_agree_with_matrix(lattice, t, data):
     site = data.draw(st.integers(1, lattice.num_cavities))
     decomp = decompose(lattice)
-    (column,) = propagator_columns(decomp, t, [site])
-    full = propagator_matrix(decomp, t).entries
-    assert np.abs(column.amplitudes - full[:, site - 1]).max() < 1e-14
+    (column,) = propagator(decomp, [site], [t])[:, 0]
+    full = full_propagator(decomp, t)
+    assert np.abs(column - full[:, site - 1]).max() < 1e-14
 
 
 @settings(max_examples=25, deadline=None)
