@@ -164,18 +164,19 @@ def _parse_float_list(text: str, name: str) -> list[float]:
 
 
 def _grid_blocks(outer, inner, values):
-    """Rows of a K x T table in row-major order, BLOCK_ROWS at a time.
+    """Rows of a K x T table in row-major order, at most BLOCK_ROWS at a time.
 
     Row k*T + j holds every ``outer`` column (length K) at k, every
-    ``inner`` column (length T) at j, then ``values[k, j]``.  Index columns
-    are gathered per block, so no K x T copy of them ever exists.
+    ``inner`` column (length T) at j, then ``values[k][j]``; ``values`` is
+    any sequence of K rows.  A block never spans two k, so the outer
+    columns arrive as 0-d values and the inner ones as slices: no K x T
+    copy of any column is ever made.
     """
-    flat = values.ravel()
-    width = values.shape[1]
-    for start in range(0, flat.size, BLOCK_ROWS):
-        stop = min(start + BLOCK_ROWS, flat.size)
-        k, j = np.divmod(np.arange(start, stop), width)
-        yield [c[k] for c in outer] + [c[j] for c in inner] + [flat[start:stop]]
+    for k, row in enumerate(values):
+        head = [c[k] for c in outer]
+        for start in range(0, len(row), BLOCK_ROWS):
+            block = slice(start, start + BLOCK_ROWS)
+            yield head + [c[block] for c in inner] + [row[block]]
 
 
 def _emit(
@@ -248,7 +249,7 @@ def cmd_sweep(cfg: ScenarioConfig, args) -> int:
     noons = [NoonInput(theta=theta, site_r=site_r, site_s=site_s) for theta in thetas]
     family = tpd_family(decompose(cfg.lattice), noons, cfg.time_grid())
     angles = [np.array(thetas), np.array([concurrence(noon) for noon in noons])]
-    eta = np.stack([series.eta for series in family])
+    eta = [series.eta for series in family]
     blocks = _grid_blocks(angles, [family[0].times], eta)
     extra = {"thetas": thetas}
     _emit(cfg, args, "sweep", extra, ["theta", "concurrence", "t", "eta"], blocks)

@@ -18,10 +18,11 @@ time t is
                = exp(-i omega t) (c_|j-l|(t) - c_(j+l)(t)),
 
 with c_d(t) = (1/(N+1)) sum_k exp(-2 i J t cos theta_k) cos(d theta_k) and
-theta_k = pi k/(N+1).  One real FFT of length 2(N+1) per time point gives
-every c_d (the DCT-I as an FFT, Martucci, IEEE TSP 42, 1038 (1994)), so
-columns cost O(N log N) per time point however many are requested and S
-is never built; the full matrix is an O(N^2) index fill.
+theta_k = pi k/(N+1).  One real FFT of length N+1 per time point and a
+running sum give every c_d (the DCT-I as a half-length FFT, as FFTPACK's
+COST computes it; see ``_mode_sums``), so columns cost O(N log N) per time
+point however many are requested and S is never built; each column is then
+four contiguous slice copies, and the full matrix an O(N^2) fill.
 
 ``propagator_block`` is the one kernel: the real columns R_l of any sites
 at any times, as one (sites, times, N) array.  ``propagator`` adds the
@@ -128,15 +129,21 @@ def propagator_block(decomp: SpectralDecomposition, sites, times) -> np.ndarray:
     R_l[j] = X[|j - l|] - X[min(j + l, 2(N+1) - j - l)] is a Toeplitz minus
     a Hankel fill from the mode sums X of ``_mode_sums``; a negative t is
     time-reversed evolution.  Returns a read-only (len(sites), len(times), N)
-    array whose rows at t == 0 are exact unit vectors: G(0) = I exactly.
+    array, contiguous along N, whose rows at t == 0 are exact unit vectors:
+    G(0) = I exactly.
     """
     n = decomp.num_cavities
-    index = checked_array(sites, "cavity index", int, 1, n)[:, None]
-    j = np.arange(1, n + 1)
-    far = j + index
+    index = checked_array(sites, "cavity index", int, 1, n)
     sums = _mode_sums(decomp, checked_array(times, "time"))
-    columns = sums[:, np.abs(j - index)] - sums[:, np.minimum(far, 2 * (n + 1) - far)]
-    return _readonly(np.moveaxis(columns, 1, 0))
+    columns = np.empty((index.size, sums.shape[0], n))
+    for column, l in zip(columns, index.tolist()):
+        # |j - l| runs down to 0 and up again; j + l runs up to N + 1 and
+        # reflects back down
+        column[:, :l] = sums[:, l - 1 :: -1]
+        column[:, l:] = sums[:, 1 : n + 1 - l]
+        column[:, : n + 1 - l] -= sums[:, l + 1 :]
+        column[:, n + 1 - l :] -= sums[:, n : n + 1 - l : -1]
+    return _readonly(columns)
 
 
 def propagator(decomp: SpectralDecomposition, sites, times) -> np.ndarray:
@@ -157,23 +164,45 @@ def _mode_sums(decomp: SpectralDecomposition, times) -> np.ndarray:
 
     The one place where mode phases are formed.  With theta_k = pi k/(N+1)
     and a_k = 2 J t cos(theta_k), x_k = cos(a_k) - sin(a_k); the carrier
-    omega is left out (it is a global phase).  The mirror mode N+1-k flips
-    a_k, so cos and sin are taken for the first ceil(N/2) modes only.  x is
-    extended evenly to length 2(N+1), so one real FFT per time point gives
-    the whole (real) row in O(N log N).  c_d = i^(d mod 2) X[d] is the
-    carrier-free amplitude sum (1/(N+1)) sum_k exp(-i a_k) cos(d theta_k):
-    the mirror pairs cancel the sin part for even d and the cos part for
-    odd d.  Rows at t == 0 are exactly e_0.
+    omega is left out (it is a global phase).  c_d = i^(d mod 2) X[d] is
+    the carrier-free amplitude sum (1/(N+1)) sum_k exp(-i a_k) cos(d theta_k).
+    The mirror mode N+1-k flips a_k, so even d sees only cos(a_k) and odd d
+    only sin(a_k), and cos and sin are taken for the first ceil(N/2) modes.
+
+    One real FFT of length N+1 per time point gives the whole row (the
+    DCT-I as a half-length FFT, FFTPACK's COST).  Its input is
+
+        y_k = cos(a_k) + 2 sin(theta_k) sin(a_k),    k = 1..N,  y_0 = 0,
+
+    and its output Y[m] = sum_k y_k exp(-2 pi i k m/(N+1)) holds
+
+        Re Y[m] = (N+1) X[2m],    Im Y[m] = (N+1) (X[2m-1] - X[2m+1]),
+
+    since 2 sin(theta) sin(2m theta) = cos((2m-1) theta) - cos((2m+1) theta)
+    and the mirror pairs cancel the other halves.  The odd d follow from a
+    running sum per row that starts at X[1], itself an elementwise sum per
+    row; no step mixes rows, so a row depends on its own time alone.  Rows
+    at t == 0 are exactly e_0.
     """
     n = decomp.num_cavities
-    half, mirrored = (n + 1) // 2, n // 2
-    cos_theta = np.cos(np.arange(1, half + 1) * (np.pi / (n + 1)))
+    m = n + 1
+    half, mirrored = m // 2, n // 2
+    theta = np.arange(1, half + 1) * (np.pi / m)
+    cos_theta = np.cos(theta)
+    cos_theta[mirrored:] = 0.0  # an odd chain's middle mode: cos(pi/2) reads 6e-17
     a = np.multiply.outer(2.0 * decomp.lattice.hopping * times, cos_theta)
     cos_a, sin_a = np.cos(a), np.sin(a)
-    x = np.zeros((times.size, 2 * (n + 1)))
-    x[:, 1 : half + 1] = cos_a - sin_a
-    x[:, n + 1 - mirrored : n + 1] = (cos_a + sin_a)[:, mirrored - 1 :: -1]
-    x[:, n + 2 :] = x[:, n:0:-1]
-    sums = np.fft.rfft(x, axis=1).real / (2 * (n + 1))
-    sums[times == 0.0] = np.arange(n + 2) == 0
+    first_odd = np.sum(sin_a * cos_theta, axis=1) * (-2.0 / m)
+    sin_a *= 2.0 * np.sin(theta)
+    y = np.zeros((times.size, m))
+    np.add(cos_a, sin_a, out=y[:, 1 : half + 1])
+    np.subtract(cos_a[:, :mirrored], sin_a[:, :mirrored], out=y[:, m - 1 : half : -1])
+    transform = np.fft.rfft(y, axis=1)
+    sums = np.empty((times.size, m + 1))
+    np.divide(transform.real, m, out=sums[:, 0::2])
+    odd = sums[:, 1::2]
+    np.divide(transform.imag[:, 1 : odd.shape[1]], -m, out=odd[:, 1:])
+    odd[:, 0] = first_odd
+    np.cumsum(odd, axis=1, out=odd)
+    sums[times == 0.0] = np.arange(m + 1) == 0
     return sums

@@ -157,7 +157,10 @@ def tpd_degree(decomp: SpectralDecomposition, noon: NoonInput, t: float) -> floa
     return float(tpd_family(decomp, [noon], [abs(checked_real(t, "time"))])[0].eta[0])
 
 
-_BLOCK_ELEMENTS = 1 << 18  # (time, cavity) pairs per block: about 20 MB of temporaries
+# (time, cavity) pairs per block: 64 KB per temporary, so a block stays in L2
+_BLOCK_ELEMENTS = 1 << 13
+# at least this many times per block, which amortizes numpy's per-call FFT setup
+_MIN_BLOCK_TIMES = 16
 
 
 def tpd_family(
@@ -182,7 +185,7 @@ def tpd_family(
     site_r, site_s = noons[0].site_r, noons[0].site_s
     cross = -2.0 * (-1.0) ** (site_r + site_s) * w_r * w_s
     eta = np.empty((len(noons), times.size), dtype=float)
-    step = max(1, _BLOCK_ELEMENTS // decomp.num_cavities)
+    step = max(_MIN_BLOCK_TIMES, _BLOCK_ELEMENTS // decomp.num_cavities)
     for start in range(0, times.size, step):
         block = slice(start, start + step)
         a, b = propagator_block(decomp, [site_r, site_s], times[block]) ** 2

@@ -10,9 +10,11 @@ array of records under a "provenance" header object, laid out exactly as
 
 Rows arrive as blocks of numpy columns.  ``render`` turns each block into
 one text chunk with a single %-template over the block's ``.tolist()``
-values, and ``write_text`` streams the chunks into a temporary file that
-replaces the target only once it is complete, so a file is never held in
-memory whole and an ``--out`` file is still either complete or absent.
+values; a column that is constant over the block arrives as a 0-d value
+and is formatted into the template once.  ``write_text`` streams the
+chunks into a temporary file that replaces the target only once it is
+complete, so a file is never held in memory whole and an ``--out`` file
+is still either complete or absent.
 """
 
 from __future__ import annotations
@@ -65,22 +67,46 @@ def _row_major(values: Sequence[list]) -> tuple:
     return tuple(flat)
 
 
+def _fill(cells) -> tuple[list[str], int, tuple]:
+    """A block's template slots, its row count and its template arguments.
+
+    ``cells`` holds one (slot, values) pair per column.  A 0-d column comes
+    as its own literal with values None, so it is formatted once per block
+    instead of once per row.
+    """
+    slots = [slot for slot, _ in cells]
+    values = [column for _, column in cells if column is not None]
+    return slots, len(values[0]), _row_major(values)
+
+
+def _literal(text: str) -> tuple[str, None]:
+    return text.replace("%", "%%"), None
+
+
+def _csv_column(column) -> tuple[str, list | None]:
+    """Template slot and values of one column; a 0-d column is a literal."""
+    if column.ndim == 0:
+        return _literal(format_value(column.tolist()))
+    return ("%d" if column.dtype.kind in "iu" else "%" + FLOAT_FORMAT), column.tolist()
+
+
 def _csv_chunks(prov: dict, columns: list[str], blocks) -> Iterator[str]:
     yield "\n".join(_comment_lines(prov) + [",".join(columns)]) + "\n"
     for block in blocks:
-        line = ",".join(
-            "%d" if c.dtype.kind in "iu" else "%" + FLOAT_FORMAT for c in block
-        )
-        yield (line + "\n") * len(block[0]) % _row_major([c.tolist() for c in block])
+        slots, rows, values = _fill([_csv_column(c) for c in block])
+        yield (",".join(slots) + "\n") * rows % values
 
 
-def _json_column(column) -> tuple[str, list]:
+def _json_column(column) -> tuple[str, list | None]:
     """Template slot and values of one column, as ``json.dumps`` prints them.
 
     ``%r`` of a Python int or finite float is what the encoder writes; a
     float column holding NaN or an infinity takes the encoder's own names.
+    A 0-d column is a literal.
     """
     values = column.tolist()
+    if column.ndim == 0:
+        return _literal(json.dumps(values))
     if column.dtype.kind == "f" and not (abs(column) < float("inf")).all():
         return "%s", [json.dumps(v) for v in values]
     return "%r", values
@@ -93,13 +119,12 @@ def _json_chunks(prov: dict, columns: list[str], blocks) -> Iterator[str]:
     keys = [json.dumps(columns[i]).replace("%", "%%") for i in order]
     separator = "\n"
     for block in blocks:
-        rows = len(block[0])
+        slots, rows, values = _fill([_json_column(block[i]) for i in order])
         if not rows:
             continue
-        slots, values = zip(*(_json_column(block[i]) for i in order))
         fields = ",\n".join(f"      {key}: {slot}" for key, slot in zip(keys, slots))
         record = "    {\n" + fields + "\n    }"
-        yield separator + ",\n".join([record] * rows) % _row_major(values)
+        yield separator + ",\n".join([record] * rows) % values
         separator = ",\n"
     yield "]\n}\n" if separator == "\n" else "\n  ]\n}\n"
 
@@ -109,9 +134,11 @@ def render(
 ) -> Iterator[str]:
     """Text chunks of one artifact, rendered lazily block by block.
 
-    ``blocks`` yields row blocks, each a sequence of equal-length 1-d numpy
-    arrays in ``columns`` order; integer arrays print as integers, float
-    arrays with 17 significant digits in CSV and as ``repr`` in JSON.
+    ``blocks`` yields row blocks, each a sequence of numpy columns in
+    ``columns`` order: equal-length 1-d arrays, at least one per block, and
+    0-d values that repeat on every row of the block.  Integers print as
+    integers, floats with 17 significant digits in CSV and as ``repr`` in
+    JSON.
     """
     if fmt == "json":
         return _json_chunks(prov, columns, blocks)

@@ -94,10 +94,14 @@ def shrink_scenario(
 ) -> tuple[LatticeSpec, NoonInput]:
     """Shrink a scenario to at most ``max_cavities`` sites (at least 2).
 
-    Keeps omega, hopping and theta; the site pair keeps its spacing when it
-    fits (capped at N'-1 otherwise) and is re-centered on the short chain.
+    A chain that already fits is returned as it is, site pair included.  A
+    shrunk chain keeps omega, hopping and theta; the site pair keeps its
+    spacing when it fits (capped at N'-1 otherwise) and is re-centered on
+    the short chain.
     """
-    n = min(lattice.num_cavities, checked_int(max_cavities, "max_cavities", 2))
+    n = checked_int(max_cavities, "max_cavities", 2)
+    if lattice.num_cavities <= n:
+        return lattice, noon
     small = LatticeSpec(num_cavities=n, omega=lattice.omega, hopping=lattice.hopping)
     spacing = min(abs(noon.site_s - noon.site_r), n - 1)
     lo = max(1, (n - spacing + 1) // 2)
@@ -158,8 +162,9 @@ def run_verification(
         for k in range(times.size + 1, g.shape[1], 3)
     )
 
-    # the samples start at t = 0 and may repeat (all of them when t_max = 0)
-    eta = tpd_family(decomp, [noon], np.unique(times))[0].eta
+    # the sorted samples start at t = 0 and may repeat (all of them when t_max = 0)
+    distinct = times[np.concatenate(([True], np.diff(times) > 0.0))]
+    eta = tpd_family(decomp, [noon], distinct)[0].eta
     eta_range_dev = max(0.0, -float(eta.min()), float(eta.max()) - 1.0)
     eta_zero_dev = abs(float(eta[0]))
 

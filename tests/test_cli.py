@@ -243,6 +243,20 @@ class TestVerify:
         header = capsys.readouterr().out.splitlines()[0]
         assert header.endswith(f", t in [0, {window}]")
 
+    def test_unshrunk_chain_keeps_shipped_site_pair(self, capsys, scenarios_dir):
+        argv = ["verify", "--config", str(scenarios_dir / "fig1.json"), "--max-n", "29"]
+        assert run(*argv) == 0
+        header = capsys.readouterr().out.splitlines()[0]
+        assert "N=29, omega=1.0, hopping=1.0, r=15, s=16," in header
+
+    def test_swapped_weights_detected_on_shipped_pair(self, capsys, scenarios_dir):
+        code = run("verify", "--config", str(scenarios_dir / "fig1.json"),
+                   "--max-n", "29", "--swap-weights", "--set", "input.theta=0.3927")
+        assert code == 2
+        out = capsys.readouterr().out
+        assert "r=15, s=16," in out.splitlines()[0]
+        assert "[FAIL] oracle-equivalence" in out
+
     def test_size_guard_is_clean_validation_error(self, capsys):
         code = run("verify", "--set", "lattice.num_cavities=120", "--max-n", "120")
         assert code == 1

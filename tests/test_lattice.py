@@ -9,6 +9,7 @@ from ccawalk import (
     propagator,
     propagator_block,
 )
+from ccawalk.lattice import _mode_sums
 from conftest import full_propagator
 
 
@@ -255,3 +256,37 @@ class TestBlockKernel:
             assert np.array_equal(g[:, k], propagator(decomp, sites, one)[:, 0])
             alone = propagator_block(decomp, sites, one)
             assert np.array_equal(real[:, k], alone[:, 0])
+
+
+def long_double_mode_sums(n, hopping, times):
+    """X[:, d] = (1/(N+1)) sum_k x_k cos(d theta_k) as a direct O(N^2) sum.
+
+    Every mode phase and cosine is formed in long double, with no FFT and
+    no mirror symmetry; cos(d theta_k) is looked up at d k mod 2(N+1), an
+    exact argument reduction.
+    """
+    ld = np.longdouble
+    pi = 4 * np.arctan(ld(1))
+    cosines = np.cos(np.arange(2 * (n + 1), dtype=ld) * pi / (n + 1))
+    k = np.arange(1, n + 1)
+    a = 2 * ld(hopping) * np.outer(np.array(times, dtype=ld), cosines[k])
+    x = (np.cos(a) - np.sin(a)).T
+    # a few hundred d at a time keeps the index table small at N = 4000
+    blocks = [cosines[np.outer(np.arange(start, min(start + 256, n + 2)), k)
+                      % (2 * (n + 1))] @ x for start in range(0, n + 2, 256)]
+    return np.concatenate(blocks).T / (n + 1)
+
+
+class TestModeSums:
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps >= 1e-18, reason="long double is not extended"
+    )
+    # N + 1 = 4001 is prime: pocketfft's Bluestein path
+    @pytest.mark.parametrize("n", [29, 200, 1000, 4000])
+    def test_match_long_double_cosine_sum(self, n):
+        hopping, times = 1.0, np.array([0.37, 1.0, 2.9, 5.0])
+        decomp = decompose(LatticeSpec(num_cavities=n, omega=1.0, hopping=hopping))
+        sums = _mode_sums(decomp, times)
+        reference = long_double_mode_sums(n, hopping, times)
+        assert sums.shape == (times.size, n + 2)
+        assert float(np.abs(sums - reference).max()) <= 1e-14

@@ -20,6 +20,7 @@ from ccawalk import (
     tpd_series,
 )
 from ccawalk.lattice import MAX_CAVITIES
+from ccawalk.observables import _BLOCK_ELEMENTS, _MIN_BLOCK_TIMES
 
 PI = np.pi
 
@@ -287,6 +288,22 @@ class TestTpdFamily:
             single = tpd_series(decomp, noon, times)
             assert row.times.tobytes() == single.times.tobytes()
             assert row.eta.tobytes() == single.eta.tobytes()
+
+    @pytest.mark.parametrize("n", [29, 1000])
+    def test_pieces_concatenate_bitwise(self, n):
+        # cuts fall inside evaluation blocks, so pieces and blocks misalign
+        step = max(_MIN_BLOCK_TIMES, _BLOCK_ELEMENTS // n)
+        decomp = decompose(LatticeSpec(num_cavities=n, omega=1.0, hopping=0.1))
+        noons = [NoonInput(theta=theta, site_r=3, site_s=n - 4)
+                 for theta in (0.0, 0.3, PI / 4, 1.2)]
+        times = np.linspace(0.0, 1000.0, 5 * step + 3)
+        cuts = [0, step // 2, step // 2 + 1, 2 * step + 3, 4 * step - 1, times.size]
+        whole = tpd_family(decomp, noons, times)
+        pieces = [tpd_family(decomp, noons, times[lo:hi])
+                  for lo, hi in zip(cuts, cuts[1:])]
+        for k, series in enumerate(whole):
+            joined = np.concatenate([piece[k].eta for piece in pieces])
+            assert joined.tobytes() == series.eta.tobytes()
 
     @pytest.mark.parametrize(
         "theta", [0.0, 0.0622, 0.4405, PI / 4, 0.8453, 1.4901, PI / 2]

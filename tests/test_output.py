@@ -192,10 +192,29 @@ def test_block_boundaries_and_edge_values_match_reference(fmt, rows):
 def test_grid_blocks_are_row_major_over_outer_then_inner():
     outer, inner = np.array([10, 20, 30]), np.array([0.5, 1.5])
     values = np.arange(6.0).reshape(3, 2)
-    rows = [row for block in _grid_blocks([outer], [inner], values)
-            for row in zip(*(c.tolist() for c in block))]
+    blocks = list(_grid_blocks([outer], [inner], values))
+    # a block never spans two outer values, which arrive as 0-d columns
+    assert [np.ndim(block[0]) for block in blocks] == [0, 0, 0]
+    rows = [row for block in blocks for row in zip(*(
+        np.broadcast_to(c, block[-1].shape).tolist() for c in block))]
     assert rows == [(o, i, values[k, j]) for k, o in enumerate(outer.tolist())
                     for j, i in enumerate(inner.tolist())]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("value", EDGE_VALUES + [float("nan"), float("-inf"), 7])
+def test_zero_d_column_renders_as_its_broadcast_column(fmt, value):
+    rows = 5
+    inner = np.linspace(-1.0, 1.0, rows)
+    fixed = np.array([value])
+    prov = {"tool": "ccawalk"}
+    columns = ["a", "b", "c"]
+    broadcast = [(np.repeat(fixed, rows), inner, np.repeat(fixed, rows))]
+    zero_d = [(fixed[0], inner, fixed.reshape(()))]
+    text = rendered(fmt, prov, columns, zero_d)
+    assert text == rendered(fmt, prov, columns, broadcast)
+    if value == 0.0 and np.signbit(value):
+        assert ("-0," if fmt == "csv" else '"a": -0.0') in text
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

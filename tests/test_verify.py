@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ccawalk import LatticeSpec, NoonInput, verify
-from ccawalk.verify import run_verification
+from ccawalk.verify import run_verification, shrink_scenario
 
 FIG1 = LatticeSpec(num_cavities=29, omega=1.0, hopping=1.0)
 NOON = NoonInput(theta=np.pi / 4, site_r=15, site_s=16)
@@ -66,3 +66,12 @@ def test_swapped_weights_fail_equivalence_at_fifty_cavities():
     failed = [check.name for check in report.checks if not check.passed]
     assert failed == ["oracle-equivalence"]
     assert report.checks[0].deviation > 1e-3
+
+
+def test_shrink_keeps_a_chain_that_fits_and_recentres_a_shrunk_one():
+    noon = NoonInput(theta=0.3927, site_r=22, site_s=20)
+    for max_cavities in (29, 50):
+        assert shrink_scenario(FIG1, noon, max_cavities) == (FIG1, noon)
+    small, moved = shrink_scenario(FIG1, noon, 8)
+    assert small.num_cavities == 8
+    assert (moved.site_r, moved.site_s, moved.theta) == (5, 3, noon.theta)
