@@ -15,13 +15,11 @@ from .lattice import (
     propagator_block,
 )
 from .observables import (
-    CorrelationMatrix,
     NoonInput,
     TpdSeries,
     concurrence,
     correlation_matrix,
     theta_for_concurrence,
-    tpd_degree,
     tpd_family,
     tpd_series,
 )
@@ -44,12 +42,10 @@ __all__ = [
     "propagator",
     "propagator_block",
     "NoonInput",
-    "CorrelationMatrix",
     "TpdSeries",
     "concurrence",
     "theta_for_concurrence",
     "correlation_matrix",
-    "tpd_degree",
     "tpd_family",
     "tpd_series",
     "TwoPhotonBasis",

@@ -42,7 +42,7 @@ from .observables import (
     tpd_series,
 )
 from .output import provenance, render, write_text
-from .verify import run_verification
+from .verify import ORACLE_MAX_CAVITIES, run_verification
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -124,9 +124,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument(
         "--max-n",
         type=int,
-        default=8,
+        default=ORACLE_MAX_CAVITIES,
         metavar="N",
-        help="shrink the scenario to at most N cavities (default 8)",
+        help="shrink the scenario to at most N cavities (default %(default)s, the "
+        "largest N whose N(N+1)/2 two-photon labels fit the dense reference)",
     )
     p_verify.add_argument(
         "--swap-weights",
@@ -199,7 +200,7 @@ def cmd_correlation(cfg: ScenarioConfig, args) -> int:
     scaled = cfg.time.t_max if args.t is None else args.t
     t = cfg.absolute_time(scaled)
     noon = cfg.input.to_noon()
-    corr = correlation_matrix(decompose(cfg.lattice), noon, t)
+    p = correlation_matrix(decompose(cfg.lattice), noon, [t])[0]
     sites = np.arange(1, cfg.lattice.num_cavities + 1)
     extra = {
         "t": t,
@@ -208,7 +209,7 @@ def cmd_correlation(cfg: ScenarioConfig, args) -> int:
         "theta": noon.theta,
         "concurrence": concurrence(noon),
     }
-    blocks = _grid_blocks([sites], [sites], corr.entries)
+    blocks = _grid_blocks([sites], [sites], p)
     _emit(cfg, args, "correlation", extra, ["m", "n", "P_mn"], blocks)
     return EXIT_OK
 

@@ -82,9 +82,8 @@ class SpectralDecomposition:
     """Sine-transform normal modes of a chain.
 
     ``frequencies`` holds the mode frequencies Omega_k, decreasing in k and
-    confined to [omega - 2J, omega + 2J].  ``transform`` is the symmetric,
-    involutory N x N matrix S (S @ S = I), built on each access: the kernel
-    never reads it, so it serves as the independent dense reference.
+    confined to [omega - 2J, omega + 2J].  The sine transform S itself is
+    never built.
     """
 
     lattice: LatticeSpec
@@ -93,14 +92,6 @@ class SpectralDecomposition:
     @property
     def num_cavities(self) -> int:
         return self.lattice.num_cavities
-
-    @property
-    def transform(self) -> np.ndarray:
-        """Dense S, bitwise symmetric because the sine argument grid j*k is."""
-        n = self.num_cavities
-        j = np.arange(1, n + 1, dtype=float)
-        s = np.sqrt(2.0 / (n + 1)) * np.sin(np.outer(j, j) * (np.pi / (n + 1)))
-        return _readonly(s)
 
 
 def decompose(lattice: LatticeSpec) -> SpectralDecomposition:

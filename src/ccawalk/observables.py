@@ -82,22 +82,6 @@ class NoonInput:
 
 
 @dataclass(frozen=True)
-class CorrelationMatrix:
-    """Symmetric non-negative coincidence matrix P[m, n] at one time.
-
-    Entries sum to 2 (one ordered pair per photon pair); the probability of
-    finding both photons at cavity n is ``entries[n-1, n-1] / 2``.
-    """
-
-    time: float
-    entries: np.ndarray
-
-    def diagonal_mass(self) -> float:
-        """Total same-cavity probability, sum_n P[n, n] / 2."""
-        return float(np.trace(self.entries) / 2.0)
-
-
-@dataclass(frozen=True)
 class TpdSeries:
     """Delocalization degree eta sampled on an increasing time grid."""
 
@@ -127,34 +111,27 @@ def theta_for_concurrence(c: float, branch: str = "low") -> float:
 
 
 def correlation_matrix(
-    decomp: SpectralDecomposition, noon: NoonInput, t: float
-) -> CorrelationMatrix:
-    """Coincidence matrix P[m, n](t) for the NOON-type input.
+    decomp: SpectralDecomposition, noon: NoonInput, times
+) -> np.ndarray:
+    """Coincidence matrices P[m, n](t) for the NOON-type input, one per time.
 
-    Uses only the two propagator columns r and s, then two outer products:
-    O(N^2) total.  The result is symmetric by construction and its entries
-    sum to 2 up to roundoff (a consequence of propagator unitarity).
+    Uses only the two propagator columns r and s, from one kernel call over
+    every time, then two outer products per time: O(N^2) each.  Returns a
+    read-only (len(times), N, N) array whose matrices are symmetric by
+    construction and sum to 2 up to roundoff (a consequence of propagator
+    unitarity); each depends on its own time alone, bit for bit.
     """
-    g_r, g_s = propagator(decomp, [noon.site_r, noon.site_s], [t])[:, 0]
-    amplitude = sin(noon.theta) * np.outer(g_r, g_r) + cos(noon.theta) * np.outer(
-        g_s, g_s
+    g_r, g_s = propagator(decomp, [noon.site_r, noon.site_s], times)
+    w_r, w_s = sin(noon.theta), cos(noon.theta)
+    amplitude = w_r * (g_r[:, :, None] * g_r[:, None, :]) + w_s * (
+        g_s[:, :, None] * g_s[:, None, :]
     )
     p = 2.0 * (amplitude.real**2 + amplitude.imag**2)
     # vectorized complex multiplies are not lane-commutative in the last ulp,
     # so force index symmetry explicitly
-    p = 0.5 * (p + p.T)
+    p = 0.5 * (p + p.transpose(0, 2, 1))
     p.setflags(write=False)
-    return CorrelationMatrix(time=float(t), entries=p)
-
-
-def tpd_degree(decomp: SpectralDecomposition, noon: NoonInput, t: float) -> float:
-    """Delocalization degree eta(t) = 1 - (1/2) sum_n P[n, n](t).
-
-    One point of ``tpd_family``.  Any finite ``t`` is accepted: eta is even
-    in t because G(-t) = conj(G(t)).  Always 0 at t = 0 (the input is fully
-    localized) and confined to [0, 1] up to roundoff.
-    """
-    return float(tpd_family(decomp, [noon], [abs(checked_real(t, "time"))])[0].eta[0])
+    return p
 
 
 # (time, cavity) pairs per block: 64 KB per temporary, so a block stays in L2

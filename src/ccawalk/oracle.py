@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import ValidationError, checked_int, checked_real
 from .lattice import LatticeSpec
-from .observables import CorrelationMatrix, NoonInput
+from .observables import NoonInput
 
 MAX_DIMENSION = 5000  # dense D x D storage guard
 
@@ -55,30 +55,27 @@ NORM_TOLERANCE = 1e-12
 class TwoPhotonBasis:
     """Ordered symmetric pair basis (m, n), 1 <= m <= n <= N.
 
-    Dimension is N (N + 1) / 2, labels sorted lexicographically.
-    ``pair_index[m - 1, n - 1]`` is the position of the pair {m, n}: a
-    read-only symmetric N x N integer table, built once, through which all
-    vectorised label arithmetic goes.
+    Dimension is N (N + 1) / 2, labels sorted lexicographically (the order
+    of ``np.triu_indices``).  ``pair_index[m - 1, n - 1]`` is the position
+    of the pair {m, n}: a read-only symmetric N x N integer table, built
+    once, through which all vectorised label arithmetic goes.
     """
 
     num_cavities: int
-    labels: tuple[tuple[int, int], ...] = field(init=False, repr=False, compare=False)
     pair_index: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = checked_int(self.num_cavities, "num_cavities", 2)
         object.__setattr__(self, "num_cavities", n)
-        labels = tuple((m, k) for m in range(1, n + 1) for k in range(m, n + 1))
-        object.__setattr__(self, "labels", labels)
         pair_index = np.zeros((n, n), dtype=np.intp)
-        pair_index[np.triu_indices(n)] = np.arange(len(labels))
+        pair_index[np.triu_indices(n)] = np.arange(n * (n + 1) // 2)
         pair_index = np.maximum(pair_index, pair_index.T)
         pair_index.setflags(write=False)
         object.__setattr__(self, "pair_index", pair_index)
 
     @property
     def dimension(self) -> int:
-        return len(self.labels)
+        return self.num_cavities * (self.num_cavities + 1) // 2
 
     @property
     def mirror(self) -> np.ndarray:
@@ -237,7 +234,7 @@ class TwoPhotonSolution(NamedTuple):
 
 
 def _sublattice_block(
-    h: np.ndarray,
+    triplets: tuple[np.ndarray, np.ndarray, np.ndarray],
     mirror: np.ndarray,
     odd_sum: np.ndarray,
     labels: np.ndarray,
@@ -248,16 +245,27 @@ def _sublattice_block(
 
     The block entry of coordinates a, b is w_a w_b (h[a, b] + sign h[a, Mb])
     over the representative ``labels``; ``odd_sum`` marks the labels whose
-    m + n is odd.
+    m + n is odd.  H arrives as its nonzero (row, column, value) triplets,
+    and each lands in C through position maps of the block's two sides:
+    once as h[a, b] where its column is an odd-side label, then, times
+    ``sign``, as h[a, Mb] where the column's image is one.
     """
     odd_side = np.flatnonzero(odd_sum[labels])
     even_side = np.flatnonzero(~odd_sum[labels])
-    rows, cols = labels[even_side], labels[odd_side]
-    if rows.size == 0 or cols.size == 0:  # nothing to factor, and svd may refuse
-        u, sigma, vt = np.zeros((rows.size, 0)), np.zeros(0), np.zeros((0, cols.size))
+    if even_side.size == 0 or odd_side.size == 0:  # nothing to factor; svd may refuse
+        u, sigma = np.zeros((even_side.size, 0)), np.zeros(0)
+        vt = np.zeros((0, odd_side.size))
     else:
-        c = h[np.ix_(rows, cols)]
-        c += sign * h[np.ix_(rows, mirror[cols])]
+        rows, cols, values = triplets
+        row_at = np.full(mirror.size, -1)
+        row_at[labels[even_side]] = np.arange(even_side.size)
+        col_at = np.full(mirror.size, -1)
+        col_at[labels[odd_side]] = np.arange(odd_side.size)
+        c = np.zeros((even_side.size, odd_side.size))
+        i = row_at[rows]
+        for j, scale in ((col_at[cols], 1.0), (col_at[mirror[cols]], sign)):
+            hit = (i >= 0) & (j >= 0)
+            np.add.at(c, (i[hit], j[hit]), scale * values[hit])
         c *= np.multiply.outer(weights[even_side], weights[odd_side])
         u, sigma, vt = np.linalg.svd(c, full_matrices=False)
     return SublatticeBlock(even_side, odd_side, u, sigma, vt)
@@ -317,11 +325,12 @@ def solve_by_symmetry(h: np.ndarray, basis: TwoPhotonBasis) -> TwoPhotonSolution
     # w = 1 on swapped pairs and 1/sqrt(2) on fixed labels: a fixed label is
     # its own image, so h[a, b] + h[a, Mb] counts it twice.
     even_weights = np.concatenate((np.ones(pairs.size), np.full(fixed.size, sqrt(0.5))))
+    triplets = (rows, cols, values)
     blocks = (
         _sublattice_block(
-            h, mirror, odd_sum, np.concatenate((pairs, fixed)), even_weights, 1.0
+            triplets, mirror, odd_sum, np.concatenate((pairs, fixed)), even_weights, 1.0
         ),
-        _sublattice_block(h, mirror, odd_sum, pairs, np.ones(pairs.size), -1.0),
+        _sublattice_block(triplets, mirror, odd_sum, pairs, np.ones(pairs.size), -1.0),
     )
     center = float(diagonal[0])
     sigma = np.concatenate([block.sigma for block in blocks])
@@ -366,17 +375,15 @@ def evolve(
     )
 
 
-def oracle_correlation(
-    state: TwoPhotonStateVector, time: float = 0.0
-) -> CorrelationMatrix:
+def oracle_correlation(state: TwoPhotonStateVector) -> np.ndarray:
     """Coincidence matrix read directly off the state amplitudes.
 
     For m != n, P[m, n] = |c_(min,max)|^2; on the diagonal P[m, m] =
-    2 |c_(m,m)|^2.  Entries always sum to 2 for a normalized state.
-    ``time`` only labels the result.
+    2 |c_(m,m)|^2.  Returns a read-only N x N array whose entries always sum
+    to 2 for a normalized state.
     """
     probs = np.abs(state.amplitudes) ** 2
     p = probs[state.basis.pair_index]
     p[np.diag_indices_from(p)] *= 2.0
     p.setflags(write=False)
-    return CorrelationMatrix(time=float(time), entries=p)
+    return p

@@ -4,10 +4,12 @@ The decisive check evolves the NOON input exactly in the two-photon Fock
 sector and compares the resulting coincidence matrix elementwise with the
 closed-form expression at times drawn from the scenario's own time window;
 the rest are structural invariants (unitarity, normalization, spectrum
-additivity) with fixed tolerances.  Scenarios are shrunk to a small chain
-first so the dense reference stays cheap.  Every propagator the checks
-need comes from one ``lattice.propagator`` call over all sites and all
-check times; the checks read slices of it.
+additivity) with fixed tolerances.  A scenario is checked at its own size
+unless its two-photon sector would exceed the oracle's dense guard
+(N > 99); only then is it shrunk.  Every propagator the checks need comes
+from one ``lattice.propagator`` call over all sites and all check times,
+and every closed-form coincidence matrix from one ``correlation_matrix``
+call; the checks read slices of them.
 
 ``swap_weights`` corrupts the closed-form side by exchanging the two
 superposition weights; it exists to demonstrate that the equivalence check
@@ -17,8 +19,9 @@ theta = pi/4).
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, replace
-from math import pi
+from math import isqrt, pi
 
 import numpy as np
 
@@ -26,6 +29,7 @@ from .errors import checked_int, checked_real
 from .lattice import LatticeSpec, decompose, propagator
 from .observables import NoonInput, correlation_matrix, tpd_family
 from .oracle import (
+    MAX_DIMENSION,
     TwoPhotonBasis,
     build_two_photon_hamiltonian,
     evolve,
@@ -42,6 +46,9 @@ PAIR_SUM_TOL = 1e-9
 ETA_RANGE_TOL = 1e-9
 ETA_ZERO_TOL = 1e-12
 SPECTRUM_TOL = 1e-10
+
+# the largest N whose two-photon sector N (N + 1) / 2 fits the dense guard: 99
+ORACLE_MAX_CAVITIES = (isqrt(8 * MAX_DIMENSION + 1) - 1) // 2
 
 
 @dataclass(frozen=True)
@@ -90,7 +97,7 @@ def _deviation(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def shrink_scenario(
-    lattice: LatticeSpec, noon: NoonInput, max_cavities: int = 8
+    lattice: LatticeSpec, noon: NoonInput, max_cavities: int = ORACLE_MAX_CAVITIES
 ) -> tuple[LatticeSpec, NoonInput]:
     """Shrink a scenario to at most ``max_cavities`` sites (at least 2).
 
@@ -119,20 +126,24 @@ def run_verification(
     t_max: float,
     seed: int = 20260810,
     swap_weights: bool = False,
-    max_cavities: int = 8,
+    max_cavities: int = ORACLE_MAX_CAVITIES,
 ) -> VerificationReport:
-    """Run the equivalence and invariant suite on a shrunk scenario.
+    """Run the equivalence and invariant suite on the scenario, shrunk if need be.
 
     The oracle, unitarity, normalization and eta checks sample t = 0 and 24
     uniform times in [0, t_max] (absolute units); the group law composes
-    five pairs of times drawn from the same window.
+    five pairs of times drawn from the same window.  All of them come from
+    one ``random.Random(seed)`` stream, samples first.
     """
     lattice, noon = shrink_scenario(lattice, noon, max_cavities)
     t_max = checked_real(t_max, "t_max", 0.0)
-    rng = np.random.default_rng(checked_int(seed, "seed", 0))
-    times = np.concatenate(([0.0], np.sort(rng.uniform(0.0, t_max, size=24))))
-    pairs = rng.uniform(0.0, t_max, size=(5, 2))
-    group_times = np.column_stack((pairs, pairs[:, 0] + pairs[:, 1])).ravel()
+    rng = random.Random(checked_int(seed, "seed", 0))
+    samples = sorted(rng.uniform(0.0, t_max) for _ in range(24))
+    times = np.array([0.0, *samples])
+    group_times = []
+    for _ in range(5):
+        t1, t2 = rng.uniform(0.0, t_max), rng.uniform(0.0, t_max)
+        group_times += [t1, t2, t1 + t2]
 
     decomp = decompose(lattice)
     n = lattice.num_cavities
@@ -146,10 +157,9 @@ def run_verification(
     # swapped weights (cos theta on r, sin theta on s) are theta -> pi/2 - theta
     closed_input = replace(noon, theta=pi / 2 - noon.theta) if swap_weights else noon
 
-    closed = [correlation_matrix(decomp, closed_input, t).entries for t in times]
+    closed = correlation_matrix(decomp, closed_input, times)
     oracle_dev = max(
-        _deviation(p, oracle_correlation(state, time=t).entries)
-        for p, t, state in zip(closed, times, states)
+        _deviation(p, oracle_correlation(state)) for p, state in zip(closed, states)
     )
     pair_sum_dev = max(abs(float(p.sum()) - 2.0) for p in closed)
     identity = np.eye(n)

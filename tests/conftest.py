@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ccawalk import propagator
+from ccawalk import propagator, tpd_family
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -29,3 +29,30 @@ def read_csv(path):
 def full_propagator(decomp, t):
     """G(t) as an N x N matrix: every site at one time (G is symmetric)."""
     return propagator(decomp, np.arange(1, decomp.num_cavities + 1), [t])[:, 0]
+
+
+def tpd_degree(decomp, noon, t):
+    """Eta at one time: one point of ``tpd_family`` (eta is even in t)."""
+    return float(tpd_family(decomp, [noon], [abs(t)])[0].eta[0])
+
+
+def diagonal_mass(p):
+    """Total same-cavity probability of a coincidence matrix, sum_n P[n, n] / 2."""
+    return float(np.trace(p) / 2.0)
+
+
+def sine_transform(decomp):
+    """Dense sine transform S, the independent reference the kernel never builds.
+
+    Symmetric and involutory (S @ S = I); bitwise symmetric because the sine
+    argument grid j*k is.
+    """
+    n = decomp.num_cavities
+    j = np.arange(1, n + 1, dtype=float)
+    return np.sqrt(2.0 / (n + 1)) * np.sin(np.outer(j, j) * (np.pi / (n + 1)))
+
+
+def pair_labels(n):
+    """Two-photon basis labels (m, k), m <= k, in basis order (``np.triu_indices``)."""
+    m, k = np.triu_indices(n)
+    return tuple(zip((m + 1).tolist(), (k + 1).tolist()))

@@ -20,11 +20,10 @@ from ccawalk import (
     oracle_correlation,
     solve_by_symmetry,
     theta_for_concurrence,
-    tpd_degree,
     tpd_series,
 )
 from ccawalk.cli import main
-from conftest import full_propagator
+from conftest import diagonal_mass, full_propagator, tpd_degree
 
 PI = np.pi
 RANDOM_CASES = 200
@@ -67,11 +66,11 @@ def randomized_cases():
         t = float(rng.uniform(0.0, 50.0))
 
         decomp = decompose(lattice)
-        closed = correlation_matrix(decomp, noon, t).entries
+        closed = correlation_matrix(decomp, noon, [t])[0]
         basis = TwoPhotonBasis(n)
         solution = solve_by_symmetry(build_two_photon_hamiltonian(lattice), basis)
         (state,) = evolve(noon_state(basis, noon), solution, [t])
-        reference = oracle_correlation(state, time=t).entries
+        reference = oracle_correlation(state)
 
         g = full_propagator(decomp, t)
         unitarity = float(np.abs(g @ g.conj().T - np.eye(n)).max())
@@ -120,7 +119,7 @@ def test_criterion_2_unitarity_and_normalization(randomized_cases):
 def test_criterion_3_snapshot_diagonal_mass():
     decomp = decompose(LatticeSpec(num_cavities=29, omega=1.0, hopping=1.0))
     noon = NoonInput(theta=PI / 4, site_r=15, site_s=16)
-    mass = correlation_matrix(decomp, noon, 83.57).diagonal_mass()
+    mass = diagonal_mass(correlation_matrix(decomp, noon, [83.57])[0])
     report(
         3,
         "snapshot-diagonal-mass",

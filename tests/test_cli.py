@@ -92,7 +92,7 @@ class TestCorrelation:
             parsed[int(m) - 1, int(n) - 1] = float(value)
         decomp = decompose(LatticeSpec(29, 1.0, 1.0))
         noon = NoonInput(theta=0.7853981633974483, site_r=15, site_s=16)
-        fresh = correlation_matrix(decomp, noon, 83.57).entries
+        fresh = correlation_matrix(decomp, noon, [83.57])[0]
         assert np.array_equal(parsed, fresh)
 
     def test_snapshot_diagonal_mass_small(self, tmp_path, scenarios_dir):

@@ -15,12 +15,12 @@ from ccawalk import (
     oracle_correlation,
     solve_by_symmetry,
     theta_for_concurrence,
-    tpd_degree,
     tpd_family,
     tpd_series,
 )
 from ccawalk.lattice import MAX_CAVITIES
 from ccawalk.observables import _BLOCK_ELEMENTS, _MIN_BLOCK_TIMES
+from conftest import diagonal_mass, sine_transform, tpd_degree
 
 PI = np.pi
 
@@ -30,7 +30,7 @@ def oracle_correlation_at(lattice, noon, t):
     basis = TwoPhotonBasis(lattice.num_cavities)
     solution = solve_by_symmetry(build_two_photon_hamiltonian(lattice), basis)
     (evolved,) = evolve(noon_state(basis, noon), solution, [t])
-    return oracle_correlation(evolved, time=t).entries
+    return oracle_correlation(evolved)
 
 
 class TestConcurrence:
@@ -100,7 +100,7 @@ class TestCorrelationMatrix:
         decomp = decompose(LatticeSpec(num_cavities=29, omega=1.0, hopping=1.0))
         theta = 0.31
         noon = NoonInput(theta=theta, site_r=15, site_s=16)
-        p = correlation_matrix(decomp, noon, 0.0).entries
+        p = correlation_matrix(decomp, noon, [0.0])[0]
         expected = np.zeros((29, 29))
         expected[14, 14] = 2.0 * np.sin(theta) ** 2
         expected[15, 15] = 2.0 * np.cos(theta) ** 2
@@ -109,25 +109,25 @@ class TestCorrelationMatrix:
     def test_exact_symmetry(self):
         decomp = decompose(LatticeSpec(num_cavities=12, omega=1.0, hopping=0.9))
         noon = NoonInput(theta=0.5, site_r=3, site_s=8)
-        p = correlation_matrix(decomp, noon, 7.2).entries
+        p = correlation_matrix(decomp, noon, [7.2])[0]
         assert np.array_equal(p, p.T)
 
     @pytest.mark.parametrize("t", [0.0, 1.7, 23.9, 83.57])
     def test_pair_normalization(self, t):
         decomp = decompose(LatticeSpec(num_cavities=29, omega=1.0, hopping=1.0))
         noon = NoonInput(theta=0.9, site_r=15, site_s=16)
-        p = correlation_matrix(decomp, noon, t).entries
+        p = correlation_matrix(decomp, noon, [t])[0]
         assert abs(p.sum() - 2.0) < 1e-9
 
     def test_theta_and_site_swap_covariance(self):
         decomp = decompose(LatticeSpec(num_cavities=10, omega=1.0, hopping=0.6))
         theta, t = 0.4, 9.3
         p1 = correlation_matrix(
-            decomp, NoonInput(theta=theta, site_r=3, site_s=7), t
-        ).entries
+            decomp, NoonInput(theta=theta, site_r=3, site_s=7), [t]
+        )[0]
         p2 = correlation_matrix(
-            decomp, NoonInput(theta=PI / 2 - theta, site_r=7, site_s=3), t
-        ).entries
+            decomp, NoonInput(theta=PI / 2 - theta, site_r=7, site_s=3), [t]
+        )[0]
         assert np.abs(p1 - p2).max() < 1e-12
 
     def test_reflection_covariance(self):
@@ -135,27 +135,27 @@ class TestCorrelationMatrix:
         decomp = decompose(LatticeSpec(num_cavities=n, omega=1.0, hopping=0.8))
         theta, t = 1.1, 6.6
         p = correlation_matrix(
-            decomp, NoonInput(theta=theta, site_r=2, site_s=5), t
-        ).entries
+            decomp, NoonInput(theta=theta, site_r=2, site_s=5), [t]
+        )[0]
         mirrored = correlation_matrix(
-            decomp, NoonInput(theta=theta, site_r=n + 1 - 2, site_s=n + 1 - 5), t
-        ).entries
+            decomp, NoonInput(theta=theta, site_r=n + 1 - 2, site_s=n + 1 - 5), [t]
+        )[0]
         assert np.abs(p - np.flip(mirrored)).max() < 1e-12
 
     def test_frozen_when_hopping_is_zero(self):
         decomp = decompose(LatticeSpec(num_cavities=8, omega=1.3, hopping=0.0))
         noon = NoonInput(theta=0.7, site_r=2, site_s=6)
-        p0 = correlation_matrix(decomp, noon, 0.0).entries
+        p0 = correlation_matrix(decomp, noon, [0.0])[0]
         for t in (0.9, 13.3, 400.0):
-            assert np.abs(correlation_matrix(decomp, noon, t).entries - p0).max() < 1e-12
+            assert np.abs(correlation_matrix(decomp, noon, [t])[0] - p0).max() < 1e-12
 
     def test_snapshot_diagonal_nearly_empty(self):
         # long-time 29-cavity snapshot at maximal entanglement: the photons
         # almost never coincide (bound frozen from the verified pipeline)
         decomp = decompose(LatticeSpec(num_cavities=29, omega=1.0, hopping=1.0))
         noon = NoonInput(theta=PI / 4, site_r=15, site_s=16)
-        corr = correlation_matrix(decomp, noon, 83.57)
-        assert corr.diagonal_mass() < 0.088
+        p = correlation_matrix(decomp, noon, [83.57])[0]
+        assert diagonal_mass(p) < 0.088
 
     def test_matches_oracle_small_chains(self):
         rng = np.random.default_rng(42)
@@ -169,13 +169,28 @@ class TestCorrelationMatrix:
             r, s = (int(v) for v in rng.choice(np.arange(1, n + 1), 2, replace=False))
             noon = NoonInput(theta=float(rng.uniform(0, PI / 2)), site_r=r, site_s=s)
             t = float(rng.uniform(0.0, 50.0))
-            closed = correlation_matrix(decompose(lattice), noon, t).entries
+            closed = correlation_matrix(decompose(lattice), noon, [t])[0]
             assert np.abs(closed - oracle_correlation_at(lattice, noon, t)).max() < 1e-8
 
     def test_rejects_site_beyond_chain(self):
         decomp = decompose(LatticeSpec(num_cavities=5, omega=1.0, hopping=1.0))
         with pytest.raises(ValidationError):
-            correlation_matrix(decomp, NoonInput(theta=0.3, site_r=1, site_s=9), 1.0)
+            correlation_matrix(decomp, NoonInput(theta=0.3, site_r=1, site_s=9), [1.0])
+
+    @pytest.mark.parametrize("n", [8, 29, 50])
+    def test_time_array_is_bitwise_one_time_calls(self, n):
+        # verify's shape: t = 0 then 24 sorted samples, one of them repeated
+        decomp = decompose(LatticeSpec(num_cavities=n, omega=1.0, hopping=0.7))
+        noon = NoonInput(theta=0.3927, site_r=n // 2, site_s=n // 2 + 1)
+        rng = np.random.default_rng(n)
+        samples = np.sort(rng.uniform(0.0, 83.57, size=24))
+        samples[5] = samples[4]
+        times = np.concatenate(([0.0], samples))
+        batch = correlation_matrix(decomp, noon, times)
+        assert batch.shape == (25, n, n)
+        assert not batch.flags.writeable
+        singles = np.stack([correlation_matrix(decomp, noon, [t])[0] for t in times])
+        assert batch.tobytes() == singles.tobytes()
 
 
 class TestTpdDegree:
@@ -233,7 +248,7 @@ class TestTpdSeries:
         noon = NoonInput(theta=0.8, site_r=4, site_s=6)
         series = tpd_series(decomp, noon, [0.0, 3.3, 11.8])
         for t, eta in zip(series.times, series.eta):
-            diag_sum = correlation_matrix(decomp, noon, t).entries.trace()
+            diag_sum = correlation_matrix(decomp, noon, [t])[0].trace()
             assert abs(eta - (1.0 - diag_sum / 2.0)) < 1e-10
 
     def test_site_swap_invariance_at_maximal_entanglement(self):
@@ -272,7 +287,7 @@ class TestTpdFamily:
         times = np.sort(rng.uniform(0.0, 100.0, size=12))
         for noon, series in zip(noons, tpd_family(decomp, noons, times)):
             for t, eta in zip(times, series.eta):
-                trace = correlation_matrix(decomp, noon, t).entries.trace()
+                trace = correlation_matrix(decomp, noon, [t])[0].trace()
                 assert abs(eta - (1.0 - trace / 2.0)) <= 1e-13
 
     # 12001 times at N=200 span several evaluation blocks
@@ -370,7 +385,7 @@ class TestTpdFamily:
 
 def dense_gram_eta(decomp, noons, times):
     """Eta from complex dense-transform columns in the Gram form, per angle."""
-    s = decomp.transform
+    s = sine_transform(decomp)
     r, q = noons[0].site_r - 1, noons[0].site_s - 1
     phases = np.exp(-1j * np.outer(times, decomp.frequencies))
     a = ((s[r] * phases) @ s) ** 2

@@ -19,6 +19,7 @@ from ccawalk import (
     solve_by_symmetry,
 )
 from ccawalk import oracle
+from conftest import pair_labels
 
 
 def dense_evolve(state, h, times):
@@ -67,7 +68,7 @@ def loop_hamiltonian(lattice):
     h = np.zeros((basis.dimension, basis.dimension))
     np.fill_diagonal(h, 2.0 * lattice.omega)
     root2 = sqrt(2.0)
-    for col, (m, k) in enumerate(basis.labels):
+    for col, (m, k) in enumerate(pair_labels(n)):
         moves = ((m, k),) if m == k else ((m, k), (k, m))
         for src, other in moves:
             for dst in (src - 1, src + 1):
@@ -88,7 +89,7 @@ def loop_correlation(state):
     n = basis.num_cavities
     probs = np.abs(state.amplitudes) ** 2
     p = np.zeros((n, n))
-    for i, (m, k) in enumerate(basis.labels):
+    for i, (m, k) in enumerate(pair_labels(n)):
         if m == k:
             p[m - 1, m - 1] = 2.0 * probs[i]
         else:
@@ -97,14 +98,29 @@ def loop_correlation(state):
     return p
 
 
+def dense_coupling(h, basis, labels, weights, sign):
+    """Reference C of one mirror block: w_a w_b (h[a, b] + sign h[a, Mb]) by gathers.
+
+    Rows are the block's labels with an even site sum, columns those with an
+    odd one, each a dense ``np.ix_`` gather from the D x D matrix.
+    """
+    m, k = np.triu_indices(basis.num_cavities)
+    odd = ((m + k) % 2 == 1)[labels]
+    rows, cols = labels[~odd], labels[odd]
+    c = h[np.ix_(rows, cols)]
+    c += sign * h[np.ix_(rows, basis.mirror[cols])]
+    c *= np.multiply.outer(weights[~odd], weights[odd])
+    return c
+
+
 class TestTwoPhotonBasis:
     def test_labels_ordered_and_complete(self):
         basis = TwoPhotonBasis(4)
+        labels = pair_labels(4)
         assert basis.dimension == 10
-        assert basis.labels == tuple(
-            (m, n) for m in range(1, 5) for n in range(m, 5)
-        )
-        assert basis.labels == tuple(sorted(set(basis.labels)))
+        assert labels == tuple((m, n) for m in range(1, 5) for n in range(m, 5))
+        assert labels == tuple(sorted(set(labels)))
+        assert [basis.index(*label) for label in labels] == list(range(10))
 
     @pytest.mark.parametrize("n", [2, 5, 8])
     def test_dimension_formula(self, n):
@@ -113,7 +129,7 @@ class TestTwoPhotonBasis:
     def test_index_handles_unordered_pairs(self):
         basis = TwoPhotonBasis(5)
         assert basis.index(3, 2) == basis.index(2, 3)
-        assert basis.labels[basis.index(4, 4)] == (4, 4)
+        assert pair_labels(5)[basis.index(4, 4)] == (4, 4)
 
     def test_index_rejects_foreign_pair(self):
         with pytest.raises(ValidationError):
@@ -126,7 +142,7 @@ class TestTwoPhotonBasis:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 8])
     def test_pair_index_matches_labels(self, n):
         basis = TwoPhotonBasis(n)
-        for i, (m, k) in enumerate(basis.labels):
+        for i, (m, k) in enumerate(pair_labels(n)):
             assert basis.pair_index[m - 1, k - 1] == i
             assert basis.pair_index[k - 1, m - 1] == i
         assert not basis.pair_index.flags.writeable
@@ -135,7 +151,7 @@ class TestTwoPhotonBasis:
     def test_mirror_is_the_reflected_label_involution(self, n):
         basis = TwoPhotonBasis(n)
         mirror = basis.mirror
-        for i, (m, k) in enumerate(basis.labels):
+        for i, (m, k) in enumerate(pair_labels(n)):
             assert mirror[i] == basis.index(n + 1 - k, n + 1 - m)
         assert np.array_equal(mirror[mirror], np.arange(basis.dimension))
         assert np.count_nonzero(mirror == np.arange(basis.dimension)) == (n + 1) // 2
@@ -342,6 +358,39 @@ class TestSolveBySymmetry:
             assert sides == [(1, 1), (1, 0)]
             assert shapes == [(1, 1)]
 
+    @pytest.mark.parametrize("n", [2, 3, 8, 29, 50])
+    def test_scattered_coupling_is_bitwise_the_dense_gather(self, n, monkeypatch):
+        factored = []
+        svd = np.linalg.svd
+
+        def recording_svd(c, *args, **kwargs):
+            factored.append(c.copy())
+            return svd(c, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        basis = TwoPhotonBasis(n)
+        h = build_two_photon_hamiltonian(
+            LatticeSpec(num_cavities=n, omega=1.3, hopping=0.37)
+        )
+        solution = solve_by_symmetry(h, basis)
+        pairs, fixed = solution.pairs, solution.fixed
+        even_weights = np.concatenate(
+            (np.ones(pairs.size), np.full(fixed.size, sqrt(0.5)))
+        )
+        even_labels = np.concatenate((pairs, fixed))
+        expected = [
+            coupling
+            for coupling in (
+                dense_coupling(h, basis, even_labels, even_weights, 1.0),
+                dense_coupling(h, basis, pairs, np.ones(pairs.size), -1.0),
+            )
+            if coupling.size
+        ]
+        assert len(factored) == len(expected) > 0
+        for got, want in zip(factored, expected):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
 
 class TestStateVector:
     def test_rejects_unnormalized(self):
@@ -469,8 +518,8 @@ class TestEvolve:
         decomp = decompose(lattice)
         times = np.random.default_rng(11).uniform(0.0, 40.0, size=20)
         for t, evolved in zip(times, evolve(state, solution, times)):
-            reference = oracle_correlation(evolved, time=t).entries
-            closed = correlation_matrix(decomp, noon, t).entries
+            reference = oracle_correlation(evolved)
+            closed = correlation_matrix(decomp, noon, [t])[0]
             assert np.abs(reference - closed).max() < 1e-10
 
 
@@ -478,7 +527,7 @@ class TestOracleCorrelation:
     def test_initial_noon_state(self):
         basis = TwoPhotonBasis(6)
         state = noon_state(basis, NoonInput(theta=np.pi / 4, site_r=2, site_s=5))
-        p = oracle_correlation(state).entries
+        p = oracle_correlation(state)
         assert p[1, 1] == pytest.approx(1.0, abs=1e-15)
         assert p[4, 4] == pytest.approx(1.0, abs=1e-15)
         assert p.sum() == pytest.approx(2.0, abs=1e-12)
@@ -490,7 +539,7 @@ class TestOracleCorrelation:
         amps = np.zeros(basis.dimension, dtype=complex)
         for pair in ((1, 2), (1, 3), (2, 3)):
             amps[basis.index(*pair)] = 1.0 / np.sqrt(3.0)
-        p = oracle_correlation(TwoPhotonStateVector(basis, amps)).entries
+        p = oracle_correlation(TwoPhotonStateVector(basis, amps))
         off = p[~np.eye(3, dtype=bool)]
         assert np.allclose(off, 1.0 / 3.0, atol=1e-12)
         assert np.all(p.diagonal() == 0.0)
@@ -502,14 +551,13 @@ class TestOracleCorrelation:
         basis = TwoPhotonBasis(n)
         raw = rng.normal(size=basis.dimension) + 1j * rng.normal(size=basis.dimension)
         state = TwoPhotonStateVector(basis, raw / np.linalg.norm(raw))
-        p = oracle_correlation(state, time=1.5)
-        assert p.entries.tobytes() == loop_correlation(state).tobytes()
-        assert p.time == 1.5
-        assert not p.entries.flags.writeable
+        p = oracle_correlation(state)
+        assert p.tobytes() == loop_correlation(state).tobytes()
+        assert not p.flags.writeable
 
     def test_random_state_total_pair_count(self):
         rng = np.random.default_rng(3)
         basis = TwoPhotonBasis(5)
         raw = rng.normal(size=basis.dimension) + 1j * rng.normal(size=basis.dimension)
         state = TwoPhotonStateVector(basis, raw / np.linalg.norm(raw))
-        assert abs(oracle_correlation(state).entries.sum() - 2.0) < 1e-12
+        assert abs(oracle_correlation(state).sum() - 2.0) < 1e-12

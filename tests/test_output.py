@@ -62,7 +62,7 @@ def reference_artifact(command, cfg):
         extra, columns = {}, ["k", "Omega_k"]
         rows = [(k + 1, float(freq)) for k, freq in enumerate(decomp.frequencies)]
     elif command == "correlation":
-        entries = correlation_matrix(decomp, noon, t_end).entries
+        entries = correlation_matrix(decomp, noon, [t_end])[0]
         n = cfg.lattice.num_cavities
         extra = {
             "t": t_end,

@@ -11,9 +11,8 @@ from ccawalk import (
     decompose,
     propagator,
     theta_for_concurrence,
-    tpd_degree,
 )
-from conftest import full_propagator
+from conftest import full_propagator, tpd_degree
 
 HALF_PI = float(np.pi / 2)
 
@@ -88,7 +87,7 @@ def test_frequencies_strictly_decreasing_when_hopping_on(lattice):
 def test_pair_count_and_eta_range(case, t):
     lattice, noon = case
     decomp = decompose(lattice)
-    p = correlation_matrix(decomp, noon, t).entries
+    p = correlation_matrix(decomp, noon, [t])[0]
     assert abs(p.sum() - 2.0) < 1e-9
     assert p.min() >= 0.0
     eta = tpd_degree(decomp, noon, t)
@@ -101,11 +100,11 @@ def test_pair_count_and_eta_range(case, t):
 def test_weight_swap_equals_site_swap(case, t):
     lattice, noon = case
     decomp = decompose(lattice)
-    p1 = correlation_matrix(decomp, noon, t).entries
+    p1 = correlation_matrix(decomp, noon, [t])[0]
     relabeled = NoonInput(
         theta=HALF_PI - noon.theta, site_r=noon.site_s, site_s=noon.site_r
     )
-    p2 = correlation_matrix(decomp, relabeled, t).entries
+    p2 = correlation_matrix(decomp, relabeled, [t])[0]
     assert np.abs(p1 - p2).max() < 1e-12
 
 

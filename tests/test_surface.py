@@ -14,12 +14,10 @@ EXPECTED_ALL = {
     "propagator",
     "propagator_block",
     "NoonInput",
-    "CorrelationMatrix",
     "TpdSeries",
     "concurrence",
     "theta_for_concurrence",
     "correlation_matrix",
-    "tpd_degree",
     "tpd_family",
     "tpd_series",
     "TwoPhotonBasis",

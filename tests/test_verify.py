@@ -1,10 +1,17 @@
 """``run_verification`` called directly: sampled windows, call counts, detection."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+from conftest import REPO_ROOT
+
 from ccawalk import LatticeSpec, NoonInput, verify
-from ccawalk.verify import run_verification, shrink_scenario
+from ccawalk.oracle import MAX_DIMENSION
+from ccawalk.verify import ORACLE_MAX_CAVITIES, run_verification, shrink_scenario
 
 FIG1 = LatticeSpec(num_cavities=29, omega=1.0, hopping=1.0)
 NOON = NoonInput(theta=np.pi / 4, site_r=15, site_s=16)
@@ -34,14 +41,51 @@ def test_zero_window_passes_every_check():
 @pytest.mark.parametrize("t_max", [0.0, 0.75, 83.57])
 def test_group_law_times_stay_in_twice_the_window(monkeypatch, t_max):
     calls = counting(monkeypatch, "propagator")
+    correlations = counting(monkeypatch, "correlation_matrix")
     run_verification(FIG1, NOON, t_max=t_max, seed=3)
     # one kernel call over every site covers all of verify's times
     assert len(calls) == 1
     _, sites, times = calls[0]
-    assert list(sites) == list(range(1, 9))  # the default max_cavities
+    # the default max_cavities keeps the shipped 29-cavity chain whole
+    assert list(sites) == list(range(1, 30))
     assert len(times) == 25 + 1 + 5 * 3
     assert max(times) <= 2.0 * t_max
     assert min(times) >= 0.0
+    # and one closed-form call covers every sample time
+    assert len(correlations) == 1
+    _, noon, sample_times = correlations[0]
+    assert noon == NOON
+    assert np.array_equal(sample_times, times[:25])
+
+
+def test_default_max_cavities_is_the_largest_chain_under_the_dense_guard():
+    n = ORACLE_MAX_CAVITIES
+    assert n * (n + 1) // 2 <= MAX_DIMENSION < (n + 1) * (n + 2) // 2
+    assert n == 99
+    long_chain = LatticeSpec(num_cavities=120, omega=1.0, hopping=1.0)
+    small, _ = shrink_scenario(long_chain, NOON)
+    assert small.num_cavities == 99
+
+
+def test_verify_never_imports_numpy_random():
+    code = (
+        "import sys\n"
+        "from ccawalk.cli import main\n"
+        "status = main(['verify', '--config', 'scenarios/fig1.json', '--seed', '5',\n"
+        "               '--out', '-'])\n"
+        "assert status == 0, status\n"
+        "assert 'numpy.random' not in sys.modules\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO_ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=env, timeout=120, cwd=REPO_ROOT,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "overall: PASS" in proc.stdout
 
 
 def test_oracle_is_solved_once_and_evolved_once(monkeypatch):
