@@ -41,8 +41,9 @@ from .observables import (
     tpd_family,
     tpd_series,
 )
+from .oracle import ORACLE_MAX_CAVITIES
 from .output import provenance, render, write_text
-from .verify import ORACLE_MAX_CAVITIES, run_verification
+from .verify import run_verification
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1

@@ -37,7 +37,7 @@ vectors themselves.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import sqrt
+from math import isqrt, sqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -47,6 +47,8 @@ from .lattice import LatticeSpec
 from .observables import NoonInput
 
 MAX_DIMENSION = 5000  # dense D x D storage guard
+# the largest N whose two-photon sector N (N + 1) / 2 fits the guard: 99
+ORACLE_MAX_CAVITIES = (isqrt(8 * MAX_DIMENSION + 1) - 1) // 2
 
 NORM_TOLERANCE = 1e-12
 
@@ -234,7 +236,7 @@ class TwoPhotonSolution(NamedTuple):
 
 
 def _sublattice_block(
-    triplets: tuple[np.ndarray, np.ndarray, np.ndarray],
+    h: np.ndarray,
     mirror: np.ndarray,
     odd_sum: np.ndarray,
     labels: np.ndarray,
@@ -245,27 +247,16 @@ def _sublattice_block(
 
     The block entry of coordinates a, b is w_a w_b (h[a, b] + sign h[a, Mb])
     over the representative ``labels``; ``odd_sum`` marks the labels whose
-    m + n is odd.  H arrives as its nonzero (row, column, value) triplets,
-    and each lands in C through position maps of the block's two sides:
-    once as h[a, b] where its column is an odd-side label, then, times
-    ``sign``, as h[a, Mb] where the column's image is one.
+    m + n is odd.
     """
     odd_side = np.flatnonzero(odd_sum[labels])
     even_side = np.flatnonzero(~odd_sum[labels])
-    if even_side.size == 0 or odd_side.size == 0:  # nothing to factor; svd may refuse
-        u, sigma = np.zeros((even_side.size, 0)), np.zeros(0)
-        vt = np.zeros((0, odd_side.size))
+    rows, cols = labels[even_side], labels[odd_side]
+    if rows.size == 0 or cols.size == 0:  # nothing to factor, and svd may refuse
+        u, sigma, vt = np.zeros((rows.size, 0)), np.zeros(0), np.zeros((0, cols.size))
     else:
-        rows, cols, values = triplets
-        row_at = np.full(mirror.size, -1)
-        row_at[labels[even_side]] = np.arange(even_side.size)
-        col_at = np.full(mirror.size, -1)
-        col_at[labels[odd_side]] = np.arange(odd_side.size)
-        c = np.zeros((even_side.size, odd_side.size))
-        i = row_at[rows]
-        for j, scale in ((col_at[cols], 1.0), (col_at[mirror[cols]], sign)):
-            hit = (i >= 0) & (j >= 0)
-            np.add.at(c, (i[hit], j[hit]), scale * values[hit])
+        c = h[np.ix_(rows, cols)]
+        c += sign * h[np.ix_(rows, mirror[cols])]
         c *= np.multiply.outer(weights[even_side], weights[odd_side])
         u, sigma, vt = np.linalg.svd(c, full_matrices=False)
     return SublatticeBlock(even_side, odd_side, u, sigma, vt)
@@ -325,12 +316,11 @@ def solve_by_symmetry(h: np.ndarray, basis: TwoPhotonBasis) -> TwoPhotonSolution
     # w = 1 on swapped pairs and 1/sqrt(2) on fixed labels: a fixed label is
     # its own image, so h[a, b] + h[a, Mb] counts it twice.
     even_weights = np.concatenate((np.ones(pairs.size), np.full(fixed.size, sqrt(0.5))))
-    triplets = (rows, cols, values)
     blocks = (
         _sublattice_block(
-            triplets, mirror, odd_sum, np.concatenate((pairs, fixed)), even_weights, 1.0
+            h, mirror, odd_sum, np.concatenate((pairs, fixed)), even_weights, 1.0
         ),
-        _sublattice_block(triplets, mirror, odd_sum, pairs, np.ones(pairs.size), -1.0),
+        _sublattice_block(h, mirror, odd_sum, pairs, np.ones(pairs.size), -1.0),
     )
     center = float(diagonal[0])
     sigma = np.concatenate([block.sigma for block in blocks])

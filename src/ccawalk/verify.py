@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from math import isqrt, pi
+from math import pi
 
 import numpy as np
 
@@ -29,7 +29,7 @@ from .errors import checked_int, checked_real
 from .lattice import LatticeSpec, decompose, propagator
 from .observables import NoonInput, correlation_matrix, tpd_family
 from .oracle import (
-    MAX_DIMENSION,
+    ORACLE_MAX_CAVITIES,
     TwoPhotonBasis,
     build_two_photon_hamiltonian,
     evolve,
@@ -46,9 +46,6 @@ PAIR_SUM_TOL = 1e-9
 ETA_RANGE_TOL = 1e-9
 ETA_ZERO_TOL = 1e-12
 SPECTRUM_TOL = 1e-10
-
-# the largest N whose two-photon sector N (N + 1) / 2 fits the dense guard: 99
-ORACLE_MAX_CAVITIES = (isqrt(8 * MAX_DIMENSION + 1) - 1) // 2
 
 
 @dataclass(frozen=True)
@@ -97,7 +94,7 @@ def _deviation(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def shrink_scenario(
-    lattice: LatticeSpec, noon: NoonInput, max_cavities: int = ORACLE_MAX_CAVITIES
+    lattice: LatticeSpec, noon: NoonInput, max_cavities: int
 ) -> tuple[LatticeSpec, NoonInput]:
     """Shrink a scenario to at most ``max_cavities`` sites (at least 2).
 

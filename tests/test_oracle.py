@@ -359,7 +359,7 @@ class TestSolveBySymmetry:
             assert shapes == [(1, 1)]
 
     @pytest.mark.parametrize("n", [2, 3, 8, 29, 50])
-    def test_scattered_coupling_is_bitwise_the_dense_gather(self, n, monkeypatch):
+    def test_factored_coupling_is_bitwise_the_folded_block(self, n, monkeypatch):
         factored = []
         svd = np.linalg.svd
 
