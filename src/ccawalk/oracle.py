@@ -1,31 +1,33 @@
 """Brute-force two-photon reference, independent of the spectral fast path.
 
 Builds the full two-photon sector of the chain Hamiltonian in the symmetric
-pair basis, evolves states exactly, and reads the coincidence matrix
-straight off the state amplitudes.  Nothing here touches the
-sine-transform machinery, so agreement between this module and the
-closed-form path is a genuine cross-check.
+pair basis, as its nonzero entries (row, column, value), evolves states
+exactly, and reads the coincidence matrix straight off the state
+amplitudes.  Nothing here touches the sine-transform machinery, so
+agreement between this module and the closed-form path is a genuine
+cross-check.
 
-The solve uses two exact symmetries of the dense H, each checked bit for
-bit before it is used.  The chain mirror j -> N + 1 - j permutes the pair
-labels, (m, n) -> (N + 1 - n, N + 1 - m), and commutes with H, so H splits
-into a mirror-even and a mirror-odd block of about D/2 labels each.  Every
-hop moves one photon one site, so it changes m + n by one: within each
-block H is its constant diagonal d plus a part that only links even-sum to
-odd-sum labels, the rectangular block C.  One dense ``np.linalg.svd`` of C
-per block gives the eigenvalues d +- sigma and, with C = U S V^T,
+The solve uses two exact symmetries of H, each checked bit for bit on its
+entries before it is used.  The chain mirror j -> N + 1 - j permutes the
+pair labels, (m, n) -> (N + 1 - n, N + 1 - m), and commutes with H, so H
+splits into a mirror-even and a mirror-odd block of about D/2 labels each.
+Every hop moves one photon one site, so it changes m + n by one: within
+each block H is its constant diagonal d plus a part that only links
+even-sum to odd-sum labels, the rectangular block C.  Each C is scattered
+from H's entries, and one dense ``np.linalg.svd`` of it gives the
+eigenvalues d +- sigma and, with C = U S V^T,
 
     exp(-i H t) = exp(-i d t) [[1 + U (cos St - 1) U^T, -i U sin(St) V^T],
                                [-i V sin(St) U^T, 1 + V (cos St - 1) V^T]],
 
-so ``evolve`` advances a state to every requested time in one pass and no
-D x D eigenvector matrix is ever formed.  Both splits rest on H's matrix
-elements alone: the mirror on the lattice geometry, the sublattice on hops
-being nearest-neighbour, which holds for any amplitudes.  Neither uses the
-sine transform, its mode frequencies or the free-boson structure, and the
-SVD is a generic dense factorization, so the reference stays independent
-of the path it checks; a matrix without both symmetries is refused, never
-split.
+so ``evolve`` advances a state to every requested time in one pass, and
+neither H nor an eigenvector matrix is ever stored as D x D.  Both splits
+rest on H's matrix elements alone: the mirror on the lattice geometry, the
+sublattice on hops being nearest-neighbour, which holds for any
+amplitudes.  Neither uses the sine transform, its mode frequencies or the
+free-boson structure, and the SVD is a generic dense factorization, so the
+reference stays independent of the path it checks; a matrix without both
+symmetries is refused, never split.
 
 Basis convention: label (m, n) with m <= n is the normalized state with one
 photon at m and one at n (m < n), or two photons at m (m == n).  The
@@ -46,7 +48,9 @@ from .errors import ValidationError, checked_int, checked_real
 from .lattice import LatticeSpec
 from .observables import NoonInput
 
-MAX_DIMENSION = 5000  # dense D x D storage guard
+# Bounds the dense pieces that remain: each mirror block's C with its U and
+# V^T (about D/4 x D/4 apiece) and evolve's (T, D) arrays.
+MAX_DIMENSION = 5000
 # the largest N whose two-photon sector N (N + 1) / 2 fits the guard: 99
 ORACLE_MAX_CAVITIES = (isqrt(8 * MAX_DIMENSION + 1) - 1) // 2
 
@@ -125,18 +129,33 @@ def noon_state(basis: TwoPhotonBasis, noon: NoonInput) -> TwoPhotonStateVector:
     return TwoPhotonStateVector(basis=basis, amplitudes=amps)
 
 
-def build_two_photon_hamiltonian(lattice: LatticeSpec) -> np.ndarray:
-    """Dense two-photon sector Hamiltonian in the symmetric pair basis.
+class HamiltonianEntries(NamedTuple):
+    """A real D x D matrix as its nonzero entries, H[rows[i], cols[i]] = values[i].
+
+    Positions are sorted by (row, col) and appear at most once; every
+    position not listed holds 0.
+    """
+
+    dimension: int
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
+
+
+def build_two_photon_hamiltonian(lattice: LatticeSpec) -> HamiltonianEntries:
+    """Two-photon sector Hamiltonian in the symmetric pair basis, as nonzero entries.
 
     Diagonal is 2*omega everywhere; hopping moves one photon one site with
     amplitude J, enhanced by sqrt(2) whenever a doubly occupied label is
-    created or destroyed.
+    created or destroyed.  About 5D entries for D labels (none off the
+    diagonal when J = 0), in read-only arrays.
 
     Raises
     ------
     ValidationError
-        If the sector dimension N (N + 1) / 2 exceeds 5000; dense storage
-        and factorization stop being cheap past that point.
+        If the sector dimension N (N + 1) / 2 exceeds 5000; the dense SVD
+        blocks and time-by-label arrays of the solve stop being cheap past
+        that point.
     """
     n = lattice.num_cavities
     d = n * (n + 1) // 2
@@ -145,25 +164,31 @@ def build_two_photon_hamiltonian(lattice: LatticeSpec) -> np.ndarray:
             f"two-photon sector dimension {d} exceeds the dense-storage guard "
             f"{MAX_DIMENSION} (N={n})"
         )
-    pair_index = TwoPhotonBasis(n).pair_index
-    h = np.zeros((d, d))
-    np.fill_diagonal(h, 2.0 * lattice.omega)
-    # Every hop is a photon at site a moving to a + 1 while its partner stays
-    # at b, taken over all ordered sites (a, b) with a < N: each pair of
-    # adjacent labels is reached exactly once, and H is symmetric.
-    # a_(a+1)^dag a_a carries sqrt(n_a) * sqrt(n_(a+1) + 1): sqrt(2) when
-    # lifting out of a double occupancy (b == a) or landing on the partner
-    # (b == a + 1), else 1; never both.
-    src = pair_index[:-1].ravel()
-    dst = pair_index[1:].ravel()
-    a = np.arange(n - 1)[:, None]
-    b = np.arange(n)
-    boosted = ((b == a) | (b == a + 1)).ravel()
-    amplitude = np.where(boosted, lattice.hopping * sqrt(2.0), lattice.hopping)
-    h[dst, src] += amplitude
-    h[src, dst] += amplitude
-    h.setflags(write=False)
-    return h
+    labels = np.arange(d)
+    rows, cols, values = [labels], [labels], [np.full(d, 2.0 * lattice.omega)]
+    if lattice.hopping != 0.0:
+        pair_index = TwoPhotonBasis(n).pair_index
+        # Every hop is a photon at site a moving to a + 1 while its partner
+        # stays at b, taken over all ordered sites (a, b) with a < N: each
+        # pair of adjacent labels is reached exactly once, and H is symmetric.
+        # a_(a+1)^dag a_a carries sqrt(n_a) * sqrt(n_(a+1) + 1): sqrt(2) when
+        # lifting out of a double occupancy (b == a) or landing on the partner
+        # (b == a + 1), else 1; never both.
+        src = pair_index[:-1].ravel()
+        dst = pair_index[1:].ravel()
+        a = np.arange(n - 1)[:, None]
+        b = np.arange(n)
+        boosted = ((b == a) | (b == a + 1)).ravel()
+        amplitude = np.where(boosted, lattice.hopping * sqrt(2.0), lattice.hopping)
+        rows += [dst, src]
+        cols += [src, dst]
+        values += [amplitude, amplitude]
+    rows, cols, values = (np.concatenate(part) for part in (rows, cols, values))
+    order = np.argsort(rows * d + cols)
+    entries = HamiltonianEntries(d, rows[order], cols[order], values[order])
+    for array in entries[1:]:
+        array.setflags(write=False)
+    return entries
 
 
 class SublatticeBlock(NamedTuple):
@@ -236,7 +261,7 @@ class TwoPhotonSolution(NamedTuple):
 
 
 def _sublattice_block(
-    h: np.ndarray,
+    entries: tuple[np.ndarray, np.ndarray, np.ndarray],
     mirror: np.ndarray,
     odd_sum: np.ndarray,
     labels: np.ndarray,
@@ -247,64 +272,116 @@ def _sublattice_block(
 
     The block entry of coordinates a, b is w_a w_b (h[a, b] + sign h[a, Mb])
     over the representative ``labels``; ``odd_sum`` marks the labels whose
-    m + n is odd.
+    m + n is odd.  Each of H's nonzero (row, col, value) ``entries`` lands
+    in C through row and column position maps, h[a, b] first and then
+    sign h[a, Mb] added where it is nonzero, which gives C bit for bit as
+    dense gathers of the two terms would.
     """
     odd_side = np.flatnonzero(odd_sum[labels])
     even_side = np.flatnonzero(~odd_sum[labels])
-    rows, cols = labels[even_side], labels[odd_side]
-    if rows.size == 0 or cols.size == 0:  # nothing to factor, and svd may refuse
-        u, sigma, vt = np.zeros((rows.size, 0)), np.zeros(0), np.zeros((0, cols.size))
+    if not (even_side.size and odd_side.size):  # nothing to factor, svd may refuse
+        u = np.zeros((even_side.size, 0))
+        sigma, vt = np.zeros(0), np.zeros((0, odd_side.size))
     else:
-        c = h[np.ix_(rows, cols)]
-        c += sign * h[np.ix_(rows, mirror[cols])]
+        row_at = np.full(mirror.size, -1)
+        row_at[labels[even_side]] = np.arange(even_side.size)
+        col_at = np.full(mirror.size, -1)
+        col_at[labels[odd_side]] = np.arange(odd_side.size)
+        rows, cols, values = entries
+        i = row_at[rows]
+        c = np.zeros((even_side.size, odd_side.size))
+        j = col_at[cols]
+        hit = (i >= 0) & (j >= 0)
+        c[i[hit], j[hit]] = values[hit]
+        j = col_at[mirror[cols]]
+        hit = (i >= 0) & (j >= 0)
+        c[i[hit], j[hit]] += sign * values[hit]
         c *= np.multiply.outer(weights[even_side], weights[odd_side])
         u, sigma, vt = np.linalg.svd(c, full_matrices=False)
     return SublatticeBlock(even_side, odd_side, u, sigma, vt)
 
 
-def solve_by_symmetry(h: np.ndarray, basis: TwoPhotonBasis) -> TwoPhotonSolution:
+def _values_at(keys: np.ndarray, values: np.ndarray, wanted: np.ndarray) -> np.ndarray:
+    """The entries at positions ``wanted`` (row * D + col), 0.0 where H has none.
+
+    ``keys`` are the entries' own positions, strictly increasing.
+    """
+    at = np.minimum(np.searchsorted(keys, wanted), keys.size - 1)
+    return np.where(keys[at] == wanted, values[at], 0.0)
+
+
+def solve_by_symmetry(
+    h: HamiltonianEntries, basis: TwoPhotonBasis
+) -> TwoPhotonSolution:
     """Factor a two-photon H through its mirror and sublattice symmetries.
 
-    H must be real and symmetric, commute bit for bit with the chain
-    mirror M of ``basis``, have one constant diagonal d, and link no two
-    labels whose m + n have the same parity.  The mirror splits it into an
-    even and an odd block; within each, the part linking even-sum to
-    odd-sum labels is a rectangular C, and one ``np.linalg.svd(C)`` gives
-    that block's eigenvalues d +- sigma, plus d once per unpaired label.
-    No D x D eigenvector matrix is formed.
+    H comes as its nonzero entries, as ``build_two_photon_hamiltonian``
+    returns it.  It must be real and symmetric, commute bit for bit with
+    the chain mirror M of ``basis``, have one constant diagonal d, and link
+    no two labels whose m + n have the same parity.  The mirror splits it
+    into an even and an odd block; within each, the part linking even-sum
+    to odd-sum labels is a rectangular C, and one ``np.linalg.svd(C)``
+    gives that block's eigenvalues d +- sigma, plus d once per unpaired
+    label.  Nothing D x D is formed.
 
     Raises
     ------
     ValidationError
-        If ``h`` is not a real D x D matrix, or breaks any of the conditions
-        above; the mirror is checked first.  Such a matrix is never split.
+        If ``h`` is not a real D x D matrix of the basis's D given by
+        nonzero entries at sorted, distinct, in-range positions, or breaks
+        any of the conditions above; the mirror is checked first.  Such a
+        matrix is never split.
     """
     d = basis.dimension
-    if h.shape != (d, d) or not np.isrealobj(h):
+    rows, cols, values = (np.asarray(part) for part in h[1:])
+    if h.dimension != d or not np.isrealobj(values):
         raise ValidationError(
-            f"matrix of shape {h.shape} and type {h.dtype} does not match the "
-            f"real {d} x {d} matrices of the basis"
+            f"matrix of dimension {h.dimension} and type {values.dtype} does not "
+            f"match the real {d} x {d} matrices of the basis"
         )
+    if not (
+        rows.shape == cols.shape == values.shape == (values.size,)
+        and rows.dtype.kind in "iu"
+        and cols.dtype.kind in "iu"
+    ):
+        raise ValidationError(
+            "matrix entries must be integer rows and cols and real values, "
+            "three 1-D arrays of one length"
+        )
+    if values.size and not (
+        0 <= min(rows.min(), cols.min()) and max(rows.max(), cols.max()) < d
+    ):
+        raise ValidationError(f"matrix entry positions fall outside 0..{d - 1}")
+    if np.any(values == 0.0):
+        raise ValidationError("matrix entries must be nonzero")
+    rows, cols = rows.astype(np.intp, copy=False), cols.astype(np.intp, copy=False)
+    keys = rows * d + cols
+    step = np.diff(keys)
+    if np.any(step < 0):
+        raise ValidationError("matrix entries are not sorted by (row, col)")
+    if np.any(step == 0):
+        raise ValidationError("matrix entry positions repeat")
     mirror = basis.mirror
     # Every condition is a statement about the nonzero entries: M and the
     # transpose are bijections on positions, so a nonzero entry that maps
     # onto an equal entry everywhere leaves no zero to map onto a nonzero.
-    flat = np.flatnonzero(h != 0.0)
-    rows, cols = np.divmod(flat, d)
-    values = h.ravel()[flat]
-    if not np.array_equal(h[mirror[rows], mirror[cols]], values):
+    if not np.array_equal(
+        _values_at(keys, values, mirror[rows] * d + mirror[cols]), values
+    ):
         raise ValidationError(
             f"matrix does not commute with the mirror of the "
             f"{basis.num_cavities}-cavity pair basis"
         )
-    if not np.array_equal(h[cols, rows], values):
+    if not np.array_equal(_values_at(keys, values, cols * d + rows), values):
         raise ValidationError("matrix is not symmetric")
-    diagonal = h.diagonal()
+    on_diagonal = rows == cols
+    diagonal = np.zeros(d)
+    diagonal[rows[on_diagonal]] = values[on_diagonal]
     if not np.all(diagonal == diagonal[0]):
         raise ValidationError("matrix diagonal is not one constant")
     m, n = np.triu_indices(basis.num_cavities)
     odd_sum = (m + n) % 2 == 1
-    hop = rows != cols
+    hop = ~on_diagonal
     if np.any(odd_sum[rows[hop]] == odd_sum[cols[hop]]):
         raise ValidationError(
             "matrix links two pair labels whose site sums have the same parity"
@@ -316,11 +393,12 @@ def solve_by_symmetry(h: np.ndarray, basis: TwoPhotonBasis) -> TwoPhotonSolution
     # w = 1 on swapped pairs and 1/sqrt(2) on fixed labels: a fixed label is
     # its own image, so h[a, b] + h[a, Mb] counts it twice.
     even_weights = np.concatenate((np.ones(pairs.size), np.full(fixed.size, sqrt(0.5))))
+    entries = (rows, cols, values)
     blocks = (
         _sublattice_block(
-            h, mirror, odd_sum, np.concatenate((pairs, fixed)), even_weights, 1.0
+            entries, mirror, odd_sum, np.concatenate((pairs, fixed)), even_weights, 1.0
         ),
-        _sublattice_block(h, mirror, odd_sum, pairs, np.ones(pairs.size), -1.0),
+        _sublattice_block(entries, mirror, odd_sum, pairs, np.ones(pairs.size), -1.0),
     )
     center = float(diagonal[0])
     sigma = np.concatenate([block.sigma for block in blocks])

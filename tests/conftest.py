@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from ccawalk import propagator, tpd_family
+from ccawalk.oracle import HamiltonianEntries
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -56,3 +57,16 @@ def pair_labels(n):
     """Two-photon basis labels (m, k), m <= k, in basis order (``np.triu_indices``)."""
     m, k = np.triu_indices(n)
     return tuple(zip((m + 1).tolist(), (k + 1).tolist()))
+
+
+def dense_hamiltonian(h):
+    """The D x D array of a Hamiltonian given by its nonzero entries."""
+    dense = np.zeros((h.dimension, h.dimension), dtype=h.values.dtype)
+    dense[h.rows, h.cols] = h.values
+    return dense
+
+
+def hamiltonian_entries(dense):
+    """The nonzero entries of a dense D x D matrix, sorted by (row, col)."""
+    rows, cols = np.nonzero(dense)
+    return HamiltonianEntries(len(dense), rows, cols, dense[rows, cols])

@@ -1,3 +1,4 @@
+import tracemalloc
 from math import sqrt
 
 import numpy as np
@@ -19,7 +20,7 @@ from ccawalk import (
     solve_by_symmetry,
 )
 from ccawalk import oracle
-from conftest import pair_labels
+from conftest import dense_hamiltonian, hamiltonian_entries, pair_labels
 
 
 def dense_evolve(state, h, times):
@@ -113,6 +114,33 @@ def dense_coupling(h, basis, labels, weights, sign):
     return c
 
 
+def dense_gather_blocks(dense, basis):
+    """Reference blocks of a dense H: each C by ``dense_coupling``, then one svd.
+
+    Returns (even_side, odd_side, u, sigma, vt) for the mirror-even and the
+    mirror-odd block, in the order ``solve_by_symmetry`` lays them out.
+    """
+    mirror = basis.mirror
+    labels = np.arange(basis.dimension)
+    pairs, fixed = labels[labels < mirror], labels[labels == mirror]
+    m, k = np.triu_indices(basis.num_cavities)
+    odd = (m + k) % 2 == 1
+    even_weights = np.concatenate((np.ones(pairs.size), np.full(fixed.size, sqrt(0.5))))
+    blocks = []
+    for block_labels, weights, sign in (
+        (np.concatenate((pairs, fixed)), even_weights, 1.0),
+        (pairs, np.ones(pairs.size), -1.0),
+    ):
+        c = dense_coupling(dense, basis, block_labels, weights, sign)
+        if c.size:
+            u, sigma, vt = np.linalg.svd(c, full_matrices=False)
+        else:
+            u, sigma, vt = np.zeros((len(c), 0)), np.zeros(0), np.zeros((0, c.shape[1]))
+        sides = np.flatnonzero(~odd[block_labels]), np.flatnonzero(odd[block_labels])
+        blocks.append((*sides, u, sigma, vt))
+    return blocks
+
+
 class TestTwoPhotonBasis:
     def test_labels_ordered_and_complete(self):
         basis = TwoPhotonBasis(4)
@@ -160,8 +188,10 @@ class TestTwoPhotonBasis:
 class TestBuildHamiltonian:
     def test_two_cavity_matrix_by_hand(self):
         omega, j = 1.7, 0.4
-        h = build_two_photon_hamiltonian(
-            LatticeSpec(num_cavities=2, omega=omega, hopping=j)
+        h = dense_hamiltonian(
+            build_two_photon_hamiltonian(
+                LatticeSpec(num_cavities=2, omega=omega, hopping=j)
+            )
         )
         root2 = np.sqrt(2.0)
         expected = np.array(
@@ -178,14 +208,18 @@ class TestBuildHamiltonian:
         )
 
     def test_no_hopping_is_diagonal(self):
-        h = build_two_photon_hamiltonian(
+        entries = build_two_photon_hamiltonian(
             LatticeSpec(num_cavities=5, omega=0.9, hopping=0.0)
         )
+        assert np.array_equal(entries.rows, entries.cols)  # no zero hops stored
+        h = dense_hamiltonian(entries)
         assert np.abs(h - 1.8 * np.eye(15)).max() == 0.0
 
     def test_symmetric(self):
-        h = build_two_photon_hamiltonian(
-            LatticeSpec(num_cavities=6, omega=1.0, hopping=0.8)
+        h = dense_hamiltonian(
+            build_two_photon_hamiltonian(
+                LatticeSpec(num_cavities=6, omega=1.0, hopping=0.8)
+            )
         )
         assert np.abs(h - h.T).max() == 0.0
 
@@ -196,7 +230,9 @@ class TestBuildHamiltonian:
         expected = np.sort(
             [freqs[i] + freqs[j] for i in range(n) for j in range(i, n)]
         )
-        spectrum = np.linalg.eigvalsh(build_two_photon_hamiltonian(lattice))
+        spectrum = np.linalg.eigvalsh(
+            dense_hamiltonian(build_two_photon_hamiltonian(lattice))
+        )
         assert np.abs(np.sort(spectrum) - expected).max() < 1e-10
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 29, 50])
@@ -204,7 +240,13 @@ class TestBuildHamiltonian:
     def test_bitwise_equal_to_loop_reference(self, n, omega, hopping):
         lattice = LatticeSpec(num_cavities=n, omega=omega, hopping=hopping)
         h = build_two_photon_hamiltonian(lattice)
-        assert h.tobytes() == loop_hamiltonian(lattice).tobytes()
+        reference = loop_hamiltonian(lattice)
+        assert dense_hamiltonian(h).tobytes() == reference.tobytes()
+        # the stored entries are exactly the reference's nonzeros, in order
+        assert h.dimension == len(reference)
+        for got, want in zip(h[1:], hamiltonian_entries(reference)[1:]):
+            assert got.tobytes() == want.tobytes()
+            assert not got.flags.writeable
 
     def test_size_guard(self):
         with pytest.raises(ValidationError):
@@ -233,8 +275,9 @@ class TestSolveBySymmetry:
     def test_matches_full_eigh(self, n, hopping):
         lattice = LatticeSpec(num_cavities=n, omega=1.0, hopping=hopping)
         basis = TwoPhotonBasis(n)
-        h = build_two_photon_hamiltonian(lattice)
-        solution = solve_by_symmetry(h, basis)
+        entries = build_two_photon_hamiltonian(lattice)
+        h = dense_hamiltonian(entries)
+        solution = solve_by_symmetry(entries, basis)
         full = np.linalg.eigh(h)
         evals = solution.eigenvalues
         d = basis.dimension
@@ -268,60 +311,111 @@ class TestSolveBySymmetry:
             noon_state(basis, NoonInput(theta=0.4, site_r=r, site_s=s)),
             random_state(basis, rng),
         ):
-            split = solved_evolve(state, h, times)
+            split = solved_evolve(state, entries, times)
             dense = dense_evolve(state, h, times)
             for a, b in zip(split, dense):
                 assert np.abs(a - b).max() < 1e-10
+
+    def test_splits_long_hops_onto_mirror_images(self):
+        # Chain hops never link a label with m + n <= N to a mirror image,
+        # whose m + n >= N + 2, so on a chain H the odd block's h[a, Mb]
+        # term is zero.  Odd-parity long hops that do are still mirror-even
+        # and sublattice-bipartite, and must be split like any other.
+        n = 5
+        basis = TwoPhotonBasis(n)
+        h = dense_hamiltonian(
+            build_two_photon_hamiltonian(
+                LatticeSpec(num_cavities=n, omega=1.0, hopping=0.7)
+            )
+        )
+        mirror = basis.mirror
+        a = basis.index(1, 1)
+        for b, value in ((basis.index(1, 4), 0.3), (basis.index(2, 5), 0.11)):
+            for i, j in ((a, b), (mirror[a], mirror[b])):
+                h[i, j] = h[j, i] = value
+        entries = hamiltonian_entries(h)
+        solution = solve_by_symmetry(entries, basis)
+        assert np.abs(solution.eigenvalues - np.linalg.eigvalsh(h)).max() < 1e-12
+        state = random_state(basis, np.random.default_rng(7))
+        times = (0.3, 17.0, 987.6)
+        for a_t, b_t in zip(
+            solved_evolve(state, entries, times), dense_evolve(state, h, times)
+        ):
+            assert np.abs(a_t - b_t).max() < 1e-10
 
     @pytest.mark.parametrize("n", [2, 3, 8])
     @pytest.mark.parametrize("row", ["swapped", "fixed"])
     def test_rejects_matrix_off_mirror_symmetry(self, n, row):
         basis = TwoPhotonBasis(n)
-        h = build_two_photon_hamiltonian(
-            LatticeSpec(num_cavities=n, omega=1.0, hopping=0.7)
-        ).copy()
+        h = dense_hamiltonian(
+            build_two_photon_hamiltonian(
+                LatticeSpec(num_cavities=n, omega=1.0, hopping=0.7)
+            )
+        )
         # label (1, 1) is swapped with (N, N); label (1, N) is fixed
         i, j = (0, 1) if row == "swapped" else (basis.index(1, n), 0)
         h[i, j] = h[j, i] = np.nextafter(h[i, j], np.inf)
         with pytest.raises(ValidationError, match="mirror"):
-            solve_by_symmetry(h, basis)
+            solve_by_symmetry(hamiltonian_entries(h), basis)
+
+    def test_rejects_hop_whose_mirror_image_is_absent(self):
+        # (1, 2) - (2, 4) links the two sublattices, but its image (3, 4) -
+        # (1, 3) holds no entry.  Its value J equals that of the entries
+        # stored next to where the image would be, so only a lookup that
+        # checks the position, not just the value found there, refuses it.
+        basis = TwoPhotonBasis(4)
+        h = dense_hamiltonian(
+            build_two_photon_hamiltonian(
+                LatticeSpec(num_cavities=4, omega=1.0, hopping=0.7)
+            )
+        )
+        i, j = basis.index(1, 2), basis.index(2, 4)
+        h[i, j] = h[j, i] = 0.7
+        with pytest.raises(ValidationError, match="mirror"):
+            solve_by_symmetry(hamiltonian_entries(h), basis)
 
     @pytest.mark.parametrize("n", [3, 4, 8])
     def test_rejects_hop_inside_a_sublattice(self, n):
         # (1, 1) and (1, 3) both have an even site sum; the one-ulp hop is
         # placed on their mirror images too, so only the sublattice check fails
         basis = TwoPhotonBasis(n)
-        h = build_two_photon_hamiltonian(
-            LatticeSpec(num_cavities=n, omega=1.0, hopping=0.7)
-        ).copy()
+        h = dense_hamiltonian(
+            build_two_photon_hamiltonian(
+                LatticeSpec(num_cavities=n, omega=1.0, hopping=0.7)
+            )
+        )
         i, j = basis.index(1, 1), basis.index(1, 3)
         for a, b in ((i, j), (basis.mirror[i], basis.mirror[j])):
             h[a, b] = h[b, a] = np.nextafter(0.0, 1.0)
         with pytest.raises(ValidationError, match="same parity"):
-            solve_by_symmetry(h, basis)
+            solve_by_symmetry(hamiltonian_entries(h), basis)
 
     @pytest.mark.parametrize("label", ["swapped", "fixed"])
     def test_rejects_non_constant_diagonal(self, label):
         basis = TwoPhotonBasis(5)
-        h = build_two_photon_hamiltonian(
-            LatticeSpec(num_cavities=5, omega=1.0, hopping=0.7)
-        ).copy()
+        h = dense_hamiltonian(
+            build_two_photon_hamiltonian(
+                LatticeSpec(num_cavities=5, omega=1.0, hopping=0.7)
+            )
+        )
         i = basis.index(1, 1) if label == "swapped" else basis.index(1, 5)
         for a in {i, basis.mirror[i]}:
             h[a, a] = np.nextafter(h[a, a], np.inf)
         with pytest.raises(ValidationError, match="diagonal"):
-            solve_by_symmetry(h, basis)
+            solve_by_symmetry(hamiltonian_entries(h), basis)
 
     def test_rejects_asymmetric_matrix(self):
         basis = TwoPhotonBasis(4)
-        h = build_two_photon_hamiltonian(
-            LatticeSpec(num_cavities=4, omega=1.0, hopping=0.7)
-        ).copy()
+        h = dense_hamiltonian(
+            build_two_photon_hamiltonian(
+                LatticeSpec(num_cavities=4, omega=1.0, hopping=0.7)
+            )
+        )
         i, j = basis.index(1, 1), basis.index(1, 2)
         for a, b in ((i, j), (basis.mirror[i], basis.mirror[j])):
             h[a, b] = np.nextafter(h[a, b], np.inf)
         with pytest.raises(ValidationError, match="not symmetric"):
-            solve_by_symmetry(h, basis)
+            solve_by_symmetry(hamiltonian_entries(h), basis)
 
     def test_rejects_wrong_shape(self):
         h = build_two_photon_hamiltonian(
@@ -335,7 +429,10 @@ class TestSolveBySymmetry:
             LatticeSpec(num_cavities=4, omega=1.0, hopping=0.7)
         )
         with pytest.raises(ValidationError, match="does not match"):
-            solve_by_symmetry(h.astype(complex), TwoPhotonBasis(4))
+            solve_by_symmetry(
+                hamiltonian_entries(dense_hamiltonian(h).astype(complex)),
+                TwoPhotonBasis(4),
+            )
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_empty_sublattice_side_never_reaches_svd(self, n, monkeypatch):
@@ -373,6 +470,7 @@ class TestSolveBySymmetry:
             LatticeSpec(num_cavities=n, omega=1.3, hopping=0.37)
         )
         solution = solve_by_symmetry(h, basis)
+        dense = dense_hamiltonian(h)
         pairs, fixed = solution.pairs, solution.fixed
         even_weights = np.concatenate(
             (np.ones(pairs.size), np.full(fixed.size, sqrt(0.5)))
@@ -381,8 +479,8 @@ class TestSolveBySymmetry:
         expected = [
             coupling
             for coupling in (
-                dense_coupling(h, basis, even_labels, even_weights, 1.0),
-                dense_coupling(h, basis, pairs, np.ones(pairs.size), -1.0),
+                dense_coupling(dense, basis, even_labels, even_weights, 1.0),
+                dense_coupling(dense, basis, pairs, np.ones(pairs.size), -1.0),
             )
             if coupling.size
         ]
@@ -390,6 +488,77 @@ class TestSolveBySymmetry:
         for got, want in zip(factored, expected):
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 8, 29, 50])
+    @pytest.mark.parametrize("omega, hopping", [(1.0, 0.7), (1.3, 0.37), (0.9, 0.0)])
+    def test_bitwise_equal_to_dense_gather_reference(self, n, omega, hopping):
+        basis = TwoPhotonBasis(n)
+        h = build_two_photon_hamiltonian(
+            LatticeSpec(num_cavities=n, omega=omega, hopping=hopping)
+        )
+        solution = solve_by_symmetry(h, basis)
+        dense = dense_hamiltonian(h)
+        reference = dense_gather_blocks(dense, basis)
+        for block, want in zip(solution.blocks, reference):
+            for got, expected in zip(block, want):
+                assert got.shape == expected.shape
+                assert got.tobytes() == expected.tobytes()
+        center = dense[0, 0]
+        sigma = np.concatenate([block[3] for block in reference])
+        unpaired = np.full(basis.dimension - 2 * sigma.size, center)
+        evals = np.sort(np.concatenate((center - sigma, unpaired, center + sigma)))
+        assert solution.eigenvalues.tobytes() == evals.tobytes()
+
+    def test_build_and_solve_allocate_no_dense_square(self):
+        # a D x D float64 H alone would be D^2 * 8 bytes; the solve's largest
+        # arrays are the mirror blocks' C, U and V^T, about (D/4)^2 apiece
+        n = 50
+        d = n * (n + 1) // 2
+        lattice = LatticeSpec(num_cavities=n, omega=1.0, hopping=0.7)
+        tracemalloc.start()
+        try:
+            solve_by_symmetry(build_two_photon_hamiltonian(lattice), TwoPhotonBasis(n))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < d * d * 8 / 2
+
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("unsorted", "not sorted"),
+            ("repeated", "repeat"),
+            ("past-the-end", "outside"),
+            ("negative", "outside"),
+            ("complex", "does not match"),
+            ("wrong-dimension", "does not match"),
+            ("zero-value", "nonzero"),
+            ("ragged", "1-D arrays"),
+            ("float-positions", "1-D arrays"),
+        ],
+    )
+    def test_rejects_malformed_entries(self, case, message):
+        h = build_two_photon_hamiltonian(
+            LatticeSpec(num_cavities=4, omega=1.0, hopping=0.7)
+        )
+        rows, cols, values = h[1:]
+        changes = {
+            "unsorted": {"rows": rows[::-1], "cols": cols[::-1], "values": values[::-1]},
+            "repeated": {
+                name: np.insert(part, 1, part[1])
+                for name, part in (("rows", rows), ("cols", cols), ("values", values))
+            },
+            "past-the-end": {"cols": np.append(cols[:-1], h.dimension)},
+            "negative": {"rows": np.insert(rows[1:], 0, -1)},
+            "complex": {"values": values.astype(complex)},
+            "wrong-dimension": {"dimension": h.dimension + 1},
+            "zero-value": {"values": np.insert(values[1:], 0, 0.0)},
+            "ragged": {"values": values[:-1]},
+            "float-positions": {"rows": rows.astype(float)},
+        }[case]
+        with pytest.raises(ValidationError, match=message) as caught:
+            solve_by_symmetry(h._replace(**changes), TwoPhotonBasis(4))
+        assert "\n" not in str(caught.value)
 
 
 class TestStateVector:
@@ -484,19 +653,20 @@ class TestEvolve:
         d = basis.dimension
         if case == "chain-n5":
             lattice = LatticeSpec(num_cavities=5, omega=1.0, hopping=0.7)
-            h = build_two_photon_hamiltonian(lattice)
-            route = solved_evolve
+            entries = build_two_photon_hamiltonian(lattice)
+            h = dense_hamiltonian(entries)
+            route, operand = solved_evolve, entries
         else:
             # no chain symmetry: the solver refuses it, and the dense
             # reference is checked on it instead
             raw = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
             h = 0.5 * (raw + raw.conj().T)
             with pytest.raises(ValidationError):
-                solve_by_symmetry(h, basis)
-            route = dense_evolve
+                solve_by_symmetry(hamiltonian_entries(h), basis)
+            route, operand = dense_evolve, h
         state = random_state(basis, rng)
         times = (0.0, 0.3, 4.1, 17.0, 50.0)
-        for t, evolved in zip(times, route(state, h, times)):
+        for t, evolved in zip(times, route(state, operand, times)):
             expected = expm(-1j * h * t) @ state.amplitudes
             assert np.abs(evolved - expected).max() < 1e-12
 
