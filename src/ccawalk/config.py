@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, fields
-from math import pi
+from math import isfinite, pi
 
 import numpy as np
 
@@ -163,11 +163,34 @@ class ScenarioConfig:
             raise ValidationError(
                 "time.scale='hopping' requires a nonzero hopping strength"
             )
+        t_end = self.absolute_time(self.time.t_max)
+        if not isfinite(t_end * self.time.steps):
+            raise ValidationError(
+                f"time grid overflows: t_max {self.time.t_max} is {t_end} in absolute "
+                f"units, and {t_end} * {self.time.steps} steps is not finite"
+            )
 
     def absolute_time(self, scaled: float) -> float:
-        """Convert a time in the configured scale to absolute units."""
+        """Convert a time in the configured scale to absolute units.
+
+        The time and the products the pipeline forms from it, omega * t
+        (the carrier) and 2 * hopping * t (the mode phases, which covers
+        hopping * t), must be finite, computed in that order.
+        """
         rate = self.lattice.omega if self.time.scale == "omega" else self.lattice.hopping
-        return scaled / rate
+        t = scaled / rate
+        products = (
+            ("t", t),
+            ("omega * t", self.lattice.omega * t),
+            ("2 * hopping * t", 2.0 * self.lattice.hopping * t),
+        )
+        for name, value in products:
+            if not isfinite(value):
+                raise ValidationError(
+                    f"time {scaled} ({self.time.scale} units) is out of range: "
+                    f"{name} is {value}"
+                )
+        return t
 
     def time_grid(self) -> np.ndarray:
         """Absolute times: steps+1 uniform samples on [0, t_max/rate], read-only.

@@ -24,15 +24,19 @@ COST computes it; see ``_mode_sums``), so columns cost O(N log N) per time
 point however many are requested and S is never built; each column is then
 four contiguous slice copies, and the full matrix an O(N^2) fill.
 
-``propagator_block`` is the one kernel: the real columns R_l of any sites
-at any times, as one (sites, times, N) array.  ``propagator`` adds the
-carrier exp(-i omega t), one factor per time, to give the complex G.  All
+``propagator_blocks`` is the one kernel: the real columns R_l of any sites
+over consecutive blocks of times.  It checks its inputs, forms the mode
+constants and allocates every per-block buffer once per call, then refills
+those buffers block by block.  ``propagator_block`` is its one-block case,
+one (sites, times, N) array; ``propagator`` adds the carrier
+exp(-i omega t), one factor per time, to give the complex G.  All
 functions are pure and all returned arrays are read-only, so values are
 safe to share across threads.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,6 +117,42 @@ def decompose(lattice: LatticeSpec) -> SpectralDecomposition:
     return SpectralDecomposition(lattice=lattice, frequencies=_readonly(freqs))
 
 
+def propagator_blocks(
+    decomp: SpectralDecomposition, sites, times, block_times: int | None = None
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """Real columns R_l(t), ``block_times`` times at a time (default: all at once).
+
+    Yields ``(block, columns)`` for consecutive blocks of ``times``:
+    ``block`` is the slice of ``times`` covered and ``columns`` the
+    read-only (len(sites), block length, N) array of ``propagator_block``
+    for those times.  ``columns`` is a view of one buffer that the next
+    block overwrites, so read or copy it before advancing.  Sites and times
+    are checked once, and the mode constants and buffers are made once per
+    call; every row is bit for bit the row a one-time call gives.
+    """
+    n = decomp.num_cavities
+    index = checked_array(sites, "cavity index", int, 1, n).tolist()
+    times = checked_array(times, "time")
+    if block_times is None:
+        size = times.size
+    else:
+        size = checked_int(block_times, "block_times", 1)
+    columns = np.empty((len(index), min(size, times.size), n))
+    start = 0
+    for sums in _mode_sums(decomp, times, size):
+        rows = sums.shape[0]
+        block = columns[:, :rows]
+        for column, l in zip(block, index):
+            # |j - l| runs down to 0 and up again; j + l runs up to N + 1 and
+            # reflects back down
+            column[:, :l] = sums[:, l - 1 :: -1]
+            column[:, l:] = sums[:, 1 : n + 1 - l]
+            column[:, : n + 1 - l] -= sums[:, l + 1 :]
+            column[:, n + 1 - l :] -= sums[:, n : n + 1 - l : -1]
+        yield slice(start, start + rows), _readonly(block)
+        start += rows
+
+
 def propagator_block(decomp: SpectralDecomposition, sites, times) -> np.ndarray:
     """Real columns R_l(t) for each 1-based site l and each finite time t.
 
@@ -121,20 +161,11 @@ def propagator_block(decomp: SpectralDecomposition, sites, times) -> np.ndarray:
     a Hankel fill from the mode sums X of ``_mode_sums``; a negative t is
     time-reversed evolution.  Returns a read-only (len(sites), len(times), N)
     array, contiguous along N, whose rows at t == 0 are exact unit vectors:
-    G(0) = I exactly.
+    G(0) = I exactly.  The one-block case of ``propagator_blocks``, so the
+    array is the call's own.
     """
-    n = decomp.num_cavities
-    index = checked_array(sites, "cavity index", int, 1, n)
-    sums = _mode_sums(decomp, checked_array(times, "time"))
-    columns = np.empty((index.size, sums.shape[0], n))
-    for column, l in zip(columns, index.tolist()):
-        # |j - l| runs down to 0 and up again; j + l runs up to N + 1 and
-        # reflects back down
-        column[:, :l] = sums[:, l - 1 :: -1]
-        column[:, l:] = sums[:, 1 : n + 1 - l]
-        column[:, : n + 1 - l] -= sums[:, l + 1 :]
-        column[:, n + 1 - l :] -= sums[:, n : n + 1 - l : -1]
-    return _readonly(columns)
+    ((_, columns),) = propagator_blocks(decomp, sites, times)
+    return columns
 
 
 def propagator(decomp: SpectralDecomposition, sites, times) -> np.ndarray:
@@ -150,7 +181,9 @@ def propagator(decomp: SpectralDecomposition, sites, times) -> np.ndarray:
     return _readonly(real * (carrier[:, None] * np.where(odd, 1j, 1.0)[:, None]))
 
 
-def _mode_sums(decomp: SpectralDecomposition, times) -> np.ndarray:
+def _mode_sums(
+    decomp: SpectralDecomposition, times: np.ndarray, block_times: int
+) -> Iterator[np.ndarray]:
     """X[:, d] = (1/(N+1)) sum_k x_k cos(d theta_k), d = 0..N+1, one row per time.
 
     The one place where mode phases are formed.  With theta_k = pi k/(N+1)
@@ -174,6 +207,11 @@ def _mode_sums(decomp: SpectralDecomposition, times) -> np.ndarray:
     running sum per row that starts at X[1], itself an elementwise sum per
     row; no step mixes rows, so a row depends on its own time alone.  Rows
     at t == 0 are exactly e_0.
+
+    ``times`` is a checked 1-d array.  The rows come ``block_times`` at a
+    time: theta_k, cos theta_k and 2 sin theta_k are formed once, and each
+    yielded (block length, N+2) array is a view of one buffer that the next
+    block overwrites, as are the phase, FFT-input and scratch buffers.
     """
     n = decomp.num_cavities
     m = n + 1
@@ -181,19 +219,30 @@ def _mode_sums(decomp: SpectralDecomposition, times) -> np.ndarray:
     theta = np.arange(1, half + 1) * (np.pi / m)
     cos_theta = np.cos(theta)
     cos_theta[mirrored:] = 0.0  # an odd chain's middle mode: cos(pi/2) reads 6e-17
-    a = np.multiply.outer(2.0 * decomp.lattice.hopping * times, cos_theta)
-    cos_a, sin_a = np.cos(a), np.sin(a)
-    first_odd = np.sum(sin_a * cos_theta, axis=1) * (-2.0 / m)
-    sin_a *= 2.0 * np.sin(theta)
-    y = np.zeros((times.size, m))
-    np.add(cos_a, sin_a, out=y[:, 1 : half + 1])
-    np.subtract(cos_a[:, :mirrored], sin_a[:, :mirrored], out=y[:, m - 1 : half : -1])
-    transform = np.fft.rfft(y, axis=1)
-    sums = np.empty((times.size, m + 1))
-    np.divide(transform.real, m, out=sums[:, 0::2])
-    odd = sums[:, 1::2]
-    np.divide(transform.imag[:, 1 : odd.shape[1]], -m, out=odd[:, 1:])
-    odd[:, 0] = first_odd
-    np.cumsum(odd, axis=1, out=odd)
-    sums[times == 0.0] = np.arange(m + 1) == 0
-    return sums
+    two_sin_theta = 2.0 * np.sin(theta)
+    rate = 2.0 * decomp.lattice.hopping
+    size = min(block_times, times.size)
+    phases, cos_a, sin_a = np.empty((3, size, half))
+    y = np.zeros((size, m))  # y_0 is never written, so it stays 0
+    sums = np.empty((size, m + 1))
+    unit = np.arange(m + 1) == 0
+    for start in range(0, times.size, size):
+        t = times[start : start + size]
+        rows = t.size
+        a, c, s = phases[:rows], cos_a[:rows], sin_a[:rows]
+        np.multiply((rate * t)[:, None], cos_theta, out=a)
+        np.cos(a, out=c)
+        np.sin(a, out=s)
+        first_odd = np.sum(np.multiply(s, cos_theta, out=a), axis=1) * (-2.0 / m)
+        s *= two_sin_theta
+        np.add(c, s, out=y[:rows, 1 : half + 1])
+        np.subtract(c[:, :mirrored], s[:, :mirrored], out=y[:rows, m - 1 : half : -1])
+        transform = np.fft.rfft(y[:rows], axis=1)
+        x = sums[:rows]
+        np.divide(transform.real, m, out=x[:, 0::2])
+        odd = x[:, 1::2]
+        np.divide(transform.imag[:, 1 : odd.shape[1]], -m, out=odd[:, 1:])
+        odd[:, 0] = first_odd
+        np.cumsum(odd, axis=1, out=odd)
+        x[t == 0.0] = unit
+        yield x

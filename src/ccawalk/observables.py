@@ -57,7 +57,7 @@ from .errors import (
     checked_int,
     checked_real,
 )
-from .lattice import SpectralDecomposition, propagator, propagator_block
+from .lattice import SpectralDecomposition, propagator, propagator_blocks
 
 
 @dataclass(frozen=True)
@@ -134,7 +134,8 @@ def correlation_matrix(
     return p
 
 
-# (time, cavity) pairs per block: 64 KB per temporary, so a block stays in L2
+# (time, cavity) pairs per block: 64 KB per buffer, so a block stays in L2;
+# the kernel's buffers and the squares here are allocated once per call
 _BLOCK_ELEMENTS = 1 << 13
 # at least this many times per block, which amortizes numpy's per-call FFT setup
 _MIN_BLOCK_TIMES = 16
@@ -145,11 +146,12 @@ def tpd_family(
 ) -> list[TpdSeries]:
     """Evaluate eta for several inputs that share one site pair.
 
-    The two real propagator columns are computed once per block of times;
-    each input then adds O(1) per time point (the all-real form above).
-    The grid must be strictly increasing and non-negative; the result holds
-    one series per input, in order, all sharing one read-only ``times``
-    array.
+    The two real propagator columns come from one ``propagator_blocks``
+    call, one L2-sized block of times at a time, and their squares and
+    products reuse two buffers across blocks; each input then adds O(1) per
+    time point (the all-real form above).  The grid must be strictly
+    increasing and non-negative; the result holds one series per input, in
+    order, all sharing one read-only ``times`` array.
     """
     if not noons or len({(noon.site_r, noon.site_s) for noon in noons}) != 1:
         raise ValidationError("an eta family needs inputs on exactly one site pair")
@@ -162,15 +164,18 @@ def tpd_family(
     site_r, site_s = noons[0].site_r, noons[0].site_s
     cross = -2.0 * (-1.0) ** (site_r + site_s) * w_r * w_s
     eta = np.empty((len(noons), times.size), dtype=float)
-    step = max(_MIN_BLOCK_TIMES, _BLOCK_ELEMENTS // decomp.num_cavities)
-    for start in range(0, times.size, step):
-        block = slice(start, start + step)
-        a, b = propagator_block(decomp, [site_r, site_s], times[block]) ** 2
-        eta[:, block] = (
-            w_r**2 * (1.0 - np.sum(a * a, axis=1))
-            + w_s**2 * (1.0 - np.sum(b * b, axis=1))
-            + cross * np.sum(a * b, axis=1)
-        )
+    n = decomp.num_cavities
+    step = max(_MIN_BLOCK_TIMES, _BLOCK_ELEMENTS // n)
+    squares = np.empty((2, min(step, times.size), n))
+    products = np.empty(squares.shape[1:])
+    for block, columns in propagator_blocks(decomp, [site_r, site_s], times, step):
+        rows = columns.shape[1]
+        a, b = np.square(columns, out=squares[:, :rows])
+        scratch = products[:rows]
+        norm_r = 1.0 - np.sum(np.multiply(a, a, out=scratch), axis=1)
+        norm_s = 1.0 - np.sum(np.multiply(b, b, out=scratch), axis=1)
+        overlap = np.sum(np.multiply(a, b, out=scratch), axis=1)
+        eta[:, block] = w_r**2 * norm_r + w_s**2 * norm_s + cross * overlap
     times.setflags(write=False)
     eta.setflags(write=False)
     return [TpdSeries(times=times, eta=row) for row in eta]

@@ -297,7 +297,10 @@ def _sublattice_block(
         hit = (i >= 0) & (j >= 0)
         c[i[hit], j[hit]] += sign * values[hit]
         c *= np.multiply.outer(weights[even_side], weights[odd_side])
-        u, sigma, vt = np.linalg.svd(c, full_matrices=False)
+        try:
+            u, sigma, vt = np.linalg.svd(c, full_matrices=False)
+        except np.linalg.LinAlgError as exc:  # entries near the double range
+            raise ValidationError(f"matrix block cannot be factored: {exc}") from None
     return SublatticeBlock(even_side, odd_side, u, sigma, vt)
 
 
@@ -330,7 +333,8 @@ def solve_by_symmetry(
         If ``h`` is not a real D x D matrix of the basis's D given by
         nonzero entries at sorted, distinct, in-range positions, or breaks
         any of the conditions above; the mirror is checked first.  Such a
-        matrix is never split.
+        matrix is never split.  Also if a block's SVD does not converge, as
+        for entries near the largest double.
     """
     d = basis.dimension
     rows, cols, values = (np.asarray(part) for part in h[1:])

@@ -4,6 +4,7 @@ import re
 import stat
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ def assert_one_line_error(capsys, *argv):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ")
+    return err
 
 
 class TestSpectrum:
@@ -262,6 +264,13 @@ class TestVerify:
         assert code == 1
         assert "exceeds" in capsys.readouterr().err
 
+    def test_overflowing_hopping_is_one_line_error(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_one_line_error(
+                capsys, "verify", "--set", "lattice.hopping=1e308", "--max-n", "8"
+            )
+
     def test_report_written_to_file(self, tmp_path, scenarios_dir):
         out = tmp_path / "report.txt"
         assert run("verify", "--config", str(scenarios_dir / "fig1.json"),
@@ -386,6 +395,36 @@ class TestFailureModes:
             capsys, "spectrum", "--out", "-",
             "--set", f"lattice.num_cavities={num_cavities}",
         )
+
+    @pytest.mark.parametrize(
+        "argv, product",
+        [
+            (["tpd", "--set", "lattice.hopping=1e308", "--set", "time.steps=3"],
+             "2 * hopping * t"),
+            (["tpd", "--set", "time.t_max=1e308", "--set", "time.steps=2"],
+             "2 * hopping * t"),
+            (["tpd", "--set", "time.t_max=1e308", "--set", "time.steps=2",
+              "--set", "lattice.hopping=0.1"], "time grid"),
+            (["tpd", "--set", "lattice.omega=1e300", "--set", "lattice.hopping=1e-10",
+              "--set", "time.scale=hopping", "--set", "time.t_max=1e10",
+              "--set", "time.steps=2"], "omega * t"),
+            (["sweep", "--theta", "0.1,0.2", "--set", "lattice.hopping=1e308",
+              "--set", "time.steps=3"], "2 * hopping * t"),
+            (["correlation", "--t", "1e308"], "2 * hopping * t"),
+            (["correlation", "--t=-1e308"], "2 * hopping * t"),
+            (["correlation", "--t", "nan"], "t is nan"),
+        ],
+        ids=lambda value: " ".join(value) if isinstance(value, list) else value,
+    )
+    def test_overflowing_phases_are_one_line_error(
+        self, tmp_path, capsys, argv, product
+    ):
+        out = tmp_path / "artifact.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no RuntimeWarning before the error
+            err = assert_one_line_error(capsys, *argv, "--out", str(out))
+        assert product in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["spectrum", "correlation", "tpd", "sweep", "verify"])
     @pytest.mark.parametrize(

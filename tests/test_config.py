@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -112,6 +113,33 @@ def test_bad_time_values():
         raw["time"].update(patch)
         with pytest.raises(ValidationError):
             config_from_dict(raw)
+
+
+@pytest.mark.parametrize(
+    "lattice, time, message",
+    [
+        ({"hopping": 1e308}, {"t_max": 0.0}, "2 * hopping * t is nan"),
+        ({"hopping": 0.1}, {"t_max": 1e308, "steps": 2}, "time grid overflows"),
+        ({"omega": 1e-10}, {"t_max": 1e300}, "t is inf"),
+        ({"omega": 1e300, "hopping": 1e-10}, {"t_max": 1e10, "scale": "hopping"},
+         "omega * t is inf"),
+    ],
+)
+def test_overflowing_time_products_rejected(lattice, time, message):
+    raw = json.loads(json.dumps(MINIMAL))
+    raw["lattice"].update(lattice)
+    raw["time"].update(time)
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        config_from_dict(raw)
+
+
+def test_largest_finite_time_products_accepted():
+    raw = json.loads(json.dumps(MINIMAL))
+    raw["lattice"].update({"omega": 1.0, "hopping": 0.5})
+    raw["time"].update({"t_max": 1e308, "steps": 1})
+    cfg = config_from_dict(raw)
+    assert cfg.time_grid()[-1] == 1e308
+    assert cfg.absolute_time(-1e308) == -1e308
 
 
 def test_steps_limit_is_checked_before_any_grid():

@@ -9,7 +9,7 @@ from ccawalk import (
     propagator,
     propagator_block,
 )
-from ccawalk.lattice import _mode_sums
+from ccawalk.lattice import _mode_sums, propagator_blocks
 from conftest import full_propagator, sine_transform
 
 
@@ -258,6 +258,46 @@ class TestBlockKernel:
             assert np.array_equal(real[:, k], alone[:, 0])
 
 
+class TestBlockWorkspace:
+    """``propagator_blocks`` reuses one workspace; no block sees another's data."""
+
+    @pytest.mark.parametrize("n", [2, 3, 29, 1000])
+    @pytest.mark.parametrize("block_times", [1, 4, 16])
+    def test_blocks_equal_one_call_per_piece(self, n, block_times):
+        # 2 * block_times + 3 times: the last block is short, and the only
+        # t == 0 row sits in the first block
+        decomp = decompose(LatticeSpec(num_cavities=n, omega=1.0, hopping=0.1))
+        sites = sorted({1, 2, n // 2 + 1, n})
+        times = np.linspace(0.0, 1000.0, 2 * block_times + 3)
+        covered = []
+        for block, columns in propagator_blocks(decomp, sites, times, block_times):
+            assert not columns.flags.writeable
+            piece = propagator_block(decomp, sites, times[block])
+            assert columns.tobytes() == piece.tobytes()
+            covered.append(block)
+        assert [(block.start, block.stop) for block in covered] == [
+            (lo, min(lo + block_times, times.size))
+            for lo in range(0, times.size, block_times)
+        ]
+
+    def test_zero_time_rows_do_not_persist_in_the_buffer(self):
+        # t == 0 in the first block's last row, the second block has none
+        decomp = decompose(LatticeSpec(num_cavities=9, omega=1.0, hopping=0.7))
+        times = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
+        blocks = [
+            columns.copy() for _, columns in propagator_blocks(decomp, [3, 4], times, 3)
+        ]
+        assert np.array_equal(np.concatenate(blocks, axis=1),
+                              propagator_block(decomp, [3, 4], times))
+        assert not np.any(blocks[1] == 1.0)
+
+    @pytest.mark.parametrize("block_times", [0, -1, 2.5, True])
+    def test_rejects_bad_block_size(self, block_times):
+        decomp = decompose(LatticeSpec(num_cavities=5, omega=1.0, hopping=1.0))
+        with pytest.raises(ValidationError):
+            next(propagator_blocks(decomp, [1], [0.0, 1.0], block_times))
+
+
 def long_double_mode_sums(n, hopping, times):
     """X[:, d] = (1/(N+1)) sum_k x_k cos(d theta_k) as a direct O(N^2) sum.
 
@@ -286,7 +326,7 @@ class TestModeSums:
     def test_match_long_double_cosine_sum(self, n):
         hopping, times = 1.0, np.array([0.37, 1.0, 2.9, 5.0])
         decomp = decompose(LatticeSpec(num_cavities=n, omega=1.0, hopping=hopping))
-        sums = _mode_sums(decomp, times)
+        (sums,) = _mode_sums(decomp, times, times.size)
         reference = long_double_mode_sums(n, hopping, times)
         assert sums.shape == (times.size, n + 2)
         assert float(np.abs(sums - reference).max()) <= 1e-14

@@ -13,6 +13,8 @@ from ccawalk import (
     evolve,
     noon_state,
     oracle_correlation,
+    propagator,
+    propagator_block,
     solve_by_symmetry,
     theta_for_concurrence,
     tpd_family,
@@ -381,6 +383,60 @@ class TestTpdFamily:
         decomp = decompose(LatticeSpec(num_cavities=5, omega=1.0, hopping=1.0))
         with pytest.raises(ValidationError):
             tpd_family(decomp, [NoonInput(theta=0.3, site_r=1, site_s=6)], [0.0, 1.0])
+
+
+class TestNoSharedWorkspace:
+    """Results never alias a kernel buffer, so a later call cannot change them."""
+
+    DECOMP = decompose(LatticeSpec(num_cavities=50, omega=1.0, hopping=0.3))
+    NOONS = [NoonInput(theta=theta, site_r=2, site_s=40) for theta in (0.3, 1.1)]
+    # the result arrays of each kernel entry point, for an input list and a grid
+    RESULTS = {
+        "propagator_block": lambda d, noons, t: [propagator_block(d, [2, 40], t)],
+        "propagator": lambda d, noons, t: [propagator(d, [2, 40], t)],
+        "correlation_matrix": lambda d, noons, t: [correlation_matrix(d, noons[0], t)],
+        "tpd_family": lambda d, noons, t: [
+            *(series.eta for series in tpd_family(d, noons, t)),
+            tpd_family(d, noons, t)[0].times,
+        ],
+    }
+
+    @pytest.mark.parametrize("name", RESULTS)
+    def test_second_call_leaves_the_first_unchanged(self, name):
+        # equal sizes, so a reused buffer would have the same shape
+        first = self.RESULTS[name](self.DECOMP, self.NOONS, np.linspace(0.0, 60.0, 40))
+        kept = [array.tobytes() for array in first]
+        second = self.RESULTS[name](
+            self.DECOMP, self.NOONS[::-1], np.linspace(0.5, 9.0, 40)
+        )
+        assert [array.tobytes() for array in first] == kept
+        for a in first:
+            assert not any(np.shares_memory(a, b) for b in second)
+
+    def test_results_share_no_memory(self):
+        # the eta rows of one family are disjoint rows of one (K, T) array
+        arrays = [
+            array
+            for times in (np.linspace(0.0, 60.0, 400), np.linspace(0.5, 9.0, 400))
+            for results in self.RESULTS.values()
+            for array in results(self.DECOMP, self.NOONS, times)
+        ]
+        for i, a in enumerate(arrays):
+            for j in range(i):
+                assert not np.shares_memory(a, arrays[j]), (i, j)
+
+    # N=1000 blocks 16 times at a time: 5 * 16 + 3 times end on a short block
+    @pytest.mark.parametrize("n", [29, 1000])
+    def test_short_last_block_and_zero_row_equal_one_call_per_piece(self, n):
+        step = max(_MIN_BLOCK_TIMES, _BLOCK_ELEMENTS // n)
+        decomp = decompose(LatticeSpec(num_cavities=n, omega=1.0, hopping=0.1))
+        noons = [NoonInput(theta=theta, site_r=n - 2, site_s=4) for theta in (0.2, 1.4)]
+        times = np.linspace(0.0, 500.0, 5 * step + 3)
+        whole = tpd_family(decomp, noons, times)
+        for start in range(0, times.size, step):
+            piece = tpd_family(decomp, noons, times[start : start + step])
+            for series, part in zip(whole, piece):
+                assert series.eta[start : start + step].tobytes() == part.eta.tobytes()
 
 
 def dense_gram_eta(decomp, noons, times):

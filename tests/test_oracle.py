@@ -424,6 +424,15 @@ class TestSolveBySymmetry:
         with pytest.raises(ValidationError, match="does not match"):
             solve_by_symmetry(h, TwoPhotonBasis(5))
 
+    def test_unconverged_svd_is_a_validation_error(self):
+        # hops of sqrt(2) * 1e308 overflow the block sums and the SVD
+        h = build_two_photon_hamiltonian(
+            LatticeSpec(num_cavities=8, omega=1.0, hopping=1e308)
+        )
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValidationError, match="cannot be factored"):
+                solve_by_symmetry(h, TwoPhotonBasis(8))
+
     def test_rejects_complex_matrix(self):
         h = build_two_photon_hamiltonian(
             LatticeSpec(num_cavities=4, omega=1.0, hopping=0.7)
