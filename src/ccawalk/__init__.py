@@ -7,21 +7,13 @@ against.  See the ``ccawalk`` CLI for scenario runs and data export.
 """
 
 from .errors import ValidationError
-from .lattice import (
-    LatticeSpec,
-    SpectralDecomposition,
-    decompose,
-    propagator,
-    propagator_block,
-)
+from .lattice import LatticeSpec, mode_frequencies, propagator, propagator_block
 from .observables import (
     NoonInput,
-    TpdSeries,
     concurrence,
     correlation_matrix,
     theta_for_concurrence,
     tpd_family,
-    tpd_series,
 )
 from .oracle import (
     TwoPhotonBasis,
@@ -37,17 +29,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "LatticeSpec",
-    "SpectralDecomposition",
-    "decompose",
+    "mode_frequencies",
     "propagator",
     "propagator_block",
     "NoonInput",
-    "TpdSeries",
     "concurrence",
     "theta_for_concurrence",
     "correlation_matrix",
     "tpd_family",
-    "tpd_series",
     "TwoPhotonBasis",
     "TwoPhotonStateVector",
     "noon_state",

@@ -33,14 +33,8 @@ from .config import (
     read_config_document,
 )
 from .errors import ValidationError
-from .lattice import decompose
-from .observables import (
-    NoonInput,
-    concurrence,
-    correlation_matrix,
-    tpd_family,
-    tpd_series,
-)
+from .lattice import mode_frequencies
+from .observables import NoonInput, concurrence, correlation_matrix, tpd_family
 from .oracle import ORACLE_MAX_CAVITIES
 from .output import provenance, render, write_text
 from .verify import run_verification
@@ -190,7 +184,7 @@ def _emit(
 
 
 def cmd_spectrum(cfg: ScenarioConfig, args) -> int:
-    freqs = decompose(cfg.lattice).frequencies
+    freqs = mode_frequencies(cfg.lattice)
     modes = np.arange(1, freqs.size + 1)
     blocks = _grid_blocks([], [modes], freqs[None])
     _emit(cfg, args, "spectrum", {}, ["k", "Omega_k"], blocks)
@@ -201,7 +195,7 @@ def cmd_correlation(cfg: ScenarioConfig, args) -> int:
     scaled = cfg.time.t_max if args.t is None else args.t
     t = cfg.absolute_time(scaled)
     noon = cfg.input.to_noon()
-    p = correlation_matrix(decompose(cfg.lattice), noon, [t])[0]
+    (p,) = correlation_matrix(cfg.lattice, noon, [t])
     sites = np.arange(1, cfg.lattice.num_cavities + 1)
     extra = {
         "t": t,
@@ -217,11 +211,11 @@ def cmd_correlation(cfg: ScenarioConfig, args) -> int:
 
 def cmd_tpd(cfg: ScenarioConfig, args) -> int:
     noon = cfg.input.to_noon()
-    series = tpd_series(decompose(cfg.lattice), noon, cfg.time_grid())
-    t = series.times
+    t = cfg.time_grid()
+    eta = tpd_family(cfg.lattice, [noon], t)
     times = [t, t * cfg.lattice.omega, t * cfg.lattice.hopping]
     extra = {"theta": noon.theta, "concurrence": concurrence(noon)}
-    blocks = _grid_blocks([], times, series.eta[None])
+    blocks = _grid_blocks([], times, eta)
     _emit(cfg, args, "tpd", extra, ["t", "omega_t", "J_t", "eta"], blocks)
     return EXIT_OK
 
@@ -249,10 +243,10 @@ def cmd_sweep(cfg: ScenarioConfig, args) -> int:
 
     site_r, site_s = cfg.input.site_r, cfg.input.site_s
     noons = [NoonInput(theta=theta, site_r=site_r, site_s=site_s) for theta in thetas]
-    family = tpd_family(decompose(cfg.lattice), noons, cfg.time_grid())
+    t = cfg.time_grid()
+    eta = tpd_family(cfg.lattice, noons, t)
     angles = [np.array(thetas), np.array([concurrence(noon) for noon in noons])]
-    eta = [series.eta for series in family]
-    blocks = _grid_blocks(angles, [family[0].times], eta)
+    blocks = _grid_blocks(angles, [t], eta)
     extra = {"thetas": thetas}
     _emit(cfg, args, "sweep", extra, ["theta", "concurrence", "t", "eta"], blocks)
     return EXIT_OK

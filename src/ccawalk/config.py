@@ -32,7 +32,13 @@ from math import isfinite, pi
 
 import numpy as np
 
-from .errors import ValidationError, checked_choice, checked_int, checked_real
+from .errors import (
+    ValidationError,
+    checked_choice,
+    checked_int,
+    checked_products,
+    checked_real,
+)
 from .lattice import LatticeSpec
 from .observables import NoonInput, theta_for_concurrence
 
@@ -184,12 +190,7 @@ class ScenarioConfig:
             ("omega * t", self.lattice.omega * t),
             ("2 * hopping * t", 2.0 * self.lattice.hopping * t),
         )
-        for name, value in products:
-            if not isfinite(value):
-                raise ValidationError(
-                    f"time {scaled} ({self.time.scale} units) is out of range: "
-                    f"{name} is {value}"
-                )
+        checked_products(f"time {scaled} ({self.time.scale} units)", products)
         return t
 
     def time_grid(self) -> np.ndarray:

@@ -57,6 +57,17 @@ def checked_real(
     return value
 
 
+def checked_products(what: str, products) -> None:
+    """Refuse ``what`` if any of its ``(name, value)`` products is not finite.
+
+    The products are formed by the caller in the order the pipeline forms
+    them; the message names the first that overflowed.
+    """
+    for name, value in products:
+        if not isfinite(value):
+            raise ValidationError(f"{what} is out of range: {name} is {value}")
+
+
 def checked_array(values, name: str, dtype=float, low=None, high=None) -> np.ndarray:
     """``values`` as a new non-empty 1-d ``dtype`` array, finite and in [low, high].
 

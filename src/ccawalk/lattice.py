@@ -24,12 +24,14 @@ COST computes it; see ``_mode_sums``), so columns cost O(N log N) per time
 point however many are requested and S is never built; each column is then
 four contiguous slice copies, and the full matrix an O(N^2) fill.
 
-``propagator_blocks`` is the one kernel: the real columns R_l of any sites
-over consecutive blocks of times.  It checks its inputs, forms the mode
-constants and allocates every per-block buffer once per call, then refills
-those buffers block by block.  ``propagator_block`` is its one-block case,
-one (sites, times, N) array; ``propagator`` adds the carrier
-exp(-i omega t), one factor per time, to give the complex G.  All
+Every function takes the ``LatticeSpec`` itself and reads only N, omega
+and J from it.  ``mode_frequencies`` gives Omega_k; nothing else needs
+them.  ``propagator_blocks`` is the one kernel: the real columns R_l of
+any sites over consecutive blocks of times.  It checks its inputs, forms
+the mode constants and allocates every per-block buffer once per call,
+then refills those buffers block by block.  ``propagator_block`` is its
+one-block case, one (sites, times, N) array; ``propagator`` adds the
+carrier exp(-i omega t), one factor per time, to give the complex G.  All
 functions are pure and all returned arrays are read-only, so values are
 safe to share across threads.
 """
@@ -81,44 +83,20 @@ class LatticeSpec:
         object.__setattr__(self, "hopping", checked_real(self.hopping, "hopping", 0.0))
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Sine-transform normal modes of a chain.
+def mode_frequencies(lattice: LatticeSpec) -> np.ndarray:
+    """Mode frequencies Omega_k, k = 1 .. N, as a read-only array.
 
-    ``frequencies`` holds the mode frequencies Omega_k, decreasing in k and
-    confined to [omega - 2J, omega + 2J].  The sine transform S itself is
-    never built.
-    """
-
-    lattice: LatticeSpec
-    frequencies: np.ndarray
-
-    @property
-    def num_cavities(self) -> int:
-        return self.lattice.num_cavities
-
-
-def decompose(lattice: LatticeSpec) -> SpectralDecomposition:
-    """Exact normal-mode decomposition of the chain.
-
-    Parameters
-    ----------
-    lattice : LatticeSpec
-
-    Returns
-    -------
-    SpectralDecomposition
-        The lattice and its mode frequencies Omega_k.  Deterministic and
-        pure; O(N), since nothing N x N is built.
+    Decreasing in k and confined to [omega - 2J, omega + 2J].  O(N); the
+    propagator never reads them, since the sine transform is never built.
     """
     n = lattice.num_cavities
     k = np.arange(1, n + 1, dtype=float)
     freqs = lattice.omega + 2.0 * lattice.hopping * np.cos(k * (np.pi / (n + 1)))
-    return SpectralDecomposition(lattice=lattice, frequencies=_readonly(freqs))
+    return _readonly(freqs)
 
 
 def propagator_blocks(
-    decomp: SpectralDecomposition, sites, times, block_times: int | None = None
+    lattice: LatticeSpec, sites, times, block_times: int | None = None
 ) -> Iterator[tuple[slice, np.ndarray]]:
     """Real columns R_l(t), ``block_times`` times at a time (default: all at once).
 
@@ -130,7 +108,7 @@ def propagator_blocks(
     are checked once, and the mode constants and buffers are made once per
     call; every row is bit for bit the row a one-time call gives.
     """
-    n = decomp.num_cavities
+    n = lattice.num_cavities
     index = checked_array(sites, "cavity index", int, 1, n).tolist()
     times = checked_array(times, "time")
     if block_times is None:
@@ -139,7 +117,7 @@ def propagator_blocks(
         size = checked_int(block_times, "block_times", 1)
     columns = np.empty((len(index), min(size, times.size), n))
     start = 0
-    for sums in _mode_sums(decomp, times, size):
+    for sums in _mode_sums(lattice, times, size):
         rows = sums.shape[0]
         block = columns[:, :rows]
         for column, l in zip(block, index):
@@ -153,7 +131,7 @@ def propagator_blocks(
         start += rows
 
 
-def propagator_block(decomp: SpectralDecomposition, sites, times) -> np.ndarray:
+def propagator_block(lattice: LatticeSpec, sites, times) -> np.ndarray:
     """Real columns R_l(t) for each 1-based site l and each finite time t.
 
     G[j, l](t) = exp(-i omega t) i^((j - l) mod 2) R_l[j](t), where
@@ -164,25 +142,25 @@ def propagator_block(decomp: SpectralDecomposition, sites, times) -> np.ndarray:
     G(0) = I exactly.  The one-block case of ``propagator_blocks``, so the
     array is the call's own.
     """
-    ((_, columns),) = propagator_blocks(decomp, sites, times)
+    ((_, columns),) = propagator_blocks(lattice, sites, times)
     return columns
 
 
-def propagator(decomp: SpectralDecomposition, sites, times) -> np.ndarray:
+def propagator(lattice: LatticeSpec, sites, times) -> np.ndarray:
     """Complex columns G[:, l](t) = S diag(exp(-i Omega t)) S e_l.
 
     ``propagator_block`` times exp(-i omega t) i^((j - l) mod 2), in its
     layout.  Over all sites, ``[:, k]`` is the whole matrix G(t_k), exactly
     symmetric, and depends on t_k alone, bit for bit.
     """
-    real = propagator_block(decomp, sites, times)
-    carrier = np.exp(-1j * decomp.lattice.omega * np.asarray(times, dtype=float))
-    odd = (np.arange(1, decomp.num_cavities + 1) - np.asarray(sites)[:, None]) % 2
+    real = propagator_block(lattice, sites, times)
+    carrier = np.exp(-1j * lattice.omega * np.asarray(times, dtype=float))
+    odd = (np.arange(1, lattice.num_cavities + 1) - np.asarray(sites)[:, None]) % 2
     return _readonly(real * (carrier[:, None] * np.where(odd, 1j, 1.0)[:, None]))
 
 
 def _mode_sums(
-    decomp: SpectralDecomposition, times: np.ndarray, block_times: int
+    lattice: LatticeSpec, times: np.ndarray, block_times: int
 ) -> Iterator[np.ndarray]:
     """X[:, d] = (1/(N+1)) sum_k x_k cos(d theta_k), d = 0..N+1, one row per time.
 
@@ -213,14 +191,14 @@ def _mode_sums(
     yielded (block length, N+2) array is a view of one buffer that the next
     block overwrites, as are the phase, FFT-input and scratch buffers.
     """
-    n = decomp.num_cavities
+    n = lattice.num_cavities
     m = n + 1
     half, mirrored = m // 2, n // 2
     theta = np.arange(1, half + 1) * (np.pi / m)
     cos_theta = np.cos(theta)
     cos_theta[mirrored:] = 0.0  # an odd chain's middle mode: cos(pi/2) reads 6e-17
     two_sin_theta = 2.0 * np.sin(theta)
-    rate = 2.0 * decomp.lattice.hopping
+    rate = 2.0 * lattice.hopping
     size = min(block_times, times.size)
     phases, cos_a, sin_a = np.empty((3, size, half))
     y = np.zeros((size, m))  # y_0 is never written, so it stays 0

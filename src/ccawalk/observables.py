@@ -39,8 +39,11 @@ all-real:
 with the 1 folded into the first two terms (sin^2 + cos^2 = 1): G(0) = I
 gives eta(0) = 0 exactly.
 
-Everything here is pure.  Eta costs O(N log N) per time point, driven by
-the two real propagator columns r and s; the coincidence matrix is O(N^2).
+Everything here is pure, takes the ``LatticeSpec`` itself and returns
+plain read-only arrays: ``tpd_family`` one (inputs, times) eta array,
+``correlation_matrix`` one (times, N, N) array.  Eta costs O(N log N) per
+time point, driven by the two real propagator columns r and s; the
+coincidence matrix is O(N^2).
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ from .errors import (
     checked_int,
     checked_real,
 )
-from .lattice import SpectralDecomposition, propagator, propagator_blocks
+from .lattice import LatticeSpec, propagator, propagator_blocks
 
 
 @dataclass(frozen=True)
@@ -81,17 +84,6 @@ class NoonInput:
         object.__setattr__(self, "theta", theta)
 
 
-@dataclass(frozen=True)
-class TpdSeries:
-    """Delocalization degree eta sampled on an increasing time grid."""
-
-    times: np.ndarray
-    eta: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-
 def concurrence(noon: NoonInput) -> float:
     """Entanglement of the input state, C = |sin(2 theta)|, in [0, 1]."""
     return abs(sin(2.0 * noon.theta))
@@ -110,9 +102,7 @@ def theta_for_concurrence(c: float, branch: str = "low") -> float:
     return pi / 2.0 - asin(c) / 2.0
 
 
-def correlation_matrix(
-    decomp: SpectralDecomposition, noon: NoonInput, times
-) -> np.ndarray:
+def correlation_matrix(lattice: LatticeSpec, noon: NoonInput, times) -> np.ndarray:
     """Coincidence matrices P[m, n](t) for the NOON-type input, one per time.
 
     Uses only the two propagator columns r and s, from one kernel call over
@@ -121,7 +111,7 @@ def correlation_matrix(
     construction and sum to 2 up to roundoff (a consequence of propagator
     unitarity); each depends on its own time alone, bit for bit.
     """
-    g_r, g_s = propagator(decomp, [noon.site_r, noon.site_s], times)
+    g_r, g_s = propagator(lattice, [noon.site_r, noon.site_s], times)
     w_r, w_s = sin(noon.theta), cos(noon.theta)
     amplitude = w_r * (g_r[:, :, None] * g_r[:, None, :]) + w_s * (
         g_s[:, :, None] * g_s[:, None, :]
@@ -141,17 +131,15 @@ _BLOCK_ELEMENTS = 1 << 13
 _MIN_BLOCK_TIMES = 16
 
 
-def tpd_family(
-    decomp: SpectralDecomposition, noons: list[NoonInput], t_grid
-) -> list[TpdSeries]:
-    """Evaluate eta for several inputs that share one site pair.
+def tpd_family(lattice: LatticeSpec, noons: list[NoonInput], t_grid) -> np.ndarray:
+    """Eta of several inputs that share one site pair, on one time grid.
 
     The two real propagator columns come from one ``propagator_blocks``
     call, one L2-sized block of times at a time, and their squares and
     products reuse two buffers across blocks; each input then adds O(1) per
     time point (the all-real form above).  The grid must be strictly
-    increasing and non-negative; the result holds one series per input, in
-    order, all sharing one read-only ``times`` array.
+    increasing and non-negative.  Returns a read-only (len(noons),
+    len(t_grid)) array, one row per input, in order.
     """
     if not noons or len({(noon.site_r, noon.site_s) for noon in noons}) != 1:
         raise ValidationError("an eta family needs inputs on exactly one site pair")
@@ -164,11 +152,11 @@ def tpd_family(
     site_r, site_s = noons[0].site_r, noons[0].site_s
     cross = -2.0 * (-1.0) ** (site_r + site_s) * w_r * w_s
     eta = np.empty((len(noons), times.size), dtype=float)
-    n = decomp.num_cavities
+    n = lattice.num_cavities
     step = max(_MIN_BLOCK_TIMES, _BLOCK_ELEMENTS // n)
     squares = np.empty((2, min(step, times.size), n))
     products = np.empty(squares.shape[1:])
-    for block, columns in propagator_blocks(decomp, [site_r, site_s], times, step):
+    for block, columns in propagator_blocks(lattice, [site_r, site_s], times, step):
         rows = columns.shape[1]
         a, b = np.square(columns, out=squares[:, :rows])
         scratch = products[:rows]
@@ -176,11 +164,5 @@ def tpd_family(
         norm_s = 1.0 - np.sum(np.multiply(b, b, out=scratch), axis=1)
         overlap = np.sum(np.multiply(a, b, out=scratch), axis=1)
         eta[:, block] = w_r**2 * norm_r + w_s**2 * norm_s + cross * overlap
-    times.setflags(write=False)
     eta.setflags(write=False)
-    return [TpdSeries(times=times, eta=row) for row in eta]
-
-
-def tpd_series(decomp: SpectralDecomposition, noon: NoonInput, t_grid) -> TpdSeries:
-    """Eta of one input on a strictly increasing, non-negative time grid."""
-    return tpd_family(decomp, [noon], t_grid)[0]
+    return eta

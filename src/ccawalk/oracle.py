@@ -29,6 +29,11 @@ free-boson structure, and the SVD is a generic dense factorization, so the
 reference stays independent of the path it checks; a matrix without both
 symmetries is refused, never split.
 
+A ``TwoPhotonStateVector`` (``noon_state`` makes one) is the validated
+input of ``evolve``, which returns plain read-only (T, D) amplitudes, one
+state per row, whose norms it checks once; ``oracle_correlation`` reads
+every row's coincidence matrix off them in one gather.
+
 Basis convention: label (m, n) with m <= n is the normalized state with one
 photon at m and one at n (m < n), or two photons at m (m == n).  The
 bosonic sqrt(2) enhancement therefore lives in the Hamiltonian matrix
@@ -114,11 +119,18 @@ class TwoPhotonStateVector:
                 f"amplitude vector must have length {self.basis.dimension}, "
                 f"got shape {amps.shape}"
             )
-        norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > NORM_TOLERANCE:
-            raise ValidationError(f"state norm {norm} deviates from 1 beyond 1e-12")
+        _check_unit_norm(amps)
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
+
+
+def _check_unit_norm(amplitudes: np.ndarray) -> None:
+    """Refuse a state, or a (T, D) array of states, off unit norm beyond 1e-12."""
+    norms = np.linalg.norm(np.atleast_2d(amplitudes), axis=1)
+    off = np.flatnonzero(np.abs(norms - 1.0) > NORM_TOLERANCE)
+    if off.size:
+        norm = norms[off[0]]
+        raise ValidationError(f"state norm {norm} deviates from 1 beyond 1e-12")
 
 
 def noon_state(basis: TwoPhotonBasis, noon: NoonInput) -> TwoPhotonStateVector:
@@ -414,14 +426,15 @@ def solve_by_symmetry(
 
 def evolve(
     state: TwoPhotonStateVector, solution: TwoPhotonSolution, times
-) -> tuple[TwoPhotonStateVector, ...]:
+) -> np.ndarray:
     """Exact evolution exp(-i H t) |state> to every entry of ``times``.
 
     ``solution`` comes from ``solve_by_symmetry``; solve once and evolve
     every time in one call.  The state is projected onto the two mirror
     blocks once, each block advances all times with one real product per
     sublattice side, and the carrier exp(-i d t) is one factor per time.
-    Norm is preserved to roundoff (well inside 1e-10).
+    Returns a read-only (len(times), D) complex array, one state per row,
+    whose norms are checked once to lie within 1e-12 of 1.
     """
     if state.basis.dimension != solution.basis.dimension:
         raise ValidationError(
@@ -442,20 +455,28 @@ def evolve(
     evolved[:, images] = (swapped - odd_t) * sqrt(0.5)
     evolved[:, fixed] = even_t[:, pairs.size :]
     evolved *= np.exp(-1j * solution.diagonal * times)[:, None]
-    return tuple(
-        TwoPhotonStateVector(basis=state.basis, amplitudes=row) for row in evolved
-    )
+    _check_unit_norm(evolved)
+    evolved.setflags(write=False)
+    return evolved
 
 
-def oracle_correlation(state: TwoPhotonStateVector) -> np.ndarray:
-    """Coincidence matrix read directly off the state amplitudes.
+def oracle_correlation(basis: TwoPhotonBasis, amplitudes) -> np.ndarray:
+    """Coincidence matrices read directly off state amplitudes over ``basis``.
 
-    For m != n, P[m, n] = |c_(min,max)|^2; on the diagonal P[m, m] =
-    2 |c_(m,m)|^2.  Returns a read-only N x N array whose entries always sum
-    to 2 for a normalized state.
+    ``amplitudes`` is one state (D,) or one state per row (T, D), as
+    ``evolve`` returns them.  For m != n, P[m, n] = |c_(min,max)|^2; on the
+    diagonal P[m, m] = 2 |c_(m,m)|^2.  Returns a read-only (N, N) or
+    (T, N, N) array from one gather through ``basis.pair_index``; each
+    matrix sums to 2 for a normalized state.
     """
-    probs = np.abs(state.amplitudes) ** 2
-    p = probs[state.basis.pair_index]
-    p[np.diag_indices_from(p)] *= 2.0
+    amps = np.asarray(amplitudes)
+    if amps.ndim not in (1, 2) or amps.shape[-1] != basis.dimension:
+        raise ValidationError(
+            f"amplitudes must have shape ({basis.dimension},) or (T, "
+            f"{basis.dimension}), got {amps.shape}"
+        )
+    p = (np.abs(amps) ** 2)[..., basis.pair_index]
+    diagonal = np.arange(basis.num_cavities)
+    p[..., diagonal, diagonal] *= 2.0
     p.setflags(write=False)
     return p

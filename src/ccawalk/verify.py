@@ -8,8 +8,10 @@ additivity) with fixed tolerances.  A scenario is checked at its own size
 unless its two-photon sector would exceed the oracle's dense guard
 (N > 99); only then is it shrunk.  Every propagator the checks need comes
 from one ``lattice.propagator`` call over all sites and all check times,
-and every closed-form coincidence matrix from one ``correlation_matrix``
-call; the checks read slices of them.
+every closed-form coincidence matrix from one ``correlation_matrix`` call,
+and every reference matrix from one ``evolve`` and one
+``oracle_correlation`` call; the checks read slices of them.  A window
+whose times or phases would overflow is refused before any check runs.
 
 ``swap_weights`` corrupts the closed-form side by exchanging the two
 superposition weights; it exists to demonstrate that the equivalence check
@@ -25,8 +27,8 @@ from math import pi
 
 import numpy as np
 
-from .errors import checked_int, checked_real
-from .lattice import LatticeSpec, decompose, propagator
+from .errors import checked_int, checked_products, checked_real
+from .lattice import LatticeSpec, mode_frequencies, propagator
 from .observables import NoonInput, correlation_matrix, tpd_family
 from .oracle import (
     ORACLE_MAX_CAVITIES,
@@ -131,9 +133,24 @@ def run_verification(
     uniform times in [0, t_max] (absolute units); the group law composes
     five pairs of times drawn from the same window.  All of them come from
     one ``random.Random(seed)`` stream, samples first.
+
+    Raises
+    ------
+    ValidationError
+        If a product the checks form from the window is not finite, before
+        any of them runs.  The group law's t1 + t2 reaches 2 t_max, where
+        the kernel forms omega t and 2J t; the oracle forms its carrier
+        2 omega t and its phases sigma t (sigma < 4J) for t up to t_max.
     """
     lattice, noon = shrink_scenario(lattice, noon, max_cavities)
     t_max = checked_real(t_max, "t_max", 0.0)
+    reach = 2.0 * t_max
+    products = (
+        ("2 * t_max", reach),
+        ("omega * 2 * t_max", lattice.omega * reach),
+        ("4 * hopping * t_max", 4.0 * lattice.hopping * t_max),
+    )
+    checked_products(f"verify window [0, {t_max}]", products)
     rng = random.Random(checked_int(seed, "seed", 0))
     samples = sorted(rng.uniform(0.0, t_max) for _ in range(24))
     times = np.array([0.0, *samples])
@@ -142,22 +159,19 @@ def run_verification(
         t1, t2 = rng.uniform(0.0, t_max), rng.uniform(0.0, t_max)
         group_times += [t1, t2, t1 + t2]
 
-    decomp = decompose(lattice)
     n = lattice.num_cavities
     basis = TwoPhotonBasis(n)
     solution = solve_by_symmetry(build_two_photon_hamiltonian(lattice), basis)
-    states = evolve(noon_state(basis, noon), solution, times)
+    amplitudes = evolve(noon_state(basis, noon), solution, times)
     # g[:, k] is G(t_k) (G is symmetric): the samples, t = 0, then t1, t2, t1 + t2
     g = propagator(
-        decomp, np.arange(1, n + 1), np.concatenate((times, [0.0], group_times))
+        lattice, np.arange(1, n + 1), np.concatenate((times, [0.0], group_times))
     )
     # swapped weights (cos theta on r, sin theta on s) are theta -> pi/2 - theta
     closed_input = replace(noon, theta=pi / 2 - noon.theta) if swap_weights else noon
 
-    closed = correlation_matrix(decomp, closed_input, times)
-    oracle_dev = max(
-        _deviation(p, oracle_correlation(state)) for p, state in zip(closed, states)
-    )
+    closed = correlation_matrix(lattice, closed_input, times)
+    oracle_dev = _deviation(closed, oracle_correlation(basis, amplitudes))
     pair_sum_dev = max(abs(float(p.sum()) - 2.0) for p in closed)
     identity = np.eye(n)
     unitarity_dev = max(
@@ -171,11 +185,11 @@ def run_verification(
 
     # the sorted samples start at t = 0 and may repeat (all of them when t_max = 0)
     distinct = times[np.concatenate(([True], np.diff(times) > 0.0))]
-    eta = tpd_family(decomp, [noon], distinct)[0].eta
+    (eta,) = tpd_family(lattice, [noon], distinct)
     eta_range_dev = max(0.0, -float(eta.min()), float(eta.max()) - 1.0)
     eta_zero_dev = abs(float(eta[0]))
 
-    f = decomp.frequencies
+    f = mode_frequencies(lattice)
     pair_sums = np.sort(np.add.outer(f, f)[np.triu_indices(n)])
     spectrum_dev = _deviation(solution.eigenvalues, pair_sums)
 

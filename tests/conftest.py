@@ -27,14 +27,14 @@ def read_csv(path):
     return comments, header, rows
 
 
-def full_propagator(decomp, t):
+def full_propagator(lattice, t):
     """G(t) as an N x N matrix: every site at one time (G is symmetric)."""
-    return propagator(decomp, np.arange(1, decomp.num_cavities + 1), [t])[:, 0]
+    return propagator(lattice, np.arange(1, lattice.num_cavities + 1), [t])[:, 0]
 
 
-def tpd_degree(decomp, noon, t):
+def tpd_degree(lattice, noon, t):
     """Eta at one time: one point of ``tpd_family`` (eta is even in t)."""
-    return float(tpd_family(decomp, [noon], [abs(t)])[0].eta[0])
+    return float(tpd_family(lattice, [noon], [abs(t)])[0, 0])
 
 
 def diagonal_mass(p):
@@ -42,13 +42,13 @@ def diagonal_mass(p):
     return float(np.trace(p) / 2.0)
 
 
-def sine_transform(decomp):
+def sine_transform(lattice):
     """Dense sine transform S, the independent reference the kernel never builds.
 
     Symmetric and involutory (S @ S = I); bitwise symmetric because the sine
     argument grid j*k is.
     """
-    n = decomp.num_cavities
+    n = lattice.num_cavities
     j = np.arange(1, n + 1, dtype=float)
     return np.sqrt(2.0 / (n + 1)) * np.sin(np.outer(j, j) * (np.pi / (n + 1)))
 

@@ -14,13 +14,13 @@ from ccawalk import (
     TwoPhotonBasis,
     build_two_photon_hamiltonian,
     correlation_matrix,
-    decompose,
     evolve,
+    mode_frequencies,
     noon_state,
     oracle_correlation,
     solve_by_symmetry,
     theta_for_concurrence,
-    tpd_series,
+    tpd_family,
 )
 from ccawalk.cli import main
 from conftest import dense_hamiltonian, diagonal_mass, full_propagator, tpd_degree
@@ -65,22 +65,21 @@ def randomized_cases():
         noon = NoonInput(theta=float(rng.uniform(0.0, PI / 2)), site_r=r, site_s=s)
         t = float(rng.uniform(0.0, 50.0))
 
-        decomp = decompose(lattice)
-        closed = correlation_matrix(decomp, noon, [t])[0]
+        closed = correlation_matrix(lattice, noon, [t])[0]
         basis = TwoPhotonBasis(n)
         solution = solve_by_symmetry(build_two_photon_hamiltonian(lattice), basis)
-        (state,) = evolve(noon_state(basis, noon), solution, [t])
-        reference = oracle_correlation(state)
+        (amplitudes,) = evolve(noon_state(basis, noon), solution, [t])
+        reference = oracle_correlation(basis, amplitudes)
 
-        g = full_propagator(decomp, t)
+        g = full_propagator(lattice, t)
         unitarity = float(np.abs(g @ g.conj().T - np.eye(n)).max())
         cases.append(
             {
                 "oracle_dev": float(np.abs(closed - reference).max()),
                 "unitarity_dev": unitarity,
                 "pair_sum_dev": abs(float(closed.sum()) - 2.0),
-                "eta": tpd_degree(decomp, noon, t),
-                "eta_zero": abs(tpd_degree(decomp, noon, 0.0)),
+                "eta": tpd_degree(lattice, noon, t),
+                "eta_zero": abs(tpd_degree(lattice, noon, 0.0)),
             }
         )
     return cases
@@ -117,9 +116,9 @@ def test_criterion_2_unitarity_and_normalization(randomized_cases):
 
 
 def test_criterion_3_snapshot_diagonal_mass():
-    decomp = decompose(LatticeSpec(num_cavities=29, omega=1.0, hopping=1.0))
+    lattice = LatticeSpec(num_cavities=29, omega=1.0, hopping=1.0)
     noon = NoonInput(theta=PI / 4, site_r=15, site_s=16)
-    mass = diagonal_mass(correlation_matrix(decomp, noon, [83.57])[0])
+    mass = diagonal_mass(correlation_matrix(lattice, noon, [83.57])[0])
     report(
         3,
         "snapshot-diagonal-mass",
@@ -131,14 +130,13 @@ def test_criterion_3_snapshot_diagonal_mass():
 
 def _eta_family(hopping):
     lattice = LatticeSpec(num_cavities=29, omega=1.0, hopping=hopping)
-    decomp = decompose(lattice)
     times = np.linspace(0.0, 100.0 / hopping, 2001)
     family = {}
     for c in (0.0, 0.5, 1.0):
         noon = NoonInput(
             theta=theta_for_concurrence(c, "low"), site_r=15, site_s=16
         )
-        family[c] = tpd_series(decomp, noon, times).eta
+        (family[c],) = tpd_family(lattice, [noon], times)
     return times, family
 
 
@@ -198,7 +196,7 @@ def test_criterion_7_free_boson_spectrum():
     worst = 0.0
     for n in range(2, 9):
         lattice = LatticeSpec(num_cavities=n, omega=1.1, hopping=0.7)
-        freqs = decompose(lattice).frequencies
+        freqs = mode_frequencies(lattice)
         expected = np.sort(
             [freqs[i] + freqs[j] for i in range(n) for j in range(i, n)]
         )

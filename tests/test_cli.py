@@ -11,7 +11,7 @@ import pytest
 
 from conftest import REPO_ROOT, read_csv
 
-from ccawalk import LatticeSpec, NoonInput, cli, correlation_matrix, decompose
+from ccawalk import LatticeSpec, NoonInput, cli, correlation_matrix, mode_frequencies
 from ccawalk.cli import main
 from ccawalk.config import MAX_STEPS
 
@@ -43,7 +43,7 @@ class TestSpectrum:
         assert header == ["k", "Omega_k"]
         assert len(rows) == 3
         assert [r[0] for r in rows] == ["1", "2", "3"]
-        freqs = decompose(LatticeSpec(3, 1.0, 1.0)).frequencies
+        freqs = mode_frequencies(LatticeSpec(3, 1.0, 1.0))
         for row, freq in zip(rows, freqs):
             assert float(row[1]) == freq
         assert any(line.startswith("# config = ") for line in comments)
@@ -92,9 +92,9 @@ class TestCorrelation:
         parsed = np.zeros((29, 29))
         for m, n, value in rows:
             parsed[int(m) - 1, int(n) - 1] = float(value)
-        decomp = decompose(LatticeSpec(29, 1.0, 1.0))
+        lattice = LatticeSpec(29, 1.0, 1.0)
         noon = NoonInput(theta=0.7853981633974483, site_r=15, site_s=16)
-        fresh = correlation_matrix(decomp, noon, [83.57])[0]
+        fresh = correlation_matrix(lattice, noon, [83.57])[0]
         assert np.array_equal(parsed, fresh)
 
     def test_snapshot_diagonal_mass_small(self, tmp_path, scenarios_dir):
@@ -270,6 +270,17 @@ class TestVerify:
             assert_one_line_error(
                 capsys, "verify", "--set", "lattice.hopping=1e308", "--max-n", "8"
             )
+
+    def test_overflowing_window_is_one_line_error(self, capsys):
+        # the config's window is finite, but t1 + t2 and the oracle's phases
+        # reach 2 t_max and 4 J t_max
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            err = assert_one_line_error(
+                capsys, "verify", "--set", "time.t_max=5e307", "--set",
+                "time.steps=1", "--max-n", "8",
+            )
+        assert "4 * hopping * t_max is inf" in err
 
     def test_report_written_to_file(self, tmp_path, scenarios_dir):
         out = tmp_path / "report.txt"

@@ -5,7 +5,7 @@ from scipy.linalg import expm
 from ccawalk import (
     LatticeSpec,
     ValidationError,
-    decompose,
+    mode_frequencies,
     propagator,
     propagator_block,
 )
@@ -47,61 +47,60 @@ class TestLatticeSpec:
 class TestDecompose:
     def test_midband_frequency_equals_bare_omega(self):
         # cosine vanishes at the band centre of an odd chain
-        decomp = decompose(LatticeSpec(num_cavities=3, omega=1.0, hopping=0.5))
-        assert decomp.frequencies[1] == 1.0
+        lattice = LatticeSpec(num_cavities=3, omega=1.0, hopping=0.5)
+        assert mode_frequencies(lattice)[1] == 1.0
 
     def test_band_edges_29_cavities(self):
-        decomp = decompose(LatticeSpec(num_cavities=29, omega=1.0, hopping=1.0))
+        freqs = mode_frequencies(LatticeSpec(num_cavities=29, omega=1.0, hopping=1.0))
         expected_top = 1.0 + 2.0 * np.cos(np.pi / 30.0)
-        assert decomp.frequencies[0] == pytest.approx(expected_top, abs=1e-14)
-        assert decomp.frequencies[0] == pytest.approx(2.9890437907365466, abs=1e-12)
-        assert decomp.frequencies[-1] == pytest.approx(-0.9890437907365466, abs=1e-12)
+        assert freqs[0] == pytest.approx(expected_top, abs=1e-14)
+        assert freqs[0] == pytest.approx(2.9890437907365466, abs=1e-12)
+        assert freqs[-1] == pytest.approx(-0.9890437907365466, abs=1e-12)
 
     def test_frequencies_match_dense_eigenvalues(self):
         lat = LatticeSpec(num_cavities=29, omega=1.0, hopping=1.0)
-        decomp = decompose(lat)
         eigenvalues = np.linalg.eigvalsh(
             dense_single_photon_hamiltonian(29, lat.omega, lat.hopping)
         )
-        assert np.allclose(np.sort(decomp.frequencies), eigenvalues, atol=1e-10)
+        assert np.allclose(np.sort(mode_frequencies(lat)), eigenvalues, atol=1e-10)
 
     def test_two_site_transform(self):
-        decomp = decompose(LatticeSpec(num_cavities=2, omega=1.0, hopping=1.0))
+        lattice = LatticeSpec(num_cavities=2, omega=1.0, hopping=1.0)
         inv_root2 = 1.0 / np.sqrt(2.0)
         expected = np.array([[inv_root2, inv_root2], [inv_root2, -inv_root2]])
-        assert np.allclose(sine_transform(decomp), expected, atol=1e-15)
+        assert np.allclose(sine_transform(lattice), expected, atol=1e-15)
 
     @pytest.mark.parametrize("n", [2, 3, 8, 29])
     def test_transform_symmetric_and_involutory(self, n):
-        decomp = decompose(LatticeSpec(num_cavities=n, omega=1.0, hopping=0.7))
-        s = sine_transform(decomp)
+        lattice = LatticeSpec(num_cavities=n, omega=1.0, hopping=0.7)
+        s = sine_transform(lattice)
         assert np.array_equal(s, s.T)
         assert np.abs(s @ s - np.eye(n)).max() < 1e-12
 
     def test_frequencies_decreasing_and_in_band(self):
         lat = LatticeSpec(num_cavities=17, omega=2.0, hopping=0.3)
-        freqs = decompose(lat).frequencies
+        freqs = mode_frequencies(lat)
         assert np.all(np.diff(freqs) < 0)
         assert freqs.max() <= lat.omega + 2 * lat.hopping
         assert freqs.min() >= lat.omega - 2 * lat.hopping
 
     def test_results_are_read_only(self):
-        decomp = decompose(LatticeSpec(num_cavities=4, omega=1.0, hopping=1.0))
+        lattice = LatticeSpec(num_cavities=4, omega=1.0, hopping=1.0)
         with pytest.raises(ValueError):
-            decomp.frequencies[0] = 9.9
+            mode_frequencies(lattice)[0] = 9.9
 
 
 class TestPropagatorMatrix:
     def test_identity_at_time_zero(self):
-        decomp = decompose(LatticeSpec(num_cavities=11, omega=1.0, hopping=0.8))
-        g = full_propagator(decomp, 0.0)
+        lattice = LatticeSpec(num_cavities=11, omega=1.0, hopping=0.8)
+        g = full_propagator(lattice, 0.0)
         assert np.abs(g - np.eye(11)).max() < 1e-12
 
     @pytest.mark.parametrize("t", [0.3, 1.0, np.pi, 17.5])
     def test_two_site_closed_form(self, t):
         # omega = hopping = 1: diagonal e^{-it} cos t, off-diagonal -i e^{-it} sin t
-        decomp = decompose(LatticeSpec(num_cavities=2, omega=1.0, hopping=1.0))
-        g = full_propagator(decomp, t)
+        lattice = LatticeSpec(num_cavities=2, omega=1.0, hopping=1.0)
+        g = full_propagator(lattice, t)
         phase = np.exp(-1j * t)
         assert g[0, 0] == pytest.approx(phase * np.cos(t), abs=1e-14)
         assert g[1, 1] == pytest.approx(phase * np.cos(t), abs=1e-14)
@@ -109,85 +108,85 @@ class TestPropagatorMatrix:
 
     def test_row_matches_matrix_exponential(self):
         lat = LatticeSpec(num_cavities=29, omega=1.0, hopping=1.0)
-        g = full_propagator(decompose(lat), 83.57)
+        g = full_propagator(lat, 83.57)
         u = expm(-1j * dense_single_photon_hamiltonian(29, 1.0, 1.0) * 83.57)
         assert np.abs(g[14, :] - u[14, :]).max() < 1e-9
         assert np.abs(g - u).max() < 1e-9
 
     def test_exact_index_symmetry(self):
-        decomp = decompose(LatticeSpec(num_cavities=13, omega=1.3, hopping=0.6))
-        g = full_propagator(decomp, 42.1)
+        lattice = LatticeSpec(num_cavities=13, omega=1.3, hopping=0.6)
+        g = full_propagator(lattice, 42.1)
         assert np.array_equal(g, g.T)
 
     def test_negative_time_is_conjugate(self):
-        decomp = decompose(LatticeSpec(num_cavities=7, omega=1.0, hopping=0.4))
-        forward = full_propagator(decomp, 5.5)
-        backward = full_propagator(decomp, -5.5)
+        lattice = LatticeSpec(num_cavities=7, omega=1.0, hopping=0.4)
+        forward = full_propagator(lattice, 5.5)
+        backward = full_propagator(lattice, -5.5)
         assert np.abs(backward - forward.conj()).max() < 1e-14
         assert np.abs(forward @ backward - np.eye(7)).max() < 1e-12
 
     def test_rejects_non_finite_time(self):
-        decomp = decompose(LatticeSpec(num_cavities=3, omega=1.0, hopping=1.0))
+        lattice = LatticeSpec(num_cavities=3, omega=1.0, hopping=1.0)
         with pytest.raises(ValidationError):
-            full_propagator(decomp, float("nan"))
+            full_propagator(lattice, float("nan"))
 
 
 class TestPropagatorColumns:
     def test_unit_vector_at_time_zero(self):
-        decomp = decompose(LatticeSpec(num_cavities=9, omega=1.0, hopping=1.0))
-        (col,) = propagator(decomp, [4], [0.0])[:, 0]
+        lattice = LatticeSpec(num_cavities=9, omega=1.0, hopping=1.0)
+        (col,) = propagator(lattice, [4], [0.0])[:, 0]
         expected = np.zeros(9)
         expected[3] = 1.0
         assert np.abs(col - expected).max() < 1e-12
 
     def test_matches_full_matrix(self):
-        decomp = decompose(LatticeSpec(num_cavities=29, omega=1.0, hopping=1.0))
-        full = full_propagator(decomp, 83.57)
-        cols = propagator(decomp, [15, 16], [83.57])[:, 0]
+        lattice = LatticeSpec(num_cavities=29, omega=1.0, hopping=1.0)
+        full = full_propagator(lattice, 83.57)
+        cols = propagator(lattice, [15, 16], [83.57])[:, 0]
         for site, col in zip([15, 16], cols):
             assert np.abs(col - full[:, site - 1]).max() < 1e-14
 
     def test_two_site_quarter_period(self):
-        decomp = decompose(LatticeSpec(num_cavities=2, omega=1.0, hopping=1.0))
-        (col,) = propagator(decomp, [1], [np.pi / 2])[:, 0]
+        lattice = LatticeSpec(num_cavities=2, omega=1.0, hopping=1.0)
+        (col,) = propagator(lattice, [1], [np.pi / 2])[:, 0]
         assert np.abs(col - np.array([0.0, -1.0])).max() < 1e-12
 
     @pytest.mark.parametrize("kernel", [propagator, propagator_block])
     @pytest.mark.parametrize("site", [0, 30, -3, True, 2.0])
     def test_rejects_out_of_range_site(self, kernel, site):
-        decomp = decompose(LatticeSpec(num_cavities=29, omega=1.0, hopping=1.0))
+        lattice = LatticeSpec(num_cavities=29, omega=1.0, hopping=1.0)
         with pytest.raises(ValidationError):
-            kernel(decomp, [site], [1.0])
+            kernel(lattice, [site], [1.0])
 
     @pytest.mark.parametrize("kernel", [propagator, propagator_block])
     @pytest.mark.parametrize(
         "sites", [[1, True], [np.True_, 2], np.array([1, 2.0]), [[1, 2]], [], 3]
     )
     def test_rejects_malformed_site_arrays(self, kernel, sites):
-        decomp = decompose(LatticeSpec(num_cavities=29, omega=1.0, hopping=1.0))
+        lattice = LatticeSpec(num_cavities=29, omega=1.0, hopping=1.0)
         with pytest.raises(ValidationError):
-            kernel(decomp, sites, [1.0])
+            kernel(lattice, sites, [1.0])
 
     @pytest.mark.parametrize("kernel", [propagator, propagator_block])
     @pytest.mark.parametrize(
         "times", [[float("nan")], [0.0, float("inf")], [], [[1.0]], [True], ["1.0"]]
     )
     def test_rejects_malformed_times(self, kernel, times):
-        decomp = decompose(LatticeSpec(num_cavities=29, omega=1.0, hopping=1.0))
+        lattice = LatticeSpec(num_cavities=29, omega=1.0, hopping=1.0)
         with pytest.raises(ValidationError):
-            kernel(decomp, [1, 2], times)
+            kernel(lattice, [1, 2], times)
 
     def test_order_follows_request(self):
-        decomp = decompose(LatticeSpec(num_cavities=5, omega=1.0, hopping=0.5))
-        cols = propagator(decomp, [4, 2, 4], [2.0])[:, 0]
-        full = full_propagator(decomp, 2.0)
+        lattice = LatticeSpec(num_cavities=5, omega=1.0, hopping=0.5)
+        cols = propagator(lattice, [4, 2, 4], [2.0])[:, 0]
+        full = full_propagator(lattice, 2.0)
         assert np.array_equal(cols, full[[3, 1, 3]])
 
 
-def dense_reference(decomp, t):
+def dense_reference(lattice, t):
     """S diag(exp(-i Omega t)) S from the dense transform, one phase per mode."""
-    s = sine_transform(decomp)
-    return s @ np.diag(np.exp(-1j * decomp.frequencies * t)) @ s
+    s = sine_transform(lattice)
+    return s @ np.diag(np.exp(-1j * mode_frequencies(lattice) * t)) @ s
 
 
 class TestKernelAgainstDenseReference:
@@ -206,12 +205,12 @@ class TestKernelAgainstDenseReference:
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 29, 30, 200])
     @pytest.mark.parametrize("omega, hopping, t", CASES)
     def test_columns_and_matrix_match_dense_product(self, n, omega, hopping, t):
-        decomp = decompose(LatticeSpec(num_cavities=n, omega=omega, hopping=hopping))
-        reference = dense_reference(decomp, t)
+        lattice = LatticeSpec(num_cavities=n, omega=omega, hopping=hopping)
+        reference = dense_reference(lattice, t)
         sites = sorted({1, 2, n - 1, n})
-        for site, col in zip(sites, propagator(decomp, sites, [t])[:, 0]):
+        for site, col in zip(sites, propagator(lattice, sites, [t])[:, 0]):
             assert np.abs(col - reference[:, site - 1]).max() < 1e-13
-        g = full_propagator(decomp, t)
+        g = full_propagator(lattice, t)
         assert np.abs(g - reference).max() < 1e-13
 
 
@@ -226,9 +225,9 @@ def verify_like_times(t_max, seed):
 
 class TestBlockKernel:
     def test_layout_and_read_only(self):
-        decomp = decompose(LatticeSpec(num_cavities=7, omega=1.3, hopping=0.6))
-        real = propagator_block(decomp, [2, 5, 2], [0.0, 1.5, -4.0, 9.0])
-        g = propagator(decomp, [2, 5, 2], [0.0, 1.5, -4.0, 9.0])
+        lattice = LatticeSpec(num_cavities=7, omega=1.3, hopping=0.6)
+        real = propagator_block(lattice, [2, 5, 2], [0.0, 1.5, -4.0, 9.0])
+        g = propagator(lattice, [2, 5, 2], [0.0, 1.5, -4.0, 9.0])
         assert real.shape == g.shape == (3, 4, 7)
         assert real.dtype == np.float64 and g.dtype == np.complex128
         assert np.abs(np.abs(g) - np.abs(real)).max() < 1e-15
@@ -245,16 +244,16 @@ class TestBlockKernel:
     ):
         # the property that keeps verify's one batched call bitwise equal to
         # one call per time point
-        decomp = decompose(LatticeSpec(num_cavities=n, omega=omega, hopping=hopping))
+        lattice = LatticeSpec(num_cavities=n, omega=omega, hopping=hopping)
         sites = np.arange(1, n + 1)
         times = verify_like_times(t_max, seed=n)
         assert times.size == 41
-        g = propagator(decomp, sites, times)
-        real = propagator_block(decomp, sites, times)
+        g = propagator(lattice, sites, times)
+        real = propagator_block(lattice, sites, times)
         for k in range(times.size):
             one = times[k : k + 1]
-            assert np.array_equal(g[:, k], propagator(decomp, sites, one)[:, 0])
-            alone = propagator_block(decomp, sites, one)
+            assert np.array_equal(g[:, k], propagator(lattice, sites, one)[:, 0])
+            alone = propagator_block(lattice, sites, one)
             assert np.array_equal(real[:, k], alone[:, 0])
 
 
@@ -266,13 +265,13 @@ class TestBlockWorkspace:
     def test_blocks_equal_one_call_per_piece(self, n, block_times):
         # 2 * block_times + 3 times: the last block is short, and the only
         # t == 0 row sits in the first block
-        decomp = decompose(LatticeSpec(num_cavities=n, omega=1.0, hopping=0.1))
+        lattice = LatticeSpec(num_cavities=n, omega=1.0, hopping=0.1)
         sites = sorted({1, 2, n // 2 + 1, n})
         times = np.linspace(0.0, 1000.0, 2 * block_times + 3)
         covered = []
-        for block, columns in propagator_blocks(decomp, sites, times, block_times):
+        for block, columns in propagator_blocks(lattice, sites, times, block_times):
             assert not columns.flags.writeable
-            piece = propagator_block(decomp, sites, times[block])
+            piece = propagator_block(lattice, sites, times[block])
             assert columns.tobytes() == piece.tobytes()
             covered.append(block)
         assert [(block.start, block.stop) for block in covered] == [
@@ -282,20 +281,19 @@ class TestBlockWorkspace:
 
     def test_zero_time_rows_do_not_persist_in_the_buffer(self):
         # t == 0 in the first block's last row, the second block has none
-        decomp = decompose(LatticeSpec(num_cavities=9, omega=1.0, hopping=0.7))
+        lattice = LatticeSpec(num_cavities=9, omega=1.0, hopping=0.7)
         times = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
-        blocks = [
-            columns.copy() for _, columns in propagator_blocks(decomp, [3, 4], times, 3)
-        ]
+        pieces = propagator_blocks(lattice, [3, 4], times, 3)
+        blocks = [columns.copy() for _, columns in pieces]
         assert np.array_equal(np.concatenate(blocks, axis=1),
-                              propagator_block(decomp, [3, 4], times))
+                              propagator_block(lattice, [3, 4], times))
         assert not np.any(blocks[1] == 1.0)
 
     @pytest.mark.parametrize("block_times", [0, -1, 2.5, True])
     def test_rejects_bad_block_size(self, block_times):
-        decomp = decompose(LatticeSpec(num_cavities=5, omega=1.0, hopping=1.0))
+        lattice = LatticeSpec(num_cavities=5, omega=1.0, hopping=1.0)
         with pytest.raises(ValidationError):
-            next(propagator_blocks(decomp, [1], [0.0, 1.0], block_times))
+            next(propagator_blocks(lattice, [1], [0.0, 1.0], block_times))
 
 
 def long_double_mode_sums(n, hopping, times):
@@ -325,8 +323,8 @@ class TestModeSums:
     @pytest.mark.parametrize("n", [29, 200, 1000, 4000])
     def test_match_long_double_cosine_sum(self, n):
         hopping, times = 1.0, np.array([0.37, 1.0, 2.9, 5.0])
-        decomp = decompose(LatticeSpec(num_cavities=n, omega=1.0, hopping=hopping))
-        (sums,) = _mode_sums(decomp, times, times.size)
+        lattice = LatticeSpec(num_cavities=n, omega=1.0, hopping=hopping)
+        (sums,) = _mode_sums(lattice, times, times.size)
         reference = long_double_mode_sums(n, hopping, times)
         assert sums.shape == (times.size, n + 2)
         assert float(np.abs(sums - reference).max()) <= 1e-14

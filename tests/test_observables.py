@@ -9,8 +9,8 @@ from ccawalk import (
     build_two_photon_hamiltonian,
     concurrence,
     correlation_matrix,
-    decompose,
     evolve,
+    mode_frequencies,
     noon_state,
     oracle_correlation,
     propagator,
@@ -18,7 +18,6 @@ from ccawalk import (
     solve_by_symmetry,
     theta_for_concurrence,
     tpd_family,
-    tpd_series,
 )
 from ccawalk.lattice import MAX_CAVITIES
 from ccawalk.observables import _BLOCK_ELEMENTS, _MIN_BLOCK_TIMES
@@ -31,8 +30,8 @@ def oracle_correlation_at(lattice, noon, t):
     """Brute-force coincidence matrix, bypassing the spectral path entirely."""
     basis = TwoPhotonBasis(lattice.num_cavities)
     solution = solve_by_symmetry(build_two_photon_hamiltonian(lattice), basis)
-    (evolved,) = evolve(noon_state(basis, noon), solution, [t])
-    return oracle_correlation(evolved)
+    (amplitudes,) = evolve(noon_state(basis, noon), solution, [t])
+    return oracle_correlation(basis, amplitudes)
 
 
 class TestConcurrence:
@@ -99,64 +98,64 @@ class TestNoonInput:
 
 class TestCorrelationMatrix:
     def test_initial_state_occupies_only_input_sites(self):
-        decomp = decompose(LatticeSpec(num_cavities=29, omega=1.0, hopping=1.0))
+        lattice = LatticeSpec(num_cavities=29, omega=1.0, hopping=1.0)
         theta = 0.31
         noon = NoonInput(theta=theta, site_r=15, site_s=16)
-        p = correlation_matrix(decomp, noon, [0.0])[0]
+        p = correlation_matrix(lattice, noon, [0.0])[0]
         expected = np.zeros((29, 29))
         expected[14, 14] = 2.0 * np.sin(theta) ** 2
         expected[15, 15] = 2.0 * np.cos(theta) ** 2
         assert np.abs(p - expected).max() < 1e-12
 
     def test_exact_symmetry(self):
-        decomp = decompose(LatticeSpec(num_cavities=12, omega=1.0, hopping=0.9))
+        lattice = LatticeSpec(num_cavities=12, omega=1.0, hopping=0.9)
         noon = NoonInput(theta=0.5, site_r=3, site_s=8)
-        p = correlation_matrix(decomp, noon, [7.2])[0]
+        p = correlation_matrix(lattice, noon, [7.2])[0]
         assert np.array_equal(p, p.T)
 
     @pytest.mark.parametrize("t", [0.0, 1.7, 23.9, 83.57])
     def test_pair_normalization(self, t):
-        decomp = decompose(LatticeSpec(num_cavities=29, omega=1.0, hopping=1.0))
+        lattice = LatticeSpec(num_cavities=29, omega=1.0, hopping=1.0)
         noon = NoonInput(theta=0.9, site_r=15, site_s=16)
-        p = correlation_matrix(decomp, noon, [t])[0]
+        p = correlation_matrix(lattice, noon, [t])[0]
         assert abs(p.sum() - 2.0) < 1e-9
 
     def test_theta_and_site_swap_covariance(self):
-        decomp = decompose(LatticeSpec(num_cavities=10, omega=1.0, hopping=0.6))
+        lattice = LatticeSpec(num_cavities=10, omega=1.0, hopping=0.6)
         theta, t = 0.4, 9.3
         p1 = correlation_matrix(
-            decomp, NoonInput(theta=theta, site_r=3, site_s=7), [t]
+            lattice, NoonInput(theta=theta, site_r=3, site_s=7), [t]
         )[0]
         p2 = correlation_matrix(
-            decomp, NoonInput(theta=PI / 2 - theta, site_r=7, site_s=3), [t]
+            lattice, NoonInput(theta=PI / 2 - theta, site_r=7, site_s=3), [t]
         )[0]
         assert np.abs(p1 - p2).max() < 1e-12
 
     def test_reflection_covariance(self):
         n = 11
-        decomp = decompose(LatticeSpec(num_cavities=n, omega=1.0, hopping=0.8))
+        lattice = LatticeSpec(num_cavities=n, omega=1.0, hopping=0.8)
         theta, t = 1.1, 6.6
         p = correlation_matrix(
-            decomp, NoonInput(theta=theta, site_r=2, site_s=5), [t]
+            lattice, NoonInput(theta=theta, site_r=2, site_s=5), [t]
         )[0]
         mirrored = correlation_matrix(
-            decomp, NoonInput(theta=theta, site_r=n + 1 - 2, site_s=n + 1 - 5), [t]
+            lattice, NoonInput(theta=theta, site_r=n + 1 - 2, site_s=n + 1 - 5), [t]
         )[0]
         assert np.abs(p - np.flip(mirrored)).max() < 1e-12
 
     def test_frozen_when_hopping_is_zero(self):
-        decomp = decompose(LatticeSpec(num_cavities=8, omega=1.3, hopping=0.0))
+        lattice = LatticeSpec(num_cavities=8, omega=1.3, hopping=0.0)
         noon = NoonInput(theta=0.7, site_r=2, site_s=6)
-        p0 = correlation_matrix(decomp, noon, [0.0])[0]
+        p0 = correlation_matrix(lattice, noon, [0.0])[0]
         for t in (0.9, 13.3, 400.0):
-            assert np.abs(correlation_matrix(decomp, noon, [t])[0] - p0).max() < 1e-12
+            assert np.abs(correlation_matrix(lattice, noon, [t])[0] - p0).max() < 1e-12
 
     def test_snapshot_diagonal_nearly_empty(self):
         # long-time 29-cavity snapshot at maximal entanglement: the photons
         # almost never coincide (bound frozen from the verified pipeline)
-        decomp = decompose(LatticeSpec(num_cavities=29, omega=1.0, hopping=1.0))
+        lattice = LatticeSpec(num_cavities=29, omega=1.0, hopping=1.0)
         noon = NoonInput(theta=PI / 4, site_r=15, site_s=16)
-        p = correlation_matrix(decomp, noon, [83.57])[0]
+        p = correlation_matrix(lattice, noon, [83.57])[0]
         assert diagonal_mass(p) < 0.088
 
     def test_matches_oracle_small_chains(self):
@@ -171,207 +170,207 @@ class TestCorrelationMatrix:
             r, s = (int(v) for v in rng.choice(np.arange(1, n + 1), 2, replace=False))
             noon = NoonInput(theta=float(rng.uniform(0, PI / 2)), site_r=r, site_s=s)
             t = float(rng.uniform(0.0, 50.0))
-            closed = correlation_matrix(decompose(lattice), noon, [t])[0]
+            closed = correlation_matrix(lattice, noon, [t])[0]
             assert np.abs(closed - oracle_correlation_at(lattice, noon, t)).max() < 1e-8
 
     def test_rejects_site_beyond_chain(self):
-        decomp = decompose(LatticeSpec(num_cavities=5, omega=1.0, hopping=1.0))
+        lattice = LatticeSpec(num_cavities=5, omega=1.0, hopping=1.0)
         with pytest.raises(ValidationError):
-            correlation_matrix(decomp, NoonInput(theta=0.3, site_r=1, site_s=9), [1.0])
+            correlation_matrix(lattice, NoonInput(theta=0.3, site_r=1, site_s=9), [1.0])
 
     @pytest.mark.parametrize("n", [8, 29, 50])
     def test_time_array_is_bitwise_one_time_calls(self, n):
         # verify's shape: t = 0 then 24 sorted samples, one of them repeated
-        decomp = decompose(LatticeSpec(num_cavities=n, omega=1.0, hopping=0.7))
+        lattice = LatticeSpec(num_cavities=n, omega=1.0, hopping=0.7)
         noon = NoonInput(theta=0.3927, site_r=n // 2, site_s=n // 2 + 1)
         rng = np.random.default_rng(n)
         samples = np.sort(rng.uniform(0.0, 83.57, size=24))
         samples[5] = samples[4]
         times = np.concatenate(([0.0], samples))
-        batch = correlation_matrix(decomp, noon, times)
+        batch = correlation_matrix(lattice, noon, times)
         assert batch.shape == (25, n, n)
         assert not batch.flags.writeable
-        singles = np.stack([correlation_matrix(decomp, noon, [t])[0] for t in times])
+        singles = np.stack([correlation_matrix(lattice, noon, [t])[0] for t in times])
         assert batch.tobytes() == singles.tobytes()
 
 
 class TestTpdDegree:
     def test_zero_at_start_for_any_input(self):
-        decomp = decompose(LatticeSpec(num_cavities=29, omega=1.0, hopping=0.1))
+        lattice = LatticeSpec(num_cavities=29, omega=1.0, hopping=0.1)
         for theta in (0.0, PI / 12, PI / 4, PI / 2):
             noon = NoonInput(theta=theta, site_r=15, site_s=16)
-            assert abs(tpd_degree(decomp, noon, 0.0)) < 1e-12
+            assert abs(tpd_degree(lattice, noon, 0.0)) < 1e-12
 
     @pytest.mark.parametrize("t", [0.2, PI / 4, 1.9])
     def test_two_site_closed_form(self, t):
         # two neighbouring cavities, omega = hopping = 1, theta = pi/4:
         # eta(t) = 1 - cos^2(2t), derived by hand from the 2-site propagator
-        decomp = decompose(LatticeSpec(num_cavities=2, omega=1.0, hopping=1.0))
+        lattice = LatticeSpec(num_cavities=2, omega=1.0, hopping=1.0)
         noon = NoonInput(theta=PI / 4, site_r=1, site_s=2)
-        eta = tpd_degree(decomp, noon, t)
+        eta = tpd_degree(lattice, noon, t)
         assert eta == pytest.approx(1.0 - np.cos(2 * t) ** 2, abs=1e-12)
         lattice = LatticeSpec(num_cavities=2, omega=1.0, hopping=1.0)
         oracle_eta = 1.0 - oracle_correlation_at(lattice, noon, t).trace() / 2.0
         assert eta == pytest.approx(oracle_eta, abs=1e-10)
 
     def test_complete_delocalization_at_quarter_period(self):
-        decomp = decompose(LatticeSpec(num_cavities=2, omega=1.0, hopping=1.0))
+        lattice = LatticeSpec(num_cavities=2, omega=1.0, hopping=1.0)
         noon = NoonInput(theta=PI / 4, site_r=1, site_s=2)
-        assert tpd_degree(decomp, noon, PI / 4) == pytest.approx(1.0, abs=1e-12)
+        assert tpd_degree(lattice, noon, PI / 4) == pytest.approx(1.0, abs=1e-12)
 
     def test_strong_hopping_plateau_median(self):
         lattice = LatticeSpec(num_cavities=29, omega=1.0, hopping=0.1)
-        decomp = decompose(lattice)
         noon = NoonInput(theta=PI / 4, site_r=15, site_s=16)
         times = np.linspace(0.0, 100.0 / 0.1, 2001)
-        series = tpd_series(decomp, noon, times)
-        plateau = series.eta[series.times >= 20.0 / 0.1]
+        (eta,) = tpd_family(lattice, [noon], times)
+        plateau = eta[times >= 20.0 / 0.1]
         assert np.median(plateau) > 0.9
 
 
 class TestTpdSeries:
     def test_single_point_grid(self):
-        decomp = decompose(LatticeSpec(num_cavities=5, omega=1.0, hopping=1.0))
+        lattice = LatticeSpec(num_cavities=5, omega=1.0, hopping=1.0)
         noon = NoonInput(theta=0.6, site_r=2, site_s=3)
-        series = tpd_series(decomp, noon, [0.0])
-        assert len(series) == 1
-        assert abs(series.eta[0]) < 1e-12
+        eta = tpd_family(lattice, [noon], [0.0])
+        assert eta.shape == (1, 1)
+        assert abs(eta[0, 0]) < 1e-12
 
     def test_consistent_with_pointwise_degree(self):
-        decomp = decompose(LatticeSpec(num_cavities=9, omega=1.0, hopping=0.7))
+        lattice = LatticeSpec(num_cavities=9, omega=1.0, hopping=0.7)
         noon = NoonInput(theta=0.8, site_r=4, site_s=6)
         times = np.linspace(0.0, 30.0, 50)
-        series = tpd_series(decomp, noon, times)
-        for t, eta in zip(series.times, series.eta):
-            assert abs(eta - tpd_degree(decomp, noon, t)) < 1e-10
+        (series,) = tpd_family(lattice, [noon], times)
+        for t, eta in zip(times, series):
+            assert abs(eta - tpd_degree(lattice, noon, t)) < 1e-10
 
     def test_consistent_with_correlation_diagonal(self):
-        decomp = decompose(LatticeSpec(num_cavities=9, omega=1.0, hopping=0.7))
+        lattice = LatticeSpec(num_cavities=9, omega=1.0, hopping=0.7)
         noon = NoonInput(theta=0.8, site_r=4, site_s=6)
-        series = tpd_series(decomp, noon, [0.0, 3.3, 11.8])
-        for t, eta in zip(series.times, series.eta):
-            diag_sum = correlation_matrix(decomp, noon, [t])[0].trace()
+        times = [0.0, 3.3, 11.8]
+        (series,) = tpd_family(lattice, [noon], times)
+        for t, eta in zip(times, series):
+            diag_sum = correlation_matrix(lattice, noon, [t])[0].trace()
             assert abs(eta - (1.0 - diag_sum / 2.0)) < 1e-10
 
     def test_site_swap_invariance_at_maximal_entanglement(self):
-        decomp = decompose(LatticeSpec(num_cavities=29, omega=1.0, hopping=1.0))
+        lattice = LatticeSpec(num_cavities=29, omega=1.0, hopping=1.0)
         times = np.linspace(0.0, 50.0, 101)
-        forward = tpd_series(decomp, NoonInput(theta=PI / 4, site_r=14, site_s=16), times)
-        swapped = tpd_series(decomp, NoonInput(theta=PI / 4, site_r=16, site_s=14), times)
-        assert np.abs(forward.eta - swapped.eta).max() < 1e-12
+        (forward,) = tpd_family(lattice, [NoonInput(PI / 4, 14, 16)], times)
+        (swapped,) = tpd_family(lattice, [NoonInput(PI / 4, 16, 14)], times)
+        assert np.abs(forward - swapped).max() < 1e-12
 
     def test_range_stays_physical(self):
-        decomp = decompose(LatticeSpec(num_cavities=29, omega=1.0, hopping=0.01))
+        lattice = LatticeSpec(num_cavities=29, omega=1.0, hopping=0.01)
         noon = NoonInput(theta=PI / 4, site_r=15, site_s=16)
-        series = tpd_series(decomp, noon, np.linspace(0.0, 10000.0, 2001))
-        assert series.eta.min() > -1e-9
-        assert series.eta.max() < 1.0 + 1e-9
+        eta = tpd_family(lattice, [noon], np.linspace(0.0, 10000.0, 2001))
+        assert eta.min() > -1e-9
+        assert eta.max() < 1.0 + 1e-9
 
     @pytest.mark.parametrize(
         "grid",
         [[], [1.0, 1.0], [2.0, 1.0], [-1.0, 0.0], [0.0, float("nan")]],
     )
     def test_rejects_bad_grids(self, grid):
-        decomp = decompose(LatticeSpec(num_cavities=4, omega=1.0, hopping=1.0))
+        lattice = LatticeSpec(num_cavities=4, omega=1.0, hopping=1.0)
         noon = NoonInput(theta=0.4, site_r=1, site_s=3)
         with pytest.raises(ValidationError):
-            tpd_series(decomp, noon, grid)
+            tpd_family(lattice, [noon], grid)
 
 
 class TestTpdFamily:
     @pytest.mark.parametrize("n", [2, 9, 29])
     def test_matches_correlation_trace(self, n):
         rng = np.random.default_rng(n)
-        decomp = decompose(LatticeSpec(num_cavities=n, omega=1.0, hopping=0.7))
+        lattice = LatticeSpec(num_cavities=n, omega=1.0, hopping=0.7)
         r, s = (int(v) for v in rng.choice(np.arange(1, n + 1), 2, replace=False))
         thetas = [0.0, PI / 4, PI / 2, *rng.uniform(0.0, PI / 2, size=2)]
         noons = [NoonInput(theta=float(theta), site_r=r, site_s=s) for theta in thetas]
         times = np.sort(rng.uniform(0.0, 100.0, size=12))
-        for noon, series in zip(noons, tpd_family(decomp, noons, times)):
-            for t, eta in zip(times, series.eta):
-                trace = correlation_matrix(decomp, noon, [t])[0].trace()
+        for noon, series in zip(noons, tpd_family(lattice, noons, times)):
+            for t, eta in zip(times, series):
+                trace = correlation_matrix(lattice, noon, [t])[0].trace()
                 assert abs(eta - (1.0 - trace / 2.0)) <= 1e-13
 
     # 12001 times at N=200 span several evaluation blocks
     @pytest.mark.parametrize("n, steps", [(29, 9001), (200, 12001)])
     def test_rows_bitwise_equal_single_angle_series(self, n, steps):
-        decomp = decompose(LatticeSpec(num_cavities=n, omega=1.0, hopping=0.1))
+        lattice = LatticeSpec(num_cavities=n, omega=1.0, hopping=0.1)
         thetas = [0.0, PI / 12, 0.3, PI / 4, 1.2, PI / 2]
         noons = [NoonInput(theta=theta, site_r=15, site_s=16) for theta in thetas]
         times = np.linspace(0.0, 1000.0, steps)
-        family = tpd_family(decomp, noons, times)
-        assert len(family) == len(noons)
+        family = tpd_family(lattice, noons, times)
+        assert family.shape == (len(noons), steps)
         for noon, row in zip(noons, family):
-            single = tpd_series(decomp, noon, times)
-            assert row.times.tobytes() == single.times.tobytes()
-            assert row.eta.tobytes() == single.eta.tobytes()
+            (single,) = tpd_family(lattice, [noon], times)
+            assert row.tobytes() == single.tobytes()
 
     @pytest.mark.parametrize("n", [29, 1000])
     def test_pieces_concatenate_bitwise(self, n):
         # cuts fall inside evaluation blocks, so pieces and blocks misalign
         step = max(_MIN_BLOCK_TIMES, _BLOCK_ELEMENTS // n)
-        decomp = decompose(LatticeSpec(num_cavities=n, omega=1.0, hopping=0.1))
+        lattice = LatticeSpec(num_cavities=n, omega=1.0, hopping=0.1)
         noons = [NoonInput(theta=theta, site_r=3, site_s=n - 4)
                  for theta in (0.0, 0.3, PI / 4, 1.2)]
         times = np.linspace(0.0, 1000.0, 5 * step + 3)
         cuts = [0, step // 2, step // 2 + 1, 2 * step + 3, 4 * step - 1, times.size]
-        whole = tpd_family(decomp, noons, times)
-        pieces = [tpd_family(decomp, noons, times[lo:hi])
+        whole = tpd_family(lattice, noons, times)
+        pieces = [tpd_family(lattice, noons, times[lo:hi])
                   for lo, hi in zip(cuts, cuts[1:])]
         for k, series in enumerate(whole):
-            joined = np.concatenate([piece[k].eta for piece in pieces])
-            assert joined.tobytes() == series.eta.tobytes()
+            joined = np.concatenate([piece[k] for piece in pieces])
+            assert joined.tobytes() == series.tobytes()
 
     @pytest.mark.parametrize(
         "theta", [0.0, 0.0622, 0.4405, PI / 4, 0.8453, 1.4901, PI / 2]
     )
     def test_exactly_zero_at_start(self, theta):
         # includes angles where sin^2 + cos^2 rounds away from 1
-        decomp = decompose(LatticeSpec(num_cavities=9, omega=1.0, hopping=0.7))
+        lattice = LatticeSpec(num_cavities=9, omega=1.0, hopping=0.7)
         noon = NoonInput(theta=theta, site_r=4, site_s=6)
-        (series,) = tpd_family(decomp, [noon], [0.0, 2.5])
-        for eta in (series.eta[0], tpd_degree(decomp, noon, 0.0)):
+        (series,) = tpd_family(lattice, [noon], [0.0, 2.5])
+        for eta in (series[0], tpd_degree(lattice, noon, 0.0)):
             assert eta == 0.0 and not np.signbit(eta)
 
     def test_degree_accepts_negative_time(self):
         # G(-t) = conj(G(t)), so eta is even in t
-        decomp = decompose(LatticeSpec(num_cavities=9, omega=1.0, hopping=0.7))
+        lattice = LatticeSpec(num_cavities=9, omega=1.0, hopping=0.7)
         noon = NoonInput(theta=0.4, site_r=4, site_s=6)
         for t in (0.7, 5.3, 41.0):
-            assert tpd_degree(decomp, noon, -t) == pytest.approx(
-                tpd_degree(decomp, noon, t), abs=1e-14
+            assert tpd_degree(lattice, noon, -t) == pytest.approx(
+                tpd_degree(lattice, noon, t), abs=1e-14
             )
 
     def test_results_are_read_only(self):
-        decomp = decompose(LatticeSpec(num_cavities=5, omega=1.0, hopping=1.0))
+        lattice = LatticeSpec(num_cavities=5, omega=1.0, hopping=1.0)
         noons = [NoonInput(theta=theta, site_r=2, site_s=3) for theta in (0.2, 0.9)]
-        for series in tpd_family(decomp, noons, [0.0, 1.0]):
+        eta = tpd_family(lattice, noons, [0.0, 1.0])
+        for series in eta:
             with pytest.raises(ValueError):
-                series.eta[0] = 1.0
-            with pytest.raises(ValueError):
-                series.times[0] = 1.0
+                series[0] = 1.0
+        with pytest.raises(ValueError):
+            eta[:, 1] = 1.0
 
     def test_rejects_empty_family(self):
-        decomp = decompose(LatticeSpec(num_cavities=5, omega=1.0, hopping=1.0))
+        lattice = LatticeSpec(num_cavities=5, omega=1.0, hopping=1.0)
         with pytest.raises(ValidationError):
-            tpd_family(decomp, [], [0.0, 1.0])
+            tpd_family(lattice, [], [0.0, 1.0])
 
     @pytest.mark.parametrize("second_pair", [(2, 1), (1, 3), (3, 2)])
     def test_rejects_mixed_site_pairs(self, second_pair):
-        decomp = decompose(LatticeSpec(num_cavities=5, omega=1.0, hopping=1.0))
+        lattice = LatticeSpec(num_cavities=5, omega=1.0, hopping=1.0)
         noons = [
             NoonInput(theta=0.3, site_r=1, site_s=2),
             NoonInput(theta=0.5, site_r=second_pair[0], site_s=second_pair[1]),
         ]
         with pytest.raises(ValidationError):
-            tpd_family(decomp, noons, [0.0, 1.0])
+            tpd_family(lattice, noons, [0.0, 1.0])
 
     @pytest.mark.parametrize("theta", [-0.1, PI / 2 + 1e-9, float("nan")])
     def test_rejects_out_of_range_theta(self, theta):
-        decomp = decompose(LatticeSpec(num_cavities=5, omega=1.0, hopping=1.0))
+        lattice = LatticeSpec(num_cavities=5, omega=1.0, hopping=1.0)
         with pytest.raises(ValidationError):
             tpd_family(
-                decomp,
+                lattice,
                 [
                     NoonInput(theta=0.3, site_r=1, site_s=2),
                     NoonInput(theta=theta, site_r=1, site_s=2),
@@ -380,46 +379,44 @@ class TestTpdFamily:
             )
 
     def test_rejects_site_beyond_chain(self):
-        decomp = decompose(LatticeSpec(num_cavities=5, omega=1.0, hopping=1.0))
+        lattice = LatticeSpec(num_cavities=5, omega=1.0, hopping=1.0)
         with pytest.raises(ValidationError):
-            tpd_family(decomp, [NoonInput(theta=0.3, site_r=1, site_s=6)], [0.0, 1.0])
+            tpd_family(lattice, [NoonInput(theta=0.3, site_r=1, site_s=6)], [0.0, 1.0])
 
 
 class TestNoSharedWorkspace:
     """Results never alias a kernel buffer, so a later call cannot change them."""
 
-    DECOMP = decompose(LatticeSpec(num_cavities=50, omega=1.0, hopping=0.3))
+    LATTICE = LatticeSpec(num_cavities=50, omega=1.0, hopping=0.3)
     NOONS = [NoonInput(theta=theta, site_r=2, site_s=40) for theta in (0.3, 1.1)]
     # the result arrays of each kernel entry point, for an input list and a grid
     RESULTS = {
-        "propagator_block": lambda d, noons, t: [propagator_block(d, [2, 40], t)],
-        "propagator": lambda d, noons, t: [propagator(d, [2, 40], t)],
-        "correlation_matrix": lambda d, noons, t: [correlation_matrix(d, noons[0], t)],
-        "tpd_family": lambda d, noons, t: [
-            *(series.eta for series in tpd_family(d, noons, t)),
-            tpd_family(d, noons, t)[0].times,
+        "propagator_block": lambda lat, noons, t: [propagator_block(lat, [2, 40], t)],
+        "propagator": lambda lat, noons, t: [propagator(lat, [2, 40], t)],
+        "correlation_matrix": lambda lat, noons, t: [
+            correlation_matrix(lat, noons[0], t)
         ],
+        "tpd_family": lambda lat, noons, t: [tpd_family(lat, noons, t)],
     }
 
     @pytest.mark.parametrize("name", RESULTS)
     def test_second_call_leaves_the_first_unchanged(self, name):
         # equal sizes, so a reused buffer would have the same shape
-        first = self.RESULTS[name](self.DECOMP, self.NOONS, np.linspace(0.0, 60.0, 40))
+        first = self.RESULTS[name](self.LATTICE, self.NOONS, np.linspace(0.0, 60.0, 40))
         kept = [array.tobytes() for array in first]
         second = self.RESULTS[name](
-            self.DECOMP, self.NOONS[::-1], np.linspace(0.5, 9.0, 40)
+            self.LATTICE, self.NOONS[::-1], np.linspace(0.5, 9.0, 40)
         )
         assert [array.tobytes() for array in first] == kept
         for a in first:
             assert not any(np.shares_memory(a, b) for b in second)
 
     def test_results_share_no_memory(self):
-        # the eta rows of one family are disjoint rows of one (K, T) array
         arrays = [
             array
             for times in (np.linspace(0.0, 60.0, 400), np.linspace(0.5, 9.0, 400))
             for results in self.RESULTS.values()
-            for array in results(self.DECOMP, self.NOONS, times)
+            for array in results(self.LATTICE, self.NOONS, times)
         ]
         for i, a in enumerate(arrays):
             for j in range(i):
@@ -429,21 +426,21 @@ class TestNoSharedWorkspace:
     @pytest.mark.parametrize("n", [29, 1000])
     def test_short_last_block_and_zero_row_equal_one_call_per_piece(self, n):
         step = max(_MIN_BLOCK_TIMES, _BLOCK_ELEMENTS // n)
-        decomp = decompose(LatticeSpec(num_cavities=n, omega=1.0, hopping=0.1))
+        lattice = LatticeSpec(num_cavities=n, omega=1.0, hopping=0.1)
         noons = [NoonInput(theta=theta, site_r=n - 2, site_s=4) for theta in (0.2, 1.4)]
         times = np.linspace(0.0, 500.0, 5 * step + 3)
-        whole = tpd_family(decomp, noons, times)
+        whole = tpd_family(lattice, noons, times)
         for start in range(0, times.size, step):
-            piece = tpd_family(decomp, noons, times[start : start + step])
+            piece = tpd_family(lattice, noons, times[start : start + step])
             for series, part in zip(whole, piece):
-                assert series.eta[start : start + step].tobytes() == part.eta.tobytes()
+                assert series[start : start + step].tobytes() == part.tobytes()
 
 
-def dense_gram_eta(decomp, noons, times):
+def dense_gram_eta(lattice, noons, times):
     """Eta from complex dense-transform columns in the Gram form, per angle."""
-    s = sine_transform(decomp)
+    s = sine_transform(lattice)
     r, q = noons[0].site_r - 1, noons[0].site_s - 1
-    phases = np.exp(-1j * np.outer(times, decomp.frequencies))
+    phases = np.exp(-1j * np.outer(times, mode_frequencies(lattice)))
     a = ((s[r] * phases) @ s) ** 2
     b = ((s[q] * phases) @ s) ** 2
     rows = []
@@ -485,34 +482,32 @@ class TestTpdKernelAccuracy:
 
     @pytest.mark.parametrize("n", [29, 200, 1000])
     def test_family_matches_complex_gram_form(self, n):
-        decomp = decompose(LatticeSpec(num_cavities=n, omega=1.0, hopping=1.0))
+        lattice = LatticeSpec(num_cavities=n, omega=1.0, hopping=1.0)
         times = np.linspace(0.0, 83.57, 41)
         for r, s in [(n // 2, n // 2 + 1), (2, n - 1)]:
             noons = [
                 NoonInput(theta=theta, site_r=r, site_s=s) for theta in self.THETAS
             ]
-            eta = np.array([series.eta for series in tpd_family(decomp, noons, times)])
-            assert np.abs(eta - dense_gram_eta(decomp, noons, times)).max() <= 1e-13
+            eta = tpd_family(lattice, noons, times)
+            assert np.abs(eta - dense_gram_eta(lattice, noons, times)).max() <= 1e-13
 
     def test_largest_chain(self):
-        decomp = decompose(
-            LatticeSpec(num_cavities=MAX_CAVITIES, omega=1.0, hopping=1.0)
-        )
+        lattice = LatticeSpec(num_cavities=MAX_CAVITIES, omega=1.0, hopping=1.0)
         mid = MAX_CAVITIES // 2
         noon = NoonInput(theta=PI / 4, site_r=mid, site_s=mid + 1)
-        series = tpd_series(decomp, noon, np.linspace(0.0, 2000.0, 51))
-        assert series.eta[0] == 0.0
-        assert series.eta.min() >= -1e-12
-        assert series.eta.max() <= 1.0 + 1e-12
+        (eta,) = tpd_family(lattice, [noon], np.linspace(0.0, 2000.0, 51))
+        assert eta[0] == 0.0
+        assert eta.min() >= -1e-12
+        assert eta.max() <= 1.0 + 1e-12
 
     @pytest.mark.skipif(
         np.finfo(np.longdouble).eps >= 1e-18, reason="long double is not extended"
     )
     def test_fig2_matches_long_double_reference(self):
         # fig2: J = 0.01 up to J t = 100, so the mode phases reach 200 rad
-        decomp = decompose(LatticeSpec(num_cavities=29, omega=1.0, hopping=0.01))
+        lattice = LatticeSpec(num_cavities=29, omega=1.0, hopping=0.01)
         times = np.linspace(0.0, 10000.0, 21)
         noons = [NoonInput(theta=theta, site_r=15, site_s=16) for theta in self.THETAS]
-        eta = np.array([series.eta for series in tpd_family(decomp, noons, times)])
+        eta = tpd_family(lattice, noons, times)
         reference = long_double_eta(29, 0.01, 15, 16, self.THETAS, times)
         assert float(np.abs(eta - reference).max()) <= 1e-14

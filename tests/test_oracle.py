@@ -13,8 +13,8 @@ from ccawalk import (
     ValidationError,
     build_two_photon_hamiltonian,
     correlation_matrix,
-    decompose,
     evolve,
+    mode_frequencies,
     noon_state,
     oracle_correlation,
     solve_by_symmetry,
@@ -33,7 +33,7 @@ def dense_evolve(state, h, times):
 def solved_evolve(state, h, times):
     """Amplitudes at each time through ``solve_by_symmetry`` and ``evolve``."""
     solution = solve_by_symmetry(h, state.basis)
-    return [evolved.amplitudes for evolved in evolve(state, solution, times)]
+    return evolve(state, solution, times)
 
 
 def block_bases(solution):
@@ -226,7 +226,7 @@ class TestBuildHamiltonian:
     @pytest.mark.parametrize("n", [3, 5, 8])
     def test_spectrum_is_pairwise_mode_sums(self, n):
         lattice = LatticeSpec(num_cavities=n, omega=1.1, hopping=0.7)
-        freqs = decompose(lattice).frequencies
+        freqs = mode_frequencies(lattice)
         expected = np.sort(
             [freqs[i] + freqs[j] for i in range(n) for j in range(i, n)]
         )
@@ -638,12 +638,26 @@ class TestEvolve:
         state = random_state(basis, np.random.default_rng(5))
         times = [4.0, 0.0, 4.0, 123.4, 0.5]  # unsorted, with a repeat
         together = evolve(state, solution, times)
-        assert len(together) == len(times)
+        assert together.shape == (len(times), basis.dimension)
+        assert not together.flags.writeable
         for t, evolved in zip(times, together):
             (alone,) = evolve(state, solution, [t])
-            assert evolved.basis is basis
-            assert np.abs(evolved.amplitudes - alone.amplitudes).max() < 1e-14
-        assert evolve(state, solution, []) == ()
+            assert np.abs(evolved - alone).max() < 1e-14
+        assert evolve(state, solution, []).shape == (0, basis.dimension)
+
+    def test_rows_off_unit_norm_are_refused(self):
+        # a corrupted factorization: U scaled by 2 no longer preserves the norm
+        h = build_two_photon_hamiltonian(
+            LatticeSpec(num_cavities=5, omega=1.0, hopping=0.7)
+        )
+        basis = TwoPhotonBasis(5)
+        solution = solve_by_symmetry(h, basis)
+        even, odd = solution.blocks
+        broken = solution._replace(blocks=(even._replace(u=2.0 * even.u), odd))
+        state = random_state(basis, np.random.default_rng(8))
+        assert evolve(state, broken, [0.0]).shape == (1, basis.dimension)
+        with pytest.raises(ValidationError, match="^state norm .* beyond 1e-12$"):
+            evolve(state, broken, [0.0, 1.3, 2.9])
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), "1.0", True])
     def test_rejects_invalid_time(self, bad):
@@ -694,11 +708,10 @@ class TestEvolve:
         basis = TwoPhotonBasis(2)
         solution = solve_by_symmetry(build_two_photon_hamiltonian(lattice), basis)
         state = noon_state(basis, noon)
-        decomp = decompose(lattice)
         times = np.random.default_rng(11).uniform(0.0, 40.0, size=20)
-        for t, evolved in zip(times, evolve(state, solution, times)):
-            reference = oracle_correlation(evolved)
-            closed = correlation_matrix(decomp, noon, [t])[0]
+        for t, amplitudes in zip(times, evolve(state, solution, times)):
+            reference = oracle_correlation(basis, amplitudes)
+            closed = correlation_matrix(lattice, noon, [t])[0]
             assert np.abs(reference - closed).max() < 1e-10
 
 
@@ -706,7 +719,7 @@ class TestOracleCorrelation:
     def test_initial_noon_state(self):
         basis = TwoPhotonBasis(6)
         state = noon_state(basis, NoonInput(theta=np.pi / 4, site_r=2, site_s=5))
-        p = oracle_correlation(state)
+        p = oracle_correlation(basis, state.amplitudes)
         assert p[1, 1] == pytest.approx(1.0, abs=1e-15)
         assert p[4, 4] == pytest.approx(1.0, abs=1e-15)
         assert p.sum() == pytest.approx(2.0, abs=1e-12)
@@ -718,7 +731,7 @@ class TestOracleCorrelation:
         amps = np.zeros(basis.dimension, dtype=complex)
         for pair in ((1, 2), (1, 3), (2, 3)):
             amps[basis.index(*pair)] = 1.0 / np.sqrt(3.0)
-        p = oracle_correlation(TwoPhotonStateVector(basis, amps))
+        p = oracle_correlation(basis, TwoPhotonStateVector(basis, amps).amplitudes)
         off = p[~np.eye(3, dtype=bool)]
         assert np.allclose(off, 1.0 / 3.0, atol=1e-12)
         assert np.all(p.diagonal() == 0.0)
@@ -730,13 +743,31 @@ class TestOracleCorrelation:
         basis = TwoPhotonBasis(n)
         raw = rng.normal(size=basis.dimension) + 1j * rng.normal(size=basis.dimension)
         state = TwoPhotonStateVector(basis, raw / np.linalg.norm(raw))
-        p = oracle_correlation(state)
+        p = oracle_correlation(basis, state.amplitudes)
         assert p.tobytes() == loop_correlation(state).tobytes()
         assert not p.flags.writeable
+
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_all_rows_bitwise_equal_one_call_per_row(self, n):
+        lattice = LatticeSpec(num_cavities=n, omega=1.0, hopping=0.6)
+        basis = TwoPhotonBasis(n)
+        solution = solve_by_symmetry(build_two_photon_hamiltonian(lattice), basis)
+        state = random_state(basis, np.random.default_rng(n))
+        amplitudes = evolve(state, solution, [0.0, 0.4, 3.1, 17.0, 250.0])
+        together = oracle_correlation(basis, amplitudes)
+        assert together.shape == (5, n, n)
+        assert not together.flags.writeable
+        for p, row in zip(together, amplitudes):
+            assert p.tobytes() == oracle_correlation(basis, row).tobytes()
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 4), (6, 2), (1, 2, 6), ()])
+    def test_rejects_amplitudes_off_the_basis(self, shape):
+        with pytest.raises(ValidationError, match="amplitudes must have shape"):
+            oracle_correlation(TwoPhotonBasis(3), np.zeros(shape, dtype=complex))
 
     def test_random_state_total_pair_count(self):
         rng = np.random.default_rng(3)
         basis = TwoPhotonBasis(5)
         raw = rng.normal(size=basis.dimension) + 1j * rng.normal(size=basis.dimension)
         state = TwoPhotonStateVector(basis, raw / np.linalg.norm(raw))
-        assert abs(oracle_correlation(state).sum() - 2.0) < 1e-12
+        assert abs(oracle_correlation(basis, state.amplitudes).sum() - 2.0) < 1e-12

@@ -22,14 +22,8 @@ from ccawalk.config import (
     config_to_dict,
     read_config_document,
 )
-from ccawalk.lattice import decompose
-from ccawalk.observables import (
-    NoonInput,
-    concurrence,
-    correlation_matrix,
-    tpd_family,
-    tpd_series,
-)
+from ccawalk.lattice import mode_frequencies
+from ccawalk.observables import NoonInput, concurrence, correlation_matrix, tpd_family
 from ccawalk.output import _comment_lines, format_value, provenance, render, write_text
 
 
@@ -53,16 +47,17 @@ def rendered(fmt, prov, columns, blocks):
 
 def reference_artifact(command, cfg):
     """The artifact as the row-tuple command code and the loops wrote it."""
-    decomp = decompose(cfg.lattice)
+    lattice = cfg.lattice
     noon = cfg.input.to_noon()
     t_end, steps = cfg.absolute_time(cfg.time.t_max), cfg.time.steps
     grid = [t_end * i / steps for i in range(steps + 1)]
     omega, hopping = cfg.lattice.omega, cfg.lattice.hopping
     if command == "spectrum":
         extra, columns = {}, ["k", "Omega_k"]
-        rows = [(k + 1, float(freq)) for k, freq in enumerate(decomp.frequencies)]
+        freqs = mode_frequencies(lattice)
+        rows = [(k + 1, float(freq)) for k, freq in enumerate(freqs)]
     elif command == "correlation":
-        entries = correlation_matrix(decomp, noon, [t_end])[0]
+        entries = correlation_matrix(lattice, noon, [t_end])[0]
         n = cfg.lattice.num_cavities
         extra = {
             "t": t_end,
@@ -76,23 +71,23 @@ def reference_artifact(command, cfg):
             (m + 1, k + 1, float(entries[m, k])) for m in range(n) for k in range(n)
         ]
     elif command == "tpd":
-        series = tpd_series(decomp, noon, grid)
+        (series,) = tpd_family(lattice, [noon], grid)
         extra = {"theta": noon.theta, "concurrence": concurrence(noon)}
         columns = ["t", "omega_t", "J_t", "eta"]
         rows = [
             (float(t), float(t * omega), float(t * hopping), float(eta))
-            for t, eta in zip(series.times, series.eta)
+            for t, eta in zip(grid, series)
         ]
     else:
         thetas = list(cfg.sweep.resolved_thetas())
         noons = [NoonInput(theta=theta, site_r=noon.site_r, site_s=noon.site_s)
                  for theta in thetas]
-        family = tpd_family(decomp, noons, grid)
+        family = tpd_family(lattice, noons, grid)
         extra, columns = {"thetas": thetas}, ["theta", "concurrence", "t", "eta"]
         rows = [
             (theta, concurrence(noon), float(t), float(eta))
             for theta, noon, series in zip(thetas, noons, family)
-            for t, eta in zip(series.times, series.eta)
+            for t, eta in zip(grid, series)
         ]
     prov = provenance(command, __version__, config_to_dict(cfg), extra)
     reference = render_json if cfg.output.format == "json" else render_csv

@@ -8,7 +8,7 @@ from ccawalk import (
     NoonInput,
     concurrence,
     correlation_matrix,
-    decompose,
+    mode_frequencies,
     propagator,
     theta_for_concurrence,
 )
@@ -37,7 +37,7 @@ def lattice_with_noon(draw):
 @settings(max_examples=40, deadline=None)
 @given(lattices, st.floats(0.0, 100.0))
 def test_propagator_is_unitary(lattice, t):
-    g = full_propagator(decompose(lattice), t)
+    g = full_propagator(lattice, t)
     n = lattice.num_cavities
     assert np.abs(g @ g.conj().T - np.eye(n)).max() < 1e-10
 
@@ -45,17 +45,16 @@ def test_propagator_is_unitary(lattice, t):
 @settings(max_examples=30, deadline=None)
 @given(lattices, st.floats(0.0, 100.0), st.floats(0.0, 100.0))
 def test_propagator_group_law(lattice, t1, t2):
-    decomp = decompose(lattice)
-    g1 = full_propagator(decomp, t1)
-    g2 = full_propagator(decomp, t2)
-    g12 = full_propagator(decomp, t1 + t2)
+    g1 = full_propagator(lattice, t1)
+    g2 = full_propagator(lattice, t2)
+    g12 = full_propagator(lattice, t1 + t2)
     assert np.abs(g1 @ g2 - g12).max() < 1e-9
 
 
 @settings(max_examples=40, deadline=None)
 @given(lattices, st.floats(0.0, 100.0))
 def test_propagator_symmetries_and_bound(lattice, t):
-    g = full_propagator(decompose(lattice), t)
+    g = full_propagator(lattice, t)
     assert np.array_equal(g, g.T)
     # reflection through the chain centre leaves the open chain invariant
     assert np.abs(g - np.flip(g)).max() < 1e-12
@@ -66,16 +65,15 @@ def test_propagator_symmetries_and_bound(lattice, t):
 @given(lattices, st.floats(0.0, 100.0), st.data())
 def test_columns_agree_with_matrix(lattice, t, data):
     site = data.draw(st.integers(1, lattice.num_cavities))
-    decomp = decompose(lattice)
-    (column,) = propagator(decomp, [site], [t])[:, 0]
-    full = full_propagator(decomp, t)
+    (column,) = propagator(lattice, [site], [t])[:, 0]
+    full = full_propagator(lattice, t)
     assert np.abs(column - full[:, site - 1]).max() < 1e-14
 
 
 @settings(max_examples=25, deadline=None)
 @given(lattices)
 def test_frequencies_strictly_decreasing_when_hopping_on(lattice):
-    freqs = decompose(lattice).frequencies
+    freqs = mode_frequencies(lattice)
     if lattice.hopping > 1e-6:
         assert np.all(np.diff(freqs) < 0)
     assert freqs.max() <= lattice.omega + 2 * lattice.hopping + 1e-12
@@ -86,25 +84,23 @@ def test_frequencies_strictly_decreasing_when_hopping_on(lattice):
 @given(lattice_with_noon(), st.floats(0.0, 100.0))
 def test_pair_count_and_eta_range(case, t):
     lattice, noon = case
-    decomp = decompose(lattice)
-    p = correlation_matrix(decomp, noon, [t])[0]
+    p = correlation_matrix(lattice, noon, [t])[0]
     assert abs(p.sum() - 2.0) < 1e-9
     assert p.min() >= 0.0
-    eta = tpd_degree(decomp, noon, t)
+    eta = tpd_degree(lattice, noon, t)
     assert -1e-9 < eta < 1.0 + 1e-9
-    assert abs(tpd_degree(decomp, noon, 0.0)) < 1e-12
+    assert abs(tpd_degree(lattice, noon, 0.0)) < 1e-12
 
 
 @settings(max_examples=30, deadline=None)
 @given(lattice_with_noon(), st.floats(0.0, 50.0))
 def test_weight_swap_equals_site_swap(case, t):
     lattice, noon = case
-    decomp = decompose(lattice)
-    p1 = correlation_matrix(decomp, noon, [t])[0]
+    p1 = correlation_matrix(lattice, noon, [t])[0]
     relabeled = NoonInput(
         theta=HALF_PI - noon.theta, site_r=noon.site_s, site_s=noon.site_r
     )
-    p2 = correlation_matrix(decomp, relabeled, [t])[0]
+    p2 = correlation_matrix(lattice, relabeled, [t])[0]
     assert np.abs(p1 - p2).max() < 1e-12
 
 

@@ -9,17 +9,14 @@ PACKAGE_DIR = Path(ccawalk.__file__).resolve().parent
 
 EXPECTED_ALL = {
     "LatticeSpec",
-    "SpectralDecomposition",
-    "decompose",
+    "mode_frequencies",
     "propagator",
     "propagator_block",
     "NoonInput",
-    "TpdSeries",
     "concurrence",
     "theta_for_concurrence",
     "correlation_matrix",
     "tpd_family",
-    "tpd_series",
     "TwoPhotonBasis",
     "TwoPhotonStateVector",
     "noon_state",
@@ -61,7 +58,7 @@ def test_no_module_imports_a_private_name_from_a_sibling():
 
 
 def test_guard_sees_a_private_import():
-    assert private_imports("from .lattice import _mode_sums, decompose\n") == [
+    assert private_imports("from .lattice import _mode_sums, propagator\n") == [
         ("lattice", "_mode_sums")
     ]
     assert private_imports("from . import __version__\n") == []

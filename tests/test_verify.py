@@ -4,13 +4,14 @@ import inspect
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import REPO_ROOT
 
-from ccawalk import LatticeSpec, NoonInput, verify
+from ccawalk import LatticeSpec, NoonInput, ValidationError, verify
 from ccawalk.cli import build_parser
 from ccawalk.oracle import MAX_DIMENSION, ORACLE_MAX_CAVITIES
 from ccawalk.verify import run_verification, shrink_scenario
@@ -109,6 +110,43 @@ def test_oracle_is_solved_once_and_evolved_once(monkeypatch):
     assert [len(args[2]) for args in evolves] == [25, 25]
     # eta is evaluated once, on the distinct sample times
     assert [len(args[2]) for args in families] == [25, 1]
+
+
+SMALL = LatticeSpec(num_cavities=8, omega=1.0, hopping=1.0)
+SMALL_NOON = NoonInput(theta=np.pi / 4, site_r=4, site_s=5)
+
+
+@pytest.mark.parametrize(
+    "lattice, t_max, product",
+    [
+        (SMALL, 5e307, "4 * hopping * t_max is inf"),
+        (LatticeSpec(8, omega=1.0, hopping=0.0), 1e308, "2 * t_max is inf"),
+        (LatticeSpec(8, omega=1e308, hopping=0.5), 1.0, "omega * 2 * t_max is inf"),
+        (LatticeSpec(8, omega=1.0, hopping=1e308), 0.0, "4 * hopping * t_max is nan"),
+    ],
+    ids=["oracle-phases", "composed-time", "carrier", "hopping-at-zero-window"],
+)
+def test_overflowing_window_is_refused_before_any_check(
+    monkeypatch, lattice, t_max, product
+):
+    # t1 + t2 reaches 2 t_max and the oracle's phases sigma t reach 4 J t_max
+    solves = counting(monkeypatch, "solve_by_symmetry")
+    kernels = counting(monkeypatch, "propagator")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match="^verify window") as err:
+            run_verification(lattice, SMALL_NOON, t_max=t_max)
+    assert str(err.value).endswith(f"is out of range: {product}")
+    assert "\n" not in str(err.value)
+    assert solves == kernels == []
+
+
+def test_largest_finite_window_runs_without_warnings():
+    # the report means nothing this far out; it must only be formed cleanly
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = run_verification(SMALL, SMALL_NOON, t_max=sys.float_info.max / 4.0)
+    assert len(report.checks) == 8
 
 
 def test_swapped_weights_fail_equivalence_at_fifty_cavities():
