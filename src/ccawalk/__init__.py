@@ -17,7 +17,6 @@ from .observables import (
 )
 from .oracle import (
     TwoPhotonBasis,
-    TwoPhotonStateVector,
     build_two_photon_hamiltonian,
     evolve,
     noon_state,
@@ -38,7 +37,6 @@ __all__ = [
     "correlation_matrix",
     "tpd_family",
     "TwoPhotonBasis",
-    "TwoPhotonStateVector",
     "noon_state",
     "build_two_photon_hamiltonian",
     "solve_by_symmetry",

@@ -30,10 +30,12 @@ them.  ``propagator_blocks`` is the one kernel: the real columns R_l of
 any sites over consecutive blocks of times.  It checks its inputs, forms
 the mode constants and allocates every per-block buffer once per call,
 then refills those buffers block by block.  ``propagator_block`` is its
-one-block case, one (sites, times, N) array; ``propagator`` adds the
-carrier exp(-i omega t), one factor per time, to give the complex G.  All
-functions are pure and all returned arrays are read-only, so values are
-safe to share across threads.
+one-block case, one (sites, times, N) array, and both observables read
+only these real columns.  ``propagator`` adds the carrier exp(-i omega t),
+one factor per time, to give the complex G: verify's unitarity, identity
+and group-law checks read it, and so can library users.  All functions
+are pure and all returned arrays are read-only, so values are safe to
+share across threads.
 """
 
 from __future__ import annotations

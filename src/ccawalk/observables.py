@@ -8,42 +8,39 @@ both in cavity s with amplitude cos(theta):
 restricted to 0 <= theta <= pi/2.  Its entanglement is the concurrence
 C(theta) = |sin 2 theta|.
 
-For this input the coincidence matrix (probability density of detecting one
-photon at cavity m and one at n) has the closed form
+The propagator columns are G[n, l] = exp(-i omega t) i^((n - l) mod 2) R_l[n]
+with R_l real (see ``lattice``).  Expanding the coincidence expectation
+value on the input above, the carrier and the site phases factor out of
+the two-photon amplitude and leave one real N x N matrix,
 
-    P[m, n](t) = 2 |sin(theta) G[m, r] G[n, r] + cos(theta) G[m, s] G[n, s]|^2,
+    A[m, n] = sin(theta) x_m x_n + (-1)^(r+s) cos(theta) y'_m y'_n,
 
-with both-photons-at-n probability P[n, n]/2, and the two-photon
-delocalization (TPD) degree is
+with x = R_r, y = R_s and y'_m = (-1)^((r+s) m) y_m.  Both observables are
+read off A.  The coincidence matrix (probability density of detecting one
+photon at cavity m and one at n) is the real square
 
-    eta(t) = 1 - (1/2) sum_n P[n, n](t),
+    P[m, n](t) = 2 A[m, n]^2
+               = 2 |sin(theta) G[m, r] G[n, r] + cos(theta) G[m, s] G[n, s]|^2,
 
-the probability that the photons sit in different cavities.  The weight
-assignment (sin with r, cos with s) follows from expanding the coincidence
-expectation value on the input above; ``ccawalk verify`` cross-checks it
-against the brute-force reference and flags a swapped assignment.
+with both-photons-at-n probability P[n, n]/2 = A[n, n]^2, and the
+two-photon delocalization (TPD) degree, the probability that the photons
+sit in different cavities, is
 
-With a = G[:, r]**2 and b = G[:, s]**2 (elementwise), eta has the Gram form
-
-    eta = 1 - (sin^2 theta sum|a|^2 + cos^2 theta sum|b|^2
-               + 2 sin theta cos theta Re sum a conj(b)),
-
-so angles on one site pair share one pair of columns.  The columns are
-G[n, l] = exp(-i omega t) i^((n - l) mod 2) R_l[n] with R_l real (see
-``lattice``), so a[n] = (-1)^(n-r) exp(-2 i omega t) R_r[n]**2 and eta is
-all-real:
-
-    eta = sin^2 theta (1 - sum R_r^4) + cos^2 theta (1 - sum R_s^4)
-          - 2 (-1)^(r+s) sin theta cos theta sum R_r^2 R_s^2,
+    eta(t) = 1 - sum_n A[n, n]^2
+           = sin^2 theta (1 - sum x^4) + cos^2 theta (1 - sum y^4)
+             - 2 (-1)^(r+s) sin theta cos theta sum x^2 y^2,
 
 with the 1 folded into the first two terms (sin^2 + cos^2 = 1): G(0) = I
-gives eta(0) = 0 exactly.
+gives eta(0) = 0 exactly.  The weight assignment (sin with r, cos with s)
+is what ``ccawalk verify`` cross-checks against the brute-force reference;
+it flags a swapped assignment.
 
 Everything here is pure, takes the ``LatticeSpec`` itself and returns
 plain read-only arrays: ``tpd_family`` one (inputs, times) eta array,
-``correlation_matrix`` one (times, N, N) array.  Eta costs O(N log N) per
-time point, driven by the two real propagator columns r and s; the
-coincidence matrix is O(N^2).
+``correlation_matrix`` one (times, N, N) array.  Both read the two real
+columns r and s from the one kernel.  Eta costs O(N log N) per time
+point and the coincidence matrix O(N^2); angles on one site pair share
+one pair of columns.
 """
 
 from __future__ import annotations
@@ -60,7 +57,7 @@ from .errors import (
     checked_int,
     checked_real,
 )
-from .lattice import LatticeSpec, propagator, propagator_blocks
+from .lattice import LatticeSpec, propagator_block, propagator_blocks
 
 
 @dataclass(frozen=True)
@@ -103,23 +100,25 @@ def theta_for_concurrence(c: float, branch: str = "low") -> float:
 
 
 def correlation_matrix(lattice: LatticeSpec, noon: NoonInput, times) -> np.ndarray:
-    """Coincidence matrices P[m, n](t) for the NOON-type input, one per time.
+    """Coincidence matrices P[m, n](t) = 2 A[m, n]^2 for the NOON-type input.
 
-    Uses only the two propagator columns r and s, from one kernel call over
-    every time, then two outer products per time: O(N^2) each.  Returns a
-    read-only (len(times), N, N) array whose matrices are symmetric by
-    construction and sum to 2 up to roundoff (a consequence of propagator
+    Reads the real columns x = R_r and y = R_s from one kernel call over
+    every time, then forms A per time from two outer products: O(N^2)
+    each.  Every product x_m x_n is formed before it is scaled, so P is
+    symmetric bit for bit.  Returns a read-only (len(times), N, N) array
+    whose matrices sum to 2 up to roundoff (a consequence of propagator
     unitarity); each depends on its own time alone, bit for bit.
     """
-    g_r, g_s = propagator(lattice, [noon.site_r, noon.site_s], times)
-    w_r, w_s = sin(noon.theta), cos(noon.theta)
-    amplitude = w_r * (g_r[:, :, None] * g_r[:, None, :]) + w_s * (
-        g_s[:, :, None] * g_s[:, None, :]
-    )
-    p = 2.0 * (amplitude.real**2 + amplitude.imag**2)
-    # vectorized complex multiplies are not lane-commutative in the last ulp,
-    # so force index symmetry explicitly
-    p = 0.5 * (p + p.transpose(0, 2, 1))
+    r, s = noon.site_r, noon.site_s
+    x, y = propagator_block(lattice, [r, s], times)
+    y = y * (-1.0) ** ((r + s) * np.arange(1, lattice.num_cavities + 1))  # y'
+    p = x[:, :, None] * x[:, None, :]
+    p *= sin(noon.theta)
+    yy = y[:, :, None] * y[:, None, :]
+    yy *= (-1.0) ** (r + s) * cos(noon.theta)
+    p += yy
+    np.square(p, out=p)
+    p *= 2.0
     p.setflags(write=False)
     return p
 

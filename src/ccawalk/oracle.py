@@ -29,10 +29,11 @@ free-boson structure, and the SVD is a generic dense factorization, so the
 reference stays independent of the path it checks; a matrix without both
 symmetries is refused, never split.
 
-A ``TwoPhotonStateVector`` (``noon_state`` makes one) is the validated
-input of ``evolve``, which returns plain read-only (T, D) amplitudes, one
-state per row, whose norms it checks once; ``oracle_correlation`` reads
-every row's coincidence matrix off them in one gather.
+States are plain complex arrays.  ``evolve`` takes one (D,) state, as
+``noon_state`` makes it, and refuses any other shape or a norm off 1
+beyond 1e-12; it returns read-only (T, D) amplitudes, one state per row,
+whose norms it checks once; ``oracle_correlation`` reads every row's
+coincidence matrix off them in one gather.
 
 Basis convention: label (m, n) with m <= n is the normalized state with one
 photon at m and one at n (m < n), or two photons at m (m == n).  The
@@ -105,40 +106,25 @@ class TwoPhotonBasis:
         return int(self.pair_index[m - 1, n - 1])
 
 
-@dataclass(frozen=True)
-class TwoPhotonStateVector:
-    """Unit-norm complex amplitudes over a TwoPhotonBasis."""
-
-    basis: TwoPhotonBasis
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.shape != (self.basis.dimension,):
-            raise ValidationError(
-                f"amplitude vector must have length {self.basis.dimension}, "
-                f"got shape {amps.shape}"
-            )
-        _check_unit_norm(amps)
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
-
-
 def _check_unit_norm(amplitudes: np.ndarray) -> None:
-    """Refuse a state, or a (T, D) array of states, off unit norm beyond 1e-12."""
+    """Refuse one state or (T, D) states whose norm is nan or off 1 beyond 1e-12."""
     norms = np.linalg.norm(np.atleast_2d(amplitudes), axis=1)
-    off = np.flatnonzero(np.abs(norms - 1.0) > NORM_TOLERANCE)
+    off = np.flatnonzero(~(np.abs(norms - 1.0) <= NORM_TOLERANCE))
     if off.size:
         norm = norms[off[0]]
         raise ValidationError(f"state norm {norm} deviates from 1 beyond 1e-12")
 
 
-def noon_state(basis: TwoPhotonBasis, noon: NoonInput) -> TwoPhotonStateVector:
-    """The NOON-type input as a basis vector: sin(theta) on (r, r), cos(theta) on (s, s)."""
+def noon_state(basis: TwoPhotonBasis, noon: NoonInput) -> np.ndarray:
+    """The NOON-type input as read-only complex (D,) amplitudes over ``basis``.
+
+    sin(theta) on the label (r, r), cos(theta) on (s, s), 0 elsewhere.
+    """
     amps = np.zeros(basis.dimension, dtype=complex)
     amps[basis.index(noon.site_r, noon.site_r)] = np.sin(noon.theta)
     amps[basis.index(noon.site_s, noon.site_s)] = np.cos(noon.theta)
-    return TwoPhotonStateVector(basis=basis, amplitudes=amps)
+    amps.setflags(write=False)
+    return amps
 
 
 class HamiltonianEntries(NamedTuple):
@@ -424,27 +410,29 @@ def solve_by_symmetry(
     return TwoPhotonSolution(basis, center, evals, pairs, fixed, blocks)
 
 
-def evolve(
-    state: TwoPhotonStateVector, solution: TwoPhotonSolution, times
-) -> np.ndarray:
-    """Exact evolution exp(-i H t) |state> to every entry of ``times``.
+def evolve(amplitudes, solution: TwoPhotonSolution, times) -> np.ndarray:
+    """Exact evolution exp(-i H t) of one state to every entry of ``times``.
 
-    ``solution`` comes from ``solve_by_symmetry``; solve once and evolve
-    every time in one call.  The state is projected onto the two mirror
-    blocks once, each block advances all times with one real product per
-    sublattice side, and the carrier exp(-i d t) is one factor per time.
-    Returns a read-only (len(times), D) complex array, one state per row,
-    whose norms are checked once to lie within 1e-12 of 1.
+    ``amplitudes`` is one state over the solved basis, complex (D,) and of
+    unit norm within 1e-12, as ``noon_state`` makes it; any other shape or
+    norm is refused.  ``solution`` comes from ``solve_by_symmetry``; solve
+    once and evolve every time in one call.  The state is projected onto
+    the two mirror blocks once, each block advances all times with one real
+    product per sublattice side, and the carrier exp(-i d t) is one factor
+    per time.  Returns a read-only (len(times), D) complex array, one state
+    per row, whose norms are checked once to lie within 1e-12 of 1.
     """
-    if state.basis.dimension != solution.basis.dimension:
+    d = solution.basis.dimension
+    amps = np.asarray(amplitudes, dtype=complex)
+    if amps.shape != (d,):
         raise ValidationError(
-            f"state dimension {state.basis.dimension} does not match the "
-            f"solved dimension {solution.basis.dimension}"
+            f"state must have shape ({d},) to match the solved dimension {d}, "
+            f"got shape {amps.shape}"
         )
+    _check_unit_norm(amps)
     times = np.array([checked_real(t, "time") for t in times], dtype=float)
     mirror = solution.basis.mirror
     pairs, images, fixed = solution.pairs, mirror[solution.pairs], solution.fixed
-    amps = state.amplitudes
     lo, hi = amps[pairs], amps[images]
     even, odd = solution.blocks
     even_t = even.evolve(np.concatenate(((lo + hi) * sqrt(0.5), amps[fixed])), times)

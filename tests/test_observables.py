@@ -113,6 +113,29 @@ class TestCorrelationMatrix:
         p = correlation_matrix(lattice, noon, [7.2])[0]
         assert np.array_equal(p, p.T)
 
+    @pytest.mark.parametrize("n", [2, 3, 8, 29, 50])
+    @pytest.mark.parametrize(
+        "hopping, times", [(0.7, [0.0, 0.7, -0.7, 83.57]), (0.01, [1e4, -1e4])]
+    )
+    def test_real_square_matches_complex_columns(self, n, hopping, times):
+        # site pairs of both parities, r > s and the chain ends: the sign
+        # (-1)^((r+s) m) on R_s must reproduce the site phases of G
+        lattice = LatticeSpec(num_cavities=n, omega=1.0, hopping=hopping)
+        sites = range(1, n + 1)
+        pairs = {(1, n), (n, 1), (1, 2), (1, 3), (n, n - 2), (n // 2 + 1, n // 2)}
+        pairs = sorted((r, s) for r, s in pairs if r != s and r in sites and s in sites)
+        assert len({(r + s) % 2 for r, s in pairs}) == (1 if n == 2 else 2)
+        for r, s in pairs:
+            g_r, g_s = propagator(lattice, [r, s], times)
+            for theta in (0.0, 0.3927, PI / 4, 1.2, PI / 2):
+                p = correlation_matrix(lattice, NoonInput(theta, r, s), times)
+                amplitude = np.sin(theta) * (g_r[:, :, None] * g_r[:, None, :]) + (
+                    np.cos(theta) * (g_s[:, :, None] * g_s[:, None, :])
+                )
+                expected = 2.0 * np.abs(amplitude) ** 2
+                assert np.abs(p - expected).max() <= 1e-14, (r, s, theta)
+                assert np.array_equal(p, p.transpose(0, 2, 1)), (r, s, theta)
+
     @pytest.mark.parametrize("t", [0.0, 1.7, 23.9, 83.57])
     def test_pair_normalization(self, t):
         lattice = LatticeSpec(num_cavities=29, omega=1.0, hopping=1.0)

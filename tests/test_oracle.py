@@ -1,5 +1,5 @@
 import tracemalloc
-from math import sqrt
+from math import isqrt, sqrt
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from ccawalk import (
     LatticeSpec,
     NoonInput,
     TwoPhotonBasis,
-    TwoPhotonStateVector,
     ValidationError,
     build_two_photon_hamiltonian,
     correlation_matrix,
@@ -26,13 +25,18 @@ from conftest import dense_hamiltonian, hamiltonian_entries, pair_labels
 def dense_evolve(state, h, times):
     """Reference evolution: one dense ``np.linalg.eigh`` of the whole H."""
     evals, evecs = np.linalg.eigh(h)
-    modes = evecs.conj().T @ state.amplitudes
+    modes = evecs.conj().T @ state
     return [evecs @ (np.exp(-1j * evals * t) * modes) for t in times]
+
+
+def basis_of(state):
+    """The pair basis whose dimension N (N + 1) / 2 is the state's length."""
+    return TwoPhotonBasis((isqrt(8 * state.size + 1) - 1) // 2)
 
 
 def solved_evolve(state, h, times):
     """Amplitudes at each time through ``solve_by_symmetry`` and ``evolve``."""
-    solution = solve_by_symmetry(h, state.basis)
+    solution = solve_by_symmetry(h, basis_of(state))
     return evolve(state, solution, times)
 
 
@@ -58,7 +62,7 @@ def worst(deviation):
 
 def random_state(basis, rng):
     raw = rng.normal(size=basis.dimension) + 1j * rng.normal(size=basis.dimension)
-    return TwoPhotonStateVector(basis, raw / np.linalg.norm(raw))
+    return raw / np.linalg.norm(raw)
 
 
 def loop_hamiltonian(lattice):
@@ -84,11 +88,10 @@ def loop_hamiltonian(lattice):
     return h
 
 
-def loop_correlation(state):
+def loop_correlation(basis, state):
     """Reference coincidences: one Python pass over the labels."""
-    basis = state.basis
     n = basis.num_cavities
-    probs = np.abs(state.amplitudes) ** 2
+    probs = np.abs(state) ** 2
     p = np.zeros((n, n))
     for i, (m, k) in enumerate(pair_labels(n)):
         if m == k:
@@ -571,23 +574,32 @@ class TestSolveBySymmetry:
 
 
 class TestStateVector:
-    def test_rejects_unnormalized(self):
-        basis = TwoPhotonBasis(2)
-        with pytest.raises(ValidationError):
-            TwoPhotonStateVector(basis, np.array([1.0, 1.0, 0.0]))
+    LATTICE = LatticeSpec(num_cavities=2, omega=1.0, hopping=0.5)
+    SOLUTION = solve_by_symmetry(build_two_photon_hamiltonian(LATTICE), TwoPhotonBasis(2))
 
-    def test_rejects_wrong_length(self):
-        basis = TwoPhotonBasis(2)
-        with pytest.raises(ValidationError):
-            TwoPhotonStateVector(basis, np.array([1.0, 0.0]))
+    # no time to evolve to: the input itself is still checked
+    @pytest.mark.parametrize("times", [[0.0, 1.0], []])
+    @pytest.mark.parametrize("first", [1.0, float("nan")])
+    def test_rejects_unnormalized(self, times, first):
+        with pytest.raises(ValidationError, match="^state norm .* beyond 1e-12$"):
+            evolve(np.array([first, 1.0, 0.0]), self.SOLUTION, times)
+
+    @pytest.mark.parametrize(
+        "state", [np.array([1.0, 0.0]), np.zeros(4), np.eye(3)[:1], np.array(1.0)]
+    )
+    def test_rejects_wrong_length(self, state):
+        with pytest.raises(ValidationError, match=r"shape \(3,\) .* dimension 3,"):
+            evolve(state, self.SOLUTION, [0.0])
 
     def test_noon_state_amplitudes(self):
         basis = TwoPhotonBasis(4)
         theta = 0.6
         state = noon_state(basis, NoonInput(theta=theta, site_r=2, site_s=3))
-        assert state.amplitudes[basis.index(2, 2)] == pytest.approx(np.sin(theta))
-        assert state.amplitudes[basis.index(3, 3)] == pytest.approx(np.cos(theta))
-        assert np.count_nonzero(state.amplitudes) == 2
+        assert state.shape == (basis.dimension,) and state.dtype == complex
+        assert not state.flags.writeable
+        assert state[basis.index(2, 2)] == pytest.approx(np.sin(theta))
+        assert state[basis.index(3, 3)] == pytest.approx(np.cos(theta))
+        assert np.count_nonzero(state) == 2
 
     def test_noon_state_rejects_site_beyond_basis(self):
         with pytest.raises(ValidationError):
@@ -600,7 +612,7 @@ class TestEvolve:
         h = build_two_photon_hamiltonian(lattice)
         state = noon_state(TwoPhotonBasis(4), NoonInput(theta=0.4, site_r=1, site_s=3))
         (evolved,) = solved_evolve(state, h, [0.0])
-        assert np.abs(evolved - state.amplitudes).max() < 1e-12
+        assert np.abs(evolved - state).max() < 1e-12
 
     def test_no_hopping_gives_global_phase(self):
         omega = 1.3
@@ -609,10 +621,10 @@ class TestEvolve:
         state = noon_state(TwoPhotonBasis(4), NoonInput(theta=0.9, site_r=2, site_s=4))
         t = 7.7
         (evolved,) = solved_evolve(state, h, [t])
-        expected = np.exp(-2j * omega * t) * state.amplitudes
+        expected = np.exp(-2j * omega * t) * state
         assert np.abs(evolved - expected).max() < 1e-12
         assert np.abs(
-            np.abs(evolved) ** 2 - np.abs(state.amplitudes) ** 2
+            np.abs(evolved) ** 2 - np.abs(state) ** 2
         ).max() < 1e-12
 
     def test_norm_preserved_over_long_times(self):
@@ -690,7 +702,7 @@ class TestEvolve:
         state = random_state(basis, rng)
         times = (0.0, 0.3, 4.1, 17.0, 50.0)
         for t, evolved in zip(times, route(state, operand, times)):
-            expected = expm(-1j * h * t) @ state.amplitudes
+            expected = expm(-1j * h * t) @ state
             assert np.abs(evolved - expected).max() < 1e-12
 
     def test_dimension_mismatch(self):
@@ -719,7 +731,7 @@ class TestOracleCorrelation:
     def test_initial_noon_state(self):
         basis = TwoPhotonBasis(6)
         state = noon_state(basis, NoonInput(theta=np.pi / 4, site_r=2, site_s=5))
-        p = oracle_correlation(basis, state.amplitudes)
+        p = oracle_correlation(basis, state)
         assert p[1, 1] == pytest.approx(1.0, abs=1e-15)
         assert p[4, 4] == pytest.approx(1.0, abs=1e-15)
         assert p.sum() == pytest.approx(2.0, abs=1e-12)
@@ -731,7 +743,7 @@ class TestOracleCorrelation:
         amps = np.zeros(basis.dimension, dtype=complex)
         for pair in ((1, 2), (1, 3), (2, 3)):
             amps[basis.index(*pair)] = 1.0 / np.sqrt(3.0)
-        p = oracle_correlation(basis, TwoPhotonStateVector(basis, amps).amplitudes)
+        p = oracle_correlation(basis, amps)
         off = p[~np.eye(3, dtype=bool)]
         assert np.allclose(off, 1.0 / 3.0, atol=1e-12)
         assert np.all(p.diagonal() == 0.0)
@@ -741,10 +753,9 @@ class TestOracleCorrelation:
     def test_bitwise_equal_to_loop_reference(self, n):
         rng = np.random.default_rng(n)
         basis = TwoPhotonBasis(n)
-        raw = rng.normal(size=basis.dimension) + 1j * rng.normal(size=basis.dimension)
-        state = TwoPhotonStateVector(basis, raw / np.linalg.norm(raw))
-        p = oracle_correlation(basis, state.amplitudes)
-        assert p.tobytes() == loop_correlation(state).tobytes()
+        state = random_state(basis, rng)
+        p = oracle_correlation(basis, state)
+        assert p.tobytes() == loop_correlation(basis, state).tobytes()
         assert not p.flags.writeable
 
     @pytest.mark.parametrize("n", [2, 5, 8])
@@ -768,6 +779,5 @@ class TestOracleCorrelation:
     def test_random_state_total_pair_count(self):
         rng = np.random.default_rng(3)
         basis = TwoPhotonBasis(5)
-        raw = rng.normal(size=basis.dimension) + 1j * rng.normal(size=basis.dimension)
-        state = TwoPhotonStateVector(basis, raw / np.linalg.norm(raw))
-        assert abs(oracle_correlation(basis, state.amplitudes).sum() - 2.0) < 1e-12
+        state = random_state(basis, rng)
+        assert abs(oracle_correlation(basis, state).sum() - 2.0) < 1e-12

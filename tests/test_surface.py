@@ -18,7 +18,6 @@ EXPECTED_ALL = {
     "correlation_matrix",
     "tpd_family",
     "TwoPhotonBasis",
-    "TwoPhotonStateVector",
     "noon_state",
     "build_two_photon_hamiltonian",
     "solve_by_symmetry",
