@@ -44,8 +44,6 @@ EXIT_VALIDATION = 1
 EXIT_VERIFICATION = 2
 EXIT_IO = 3
 
-BLOCK_ROWS = 4096  # rows rendered and written at a time
-
 
 class _Parser(argparse.ArgumentParser):
     """ArgumentParser that reports usage problems as validation errors."""
@@ -159,35 +157,18 @@ def _parse_float_list(text: str, name: str) -> list[float]:
     return values
 
 
-def _grid_blocks(outer, inner, values):
-    """Rows of a K x T table in row-major order, at most BLOCK_ROWS at a time.
-
-    Row k*T + j holds every ``outer`` column (length K) at k, every
-    ``inner`` column (length T) at j, then ``values[k][j]``; ``values`` is
-    any sequence of K rows.  A block never spans two k, so the outer
-    columns arrive as 0-d values and the inner ones as slices: no K x T
-    copy of any column is ever made.
-    """
-    for k, row in enumerate(values):
-        head = [c[k] for c in outer]
-        for start in range(0, len(row), BLOCK_ROWS):
-            block = slice(start, start + BLOCK_ROWS)
-            yield head + [c[block] for c in inner] + [row[block]]
-
-
 def _emit(
-    cfg: ScenarioConfig, args, command: str, extra: dict, columns, blocks
+    cfg: ScenarioConfig, args, command: str, extra: dict, columns, outer, inner, values
 ) -> None:
     prov = provenance(command, __version__, config_to_dict(cfg), extra)
-    text = render(cfg.output.format, prov, columns, blocks)
+    text = render(cfg.output.format, prov, columns, outer, inner, values)
     write_text(text, _out_path(args, cfg))
 
 
 def cmd_spectrum(cfg: ScenarioConfig, args) -> int:
     freqs = mode_frequencies(cfg.lattice)
     modes = np.arange(1, freqs.size + 1)
-    blocks = _grid_blocks([], [modes], freqs[None])
-    _emit(cfg, args, "spectrum", {}, ["k", "Omega_k"], blocks)
+    _emit(cfg, args, "spectrum", {}, ["k", "Omega_k"], [], [modes], freqs[None])
     return EXIT_OK
 
 
@@ -204,8 +185,7 @@ def cmd_correlation(cfg: ScenarioConfig, args) -> int:
         "theta": noon.theta,
         "concurrence": concurrence(noon),
     }
-    blocks = _grid_blocks([sites], [sites], p)
-    _emit(cfg, args, "correlation", extra, ["m", "n", "P_mn"], blocks)
+    _emit(cfg, args, "correlation", extra, ["m", "n", "P_mn"], [sites], [sites], p)
     return EXIT_OK
 
 
@@ -215,8 +195,7 @@ def cmd_tpd(cfg: ScenarioConfig, args) -> int:
     eta = tpd_family(cfg.lattice, [noon], t)
     times = [t, t * cfg.lattice.omega, t * cfg.lattice.hopping]
     extra = {"theta": noon.theta, "concurrence": concurrence(noon)}
-    blocks = _grid_blocks([], times, eta)
-    _emit(cfg, args, "tpd", extra, ["t", "omega_t", "J_t", "eta"], blocks)
+    _emit(cfg, args, "tpd", extra, ["t", "omega_t", "J_t", "eta"], [], times, eta)
     return EXIT_OK
 
 
@@ -245,10 +224,9 @@ def cmd_sweep(cfg: ScenarioConfig, args) -> int:
     noons = [NoonInput(theta=theta, site_r=site_r, site_s=site_s) for theta in thetas]
     t = cfg.time_grid()
     eta = tpd_family(cfg.lattice, noons, t)
-    angles = [np.array(thetas), np.array([concurrence(noon) for noon in noons])]
-    blocks = _grid_blocks(angles, [t], eta)
-    extra = {"thetas": thetas}
-    _emit(cfg, args, "sweep", extra, ["theta", "concurrence", "t", "eta"], blocks)
+    angles = [thetas, [concurrence(noon) for noon in noons]]
+    columns = ["theta", "concurrence", "t", "eta"]
+    _emit(cfg, args, "sweep", {"thetas": thetas}, columns, angles, [t], eta)
     return EXIT_OK
 
 

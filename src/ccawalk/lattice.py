@@ -45,7 +45,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, checked_array, checked_int, checked_real
+from .errors import (
+    ValidationError,
+    checked_array,
+    checked_int,
+    checked_products,
+    checked_real,
+)
 
 # bounds the N x N outputs: correlation writes N^2 rows, 25 million at this size
 MAX_CAVITIES = 5000
@@ -90,10 +96,18 @@ def mode_frequencies(lattice: LatticeSpec) -> np.ndarray:
 
     Decreasing in k and confined to [omega - 2J, omega + 2J].  O(N); the
     propagator never reads them, since the sine transform is never built.
+    A band edge beyond the double range is refused, not returned as inf.
     """
     n = lattice.num_cavities
     k = np.arange(1, n + 1, dtype=float)
-    freqs = lattice.omega + 2.0 * lattice.hopping * np.cos(k * (np.pi / (n + 1)))
+    with np.errstate(over="ignore"):
+        freqs = lattice.omega + lattice.hopping * (2.0 * np.cos(k * (np.pi / (n + 1))))
+    edge = np.flatnonzero(~np.isfinite(freqs))
+    if edge.size:
+        raise ValidationError(
+            f"mode frequency Omega_{edge[0] + 1} = omega + 2 J cos(pi {edge[0] + 1}/"
+            f"{n + 1}) overflows at omega {lattice.omega}, J {lattice.hopping}"
+        )
     return _readonly(freqs)
 
 
@@ -107,12 +121,16 @@ def propagator_blocks(
     read-only (len(sites), block length, N) array of ``propagator_block``
     for those times.  ``columns`` is a view of one buffer that the next
     block overwrites, so read or copy it before advancing.  Sites and times
-    are checked once, and the mode constants and buffers are made once per
-    call; every row is bit for bit the row a one-time call gives.
+    are checked once, and a time whose mode phase 2 J t is not finite is
+    refused; the mode constants and buffers are made once per call, and
+    every row is bit for bit the row a one-time call gives.
     """
     n = lattice.num_cavities
     index = checked_array(sites, "cavity index", int, 1, n).tolist()
     times = checked_array(times, "time")
+    reach = float(np.abs(times).max())
+    phase = 2.0 * (lattice.hopping * reach)  # formed as the kernel forms it
+    checked_products(f"time {reach}", [("2 * hopping * t", phase)])
     if block_times is None:
         size = times.size
     else:
@@ -153,10 +171,14 @@ def propagator(lattice: LatticeSpec, sites, times) -> np.ndarray:
 
     ``propagator_block`` times exp(-i omega t) i^((j - l) mod 2), in its
     layout.  Over all sites, ``[:, k]`` is the whole matrix G(t_k), exactly
-    symmetric, and depends on t_k alone, bit for bit.
+    symmetric, and depends on t_k alone, bit for bit.  A time whose
+    carrier phase omega t is not finite is refused.
     """
     real = propagator_block(lattice, sites, times)
-    carrier = np.exp(-1j * lattice.omega * np.asarray(times, dtype=float))
+    times = np.asarray(times, dtype=float)
+    reach = float(np.abs(times).max())
+    checked_products(f"time {reach}", [("omega * t", lattice.omega * reach)])
+    carrier = np.exp(-1j * lattice.omega * times)
     odd = (np.arange(1, lattice.num_cavities + 1) - np.asarray(sites)[:, None]) % 2
     return _readonly(real * (carrier[:, None] * np.where(odd, 1j, 1.0)[:, None]))
 
@@ -200,7 +222,6 @@ def _mode_sums(
     cos_theta = np.cos(theta)
     cos_theta[mirrored:] = 0.0  # an odd chain's middle mode: cos(pi/2) reads 6e-17
     two_sin_theta = 2.0 * np.sin(theta)
-    rate = 2.0 * lattice.hopping
     size = min(block_times, times.size)
     phases, cos_a, sin_a = np.empty((3, size, half))
     y = np.zeros((size, m))  # y_0 is never written, so it stays 0
@@ -210,7 +231,7 @@ def _mode_sums(
         t = times[start : start + size]
         rows = t.size
         a, c, s = phases[:rows], cos_a[:rows], sin_a[:rows]
-        np.multiply((rate * t)[:, None], cos_theta, out=a)
+        np.multiply((2.0 * (lattice.hopping * t))[:, None], cos_theta, out=a)
         np.cos(a, out=c)
         np.sin(a, out=s)
         first_odd = np.sum(np.multiply(s, cos_theta, out=a), axis=1) * (-2.0 / m)

@@ -50,7 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ValidationError, checked_int, checked_real
+from .errors import ValidationError, checked_int, checked_products, checked_real
 from .lattice import LatticeSpec
 from .observables import NoonInput
 
@@ -153,7 +153,7 @@ def build_two_photon_hamiltonian(lattice: LatticeSpec) -> HamiltonianEntries:
     ValidationError
         If the sector dimension N (N + 1) / 2 exceeds 5000; the dense SVD
         blocks and time-by-label arrays of the solve stop being cheap past
-        that point.
+        that point.  Also if an entry, 2 omega or sqrt(2) J, is not finite.
     """
     n = lattice.num_cavities
     d = n * (n + 1) // 2
@@ -162,8 +162,13 @@ def build_two_photon_hamiltonian(lattice: LatticeSpec) -> HamiltonianEntries:
             f"two-photon sector dimension {d} exceeds the dense-storage guard "
             f"{MAX_DIMENSION} (N={n})"
         )
+    diagonal, boosted_hop = 2.0 * lattice.omega, lattice.hopping * sqrt(2.0)
+    checked_products(
+        "two-photon Hamiltonian",
+        (("entry 2 * omega", diagonal), ("entry sqrt(2) * hopping", boosted_hop)),
+    )
     labels = np.arange(d)
-    rows, cols, values = [labels], [labels], [np.full(d, 2.0 * lattice.omega)]
+    rows, cols, values = [labels], [labels], [np.full(d, diagonal)]
     if lattice.hopping != 0.0:
         pair_index = TwoPhotonBasis(n).pair_index
         # Every hop is a photon at site a moving to a + 1 while its partner
@@ -177,7 +182,7 @@ def build_two_photon_hamiltonian(lattice: LatticeSpec) -> HamiltonianEntries:
         a = np.arange(n - 1)[:, None]
         b = np.arange(n)
         boosted = ((b == a) | (b == a + 1)).ravel()
-        amplitude = np.where(boosted, lattice.hopping * sqrt(2.0), lattice.hopping)
+        amplitude = np.where(boosted, boosted_hop, lattice.hopping)
         rows += [dst, src]
         cols += [src, dst]
         values += [amplitude, amplitude]
@@ -332,7 +337,8 @@ def solve_by_symmetry(
         nonzero entries at sorted, distinct, in-range positions, or breaks
         any of the conditions above; the mirror is checked first.  Such a
         matrix is never split.  Also if a block's SVD does not converge, as
-        for entries near the largest double.
+        for entries near the largest double, or if a band edge d +- sigma
+        is not finite.
     """
     d = basis.dimension
     rows, cols, values = (np.asarray(part) for part in h[1:])
@@ -404,6 +410,9 @@ def solve_by_symmetry(
     )
     center = float(diagonal[0])
     sigma = np.concatenate([block.sigma for block in blocks])
+    edge = float(sigma.max(initial=0.0))
+    bounds = (("d - sigma", center - edge), ("d + sigma", center + edge))
+    checked_products("two-photon spectrum", bounds)
     unpaired = np.full(d - 2 * sigma.size, center)
     evals = np.sort(np.concatenate((center - sigma, unpaired, center + sigma)))
     evals.setflags(write=False)
@@ -420,7 +429,9 @@ def evolve(amplitudes, solution: TwoPhotonSolution, times) -> np.ndarray:
     the two mirror blocks once, each block advances all times with one real
     product per sublattice side, and the carrier exp(-i d t) is one factor
     per time.  Returns a read-only (len(times), D) complex array, one state
-    per row, whose norms are checked once to lie within 1e-12 of 1.
+    per row, whose norms are checked once to lie within 1e-12 of 1.  A time
+    whose carrier phase d t or largest block phase sigma t is not finite is
+    refused before any state is formed.
     """
     d = solution.basis.dimension
     amps = np.asarray(amplitudes, dtype=complex)
@@ -431,6 +442,10 @@ def evolve(amplitudes, solution: TwoPhotonSolution, times) -> np.ndarray:
         )
     _check_unit_norm(amps)
     times = np.array([checked_real(t, "time") for t in times], dtype=float)
+    reach = float(np.abs(times).max(initial=0.0))
+    sigma = max(float(block.sigma.max(initial=0.0)) for block in solution.blocks)
+    phases = (("diagonal * t", solution.diagonal * reach), ("sigma * t", sigma * reach))
+    checked_products(f"time {reach}", phases)
     mirror = solution.basis.mirror
     pairs, images, fixed = solution.pairs, mirror[solution.pairs], solution.fixed
     lo, hi = amps[pairs], amps[images]

@@ -8,13 +8,14 @@ the full config as one-line JSON.  JSON output mirrors the same rows as an
 array of records under a "provenance" header object, laid out exactly as
 ``json.dumps(doc, indent=2, sort_keys=True)`` would lay it out.
 
-Rows arrive as blocks of numpy columns.  ``render`` turns each block into
-one text chunk with a single %-template over the block's ``.tolist()``
-values; a column that is constant over the block arrives as a 0-d value
-and is formatted into the template once.  ``write_text`` streams the
-chunks into a temporary file that replaces the target only once it is
-complete, so a file is never held in memory whole and an ``--out`` file
-is still either complete or absent.
+A table arrives whole, as K x T numpy arrays: ``render`` walks it in
+row-major order, at most ``BLOCK_ROWS`` rows of one outer index k at a
+time, and turns each block into one text chunk with a single %-template
+over the block's ``.tolist()`` values; the outer columns' values at k are
+formatted into the template once, not once per row.  ``write_text``
+streams the chunks into a temporary file that replaces the target only
+once it is complete, so a file is never held in memory whole and an
+``--out`` file is still either complete or absent.
 """
 
 from __future__ import annotations
@@ -26,7 +27,10 @@ import stat
 import sys
 from typing import Any, Iterable, Iterator, Sequence
 
+import numpy as np
+
 FLOAT_FORMAT = ".17g"
+BLOCK_ROWS = 4096  # rows rendered and written at a time
 
 
 def format_value(value: Any) -> str:
@@ -67,61 +71,55 @@ def _row_major(values: Sequence[list]) -> tuple:
     return tuple(flat)
 
 
-def _fill(cells) -> tuple[list[str], int, tuple]:
-    """A block's template slots, its row count and its template arguments.
+def _blocks(outer, inner, values, literal, column, order) -> Iterator[tuple]:
+    """Template slots, row count and template arguments of each row block.
 
-    ``cells`` holds one (slot, values) pair per column.  A 0-d column comes
-    as its own literal with values None, so it is formatted once per block
-    instead of once per row.
+    Row k*T + j holds every ``outer`` column at k, every ``inner`` column
+    at j, then ``values[k][j]``, and ``order`` lists the columns in
+    template order.  A block holds at most ``BLOCK_ROWS`` rows of one k:
+    each outer value at k is formatted once, as the literal text
+    ``literal`` makes of it, and ``column`` gives the slot and the values
+    of every other column's slice.
     """
-    slots = [slot for slot, _ in cells]
-    values = [column for _, column in cells if column is not None]
-    return slots, len(values[0]), _row_major(values)
+    heads = [np.asarray(c).tolist() for c in outer]
+    for k, row in enumerate(values):
+        head = [(literal(c[k]), None) for c in heads]  # a number holds no '%'
+        for start in range(0, len(row), BLOCK_ROWS):
+            block = slice(start, start + BLOCK_ROWS)
+            cells = head + [column(c[block]) for c in inner] + [column(row[block])]
+            cells = [cells[i] for i in order]
+            args = [data for _, data in cells if data is not None]
+            yield [slot for slot, _ in cells], len(args[0]), _row_major(args)
 
 
-def _literal(text: str) -> tuple[str, None]:
-    return text.replace("%", "%%"), None
-
-
-def _csv_column(column) -> tuple[str, list | None]:
-    """Template slot and values of one column; a 0-d column is a literal."""
-    if column.ndim == 0:
-        return _literal(format_value(column.tolist()))
+def _csv_column(column) -> tuple[str, list]:
     return ("%d" if column.dtype.kind in "iu" else "%" + FLOAT_FORMAT), column.tolist()
 
 
 def _csv_chunks(prov: dict, columns: list[str], blocks) -> Iterator[str]:
     yield "\n".join(_comment_lines(prov) + [",".join(columns)]) + "\n"
-    for block in blocks:
-        slots, rows, values = _fill([_csv_column(c) for c in block])
+    for slots, rows, values in blocks:
         yield (",".join(slots) + "\n") * rows % values
 
 
-def _json_column(column) -> tuple[str, list | None]:
+def _json_column(column) -> tuple[str, list]:
     """Template slot and values of one column, as ``json.dumps`` prints them.
 
     ``%r`` of a Python int or finite float is what the encoder writes; a
     float column holding NaN or an infinity takes the encoder's own names.
-    A 0-d column is a literal.
     """
     values = column.tolist()
-    if column.ndim == 0:
-        return _literal(json.dumps(values))
     if column.dtype.kind == "f" and not (abs(column) < float("inf")).all():
         return "%s", [json.dumps(v) for v in values]
     return "%r", values
 
 
-def _json_chunks(prov: dict, columns: list[str], blocks) -> Iterator[str]:
+def _json_chunks(prov: dict, keys: list[str], blocks) -> Iterator[str]:
     head = json.dumps({"provenance": prov, "records": []}, indent=2, sort_keys=True)
     yield head[: -len("]\n}")]  # ends with '"records": ['
-    order = sorted(range(len(columns)), key=columns.__getitem__)
-    keys = [json.dumps(columns[i]).replace("%", "%%") for i in order]
+    keys = [json.dumps(key).replace("%", "%%") for key in keys]
     separator = "\n"
-    for block in blocks:
-        slots, rows, values = _fill([_json_column(block[i]) for i in order])
-        if not rows:
-            continue
+    for slots, rows, values in blocks:
         fields = ",\n".join(f"      {key}: {slot}" for key, slot in zip(keys, slots))
         record = "    {\n" + fields + "\n    }"
         yield separator + ",\n".join([record] * rows) % values
@@ -130,18 +128,24 @@ def _json_chunks(prov: dict, columns: list[str], blocks) -> Iterator[str]:
 
 
 def render(
-    fmt: str, prov: dict, columns: list[str], blocks: Iterable[Sequence]
+    fmt: str, prov: dict, columns: list[str], outer, inner, values
 ) -> Iterator[str]:
-    """Text chunks of one artifact, rendered lazily block by block.
+    """Text chunks of one K x T table, rendered lazily block by block.
 
-    ``blocks`` yields row blocks, each a sequence of numpy columns in
-    ``columns`` order: equal-length 1-d arrays, at least one per block, and
-    0-d values that repeat on every row of the block.  Integers print as
-    integers, floats with 17 significant digits in CSV and as ``repr`` in
-    JSON.
+    ``outer`` holds the columns of length K, ``inner`` the numpy columns
+    of length T, and ``values`` is K rows of T; ``columns`` names the outer
+    columns, then the inner ones, then the values.  Row k*T + j of the
+    table holds every outer column at k, every inner column at j, then
+    ``values[k][j]``.  Integers print as integers, floats with 17
+    significant digits in CSV and as ``repr`` in JSON, whose records list
+    their keys sorted.
     """
+    order = range(len(columns))
     if fmt == "json":
-        return _json_chunks(prov, columns, blocks)
+        order = sorted(order, key=columns.__getitem__)
+        blocks = _blocks(outer, inner, values, json.dumps, _json_column, order)
+        return _json_chunks(prov, [columns[i] for i in order], blocks)
+    blocks = _blocks(outer, inner, values, format_value, _csv_column, order)
     return _csv_chunks(prov, columns, blocks)
 
 

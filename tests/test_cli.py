@@ -424,6 +424,17 @@ class TestFailureModes:
             (["correlation", "--t", "1e308"], "2 * hopping * t"),
             (["correlation", "--t=-1e308"], "2 * hopping * t"),
             (["correlation", "--t", "nan"], "t is nan"),
+            # t = 83.57 / omega passes the config's checks; Omega_1 is 2.29e308
+            (["spectrum", "--set", "lattice.num_cavities=4", "--set", "input.site_r=1",
+              "--set", "input.site_s=2", "--set", "lattice.omega=1e308",
+              "--set", "lattice.hopping=8e307"], "Omega_1 = omega + 2 J"),
+            # the verify window is finite; the oracle's H or spectrum is not
+            (["verify", "--set", "lattice.omega=1e308", "--set", "lattice.hopping=0.5",
+              "--max-n", "8"], "entry 2 * omega is inf"),
+            (["verify", "--set", "lattice.omega=9e307", "--set", "lattice.hopping=0.5",
+              "--max-n", "8"], "entry 2 * omega is inf"),
+            (["verify", "--set", "lattice.omega=8e307", "--set", "lattice.hopping=1e307",
+              "--max-n", "8"], "d + sigma is inf"),
         ],
         ids=lambda value: " ".join(value) if isinstance(value, list) else value,
     )

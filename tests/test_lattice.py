@@ -328,3 +328,33 @@ class TestModeSums:
         reference = long_double_mode_sums(n, hopping, times)
         assert sums.shape == (times.size, n + 2)
         assert float(np.abs(sums - reference).max()) <= 1e-14
+
+
+@pytest.mark.filterwarnings("error")  # refused before any overflowing operation
+class TestOverflowRefusals:
+    def test_band_edge_beyond_double_range_is_refused(self):
+        # omega + 2 J cos(pi/5) = 1e308 + 1.29e308
+        with pytest.raises(ValidationError, match="Omega_1 = omega"):
+            mode_frequencies(LatticeSpec(num_cavities=4, omega=1e308, hopping=8e307))
+
+    def test_band_within_double_range_despite_large_hopping(self):
+        # 2 J alone overflows, but Omega = +-J (2 cos(pi/3)) stays finite
+        lattice = LatticeSpec(num_cavities=2, omega=1e-300, hopping=1e308)
+        assert np.isfinite(mode_frequencies(lattice)).all()
+
+    @pytest.mark.parametrize("kernel", [propagator, propagator_block])
+    @pytest.mark.parametrize("t", [1e308, -1e308])
+    def test_overflowing_mode_phase_is_refused(self, kernel, t):
+        lattice = LatticeSpec(num_cavities=8, omega=1.0, hopping=1.0)
+        with pytest.raises(ValidationError, match=r"2 \* hopping \* t is inf"):
+            kernel(lattice, [2], [0.0, t])
+
+    def test_overflowing_carrier_phase_is_refused(self):
+        lattice = LatticeSpec(num_cavities=8, omega=1e300, hopping=1e-300)
+        with pytest.raises(ValidationError, match=r"omega \* t is inf"):
+            propagator(lattice, [2], [1e10])
+
+    def test_largest_hopping_at_time_zero_is_the_identity(self):
+        lattice = LatticeSpec(num_cavities=4, omega=1.0, hopping=1e308)
+        g = propagator(lattice, [1, 2, 3, 4], [0.0])[:, 0]
+        assert np.array_equal(g, np.eye(4))

@@ -534,3 +534,17 @@ class TestTpdKernelAccuracy:
         eta = tpd_family(lattice, noons, times)
         reference = long_double_eta(29, 0.01, 15, 16, self.THETAS, times)
         assert float(np.abs(eta - reference).max()) <= 1e-14
+
+
+@pytest.mark.filterwarnings("error")  # refused before any overflowing operation
+class TestOverflowRefusals:
+    LATTICE = LatticeSpec(num_cavities=8, omega=1.0, hopping=1.0)
+    NOON = NoonInput(theta=0.3, site_r=2, site_s=3)
+
+    def test_tpd_family(self):
+        with pytest.raises(ValidationError, match=r"2 \* hopping \* t is inf"):
+            tpd_family(self.LATTICE, [self.NOON], [0.0, 1e308])
+
+    def test_correlation_matrix(self):
+        with pytest.raises(ValidationError, match=r"2 \* hopping \* t is inf"):
+            correlation_matrix(self.LATTICE, self.NOON, [1e308])

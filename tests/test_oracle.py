@@ -781,3 +781,39 @@ class TestOracleCorrelation:
         basis = TwoPhotonBasis(5)
         state = random_state(basis, rng)
         assert abs(oracle_correlation(basis, state).sum() - 2.0) < 1e-12
+
+
+@pytest.mark.filterwarnings("error")  # refused before any overflowing operation
+class TestOverflowRefusals:
+    @pytest.mark.parametrize(
+        "omega, hopping, entry",
+        [
+            (1e308, 0.5, r"entry 2 \* omega is inf"),
+            (9e307, 0.5, r"entry 2 \* omega is inf"),
+            (1.0, 1.5e308, r"entry sqrt\(2\) \* hopping is inf"),
+        ],
+    )
+    def test_overflowing_entry_is_refused(self, omega, hopping, entry):
+        lattice = LatticeSpec(num_cavities=8, omega=omega, hopping=hopping)
+        with pytest.raises(ValidationError, match=entry):
+            build_two_photon_hamiltonian(lattice)
+
+    def test_overflowing_band_edge_is_refused(self):
+        # every entry is finite, but 2 omega + sigma (sigma near 4 J) is not
+        h = build_two_photon_hamiltonian(
+            LatticeSpec(num_cavities=8, omega=8e307, hopping=1e307)
+        )
+        with pytest.raises(ValidationError, match=r"d \+ sigma is inf"):
+            solve_by_symmetry(h, TwoPhotonBasis(8))
+
+    @pytest.mark.parametrize(
+        "hopping, t, product",
+        [(1.0, 1e308, r"diagonal \* t is inf"), (1e10, -1e300, r"sigma \* t is inf")],
+    )
+    def test_overflowing_phase_is_refused(self, hopping, t, product):
+        lattice = LatticeSpec(num_cavities=8, omega=1.0, hopping=hopping)
+        basis = TwoPhotonBasis(8)
+        solution = solve_by_symmetry(build_two_photon_hamiltonian(lattice), basis)
+        state = noon_state(basis, NoonInput(theta=0.3, site_r=2, site_s=3))
+        with pytest.raises(ValidationError, match=product):
+            evolve(state, solution, [0.0, t])

@@ -15,7 +15,7 @@ import pytest
 from conftest import REPO_ROOT
 
 from ccawalk import __version__
-from ccawalk.cli import BLOCK_ROWS, _grid_blocks, main
+from ccawalk.cli import main
 from ccawalk.config import (
     apply_overrides,
     config_from_dict,
@@ -24,7 +24,14 @@ from ccawalk.config import (
 )
 from ccawalk.lattice import mode_frequencies
 from ccawalk.observables import NoonInput, concurrence, correlation_matrix, tpd_family
-from ccawalk.output import _comment_lines, format_value, provenance, render, write_text
+from ccawalk.output import (
+    BLOCK_ROWS,
+    _comment_lines,
+    format_value,
+    provenance,
+    render,
+    write_text,
+)
 
 
 def render_csv(prov, columns, rows):
@@ -41,8 +48,8 @@ def render_json(prov, columns, rows):
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def rendered(fmt, prov, columns, blocks):
-    return "".join(render(fmt, prov, columns, blocks))
+def rendered(fmt, prov, columns, outer, inner, values):
+    return "".join(render(fmt, prov, columns, outer, inner, values))
 
 
 def reference_artifact(command, cfg):
@@ -113,8 +120,8 @@ def test_int_passthrough():
 
 def test_csv_layout():
     prov = {"tool": "ccawalk", "config": {"a": 1}}
-    block = (np.array([1, 2]), np.array([0.5, 0.25]))
-    text = rendered("csv", prov, ["x", "y"], [block])
+    values = np.array([[0.5, 0.25]])
+    text = rendered("csv", prov, ["x", "y"], [], [np.array([1, 2])], values)
     lines = text.split("\n")
     assert lines[0] == "# tool = ccawalk"
     assert lines[1] == '# config = {"a":1}'
@@ -126,8 +133,8 @@ def test_csv_layout():
 
 def test_json_mirrors_rows():
     prov = {"tool": "ccawalk"}
-    block = (np.array([1]), np.array([0.5]))
-    doc = json.loads(rendered("json", prov, ["x", "y"], [block]))
+    values = np.array([[0.5]])
+    doc = json.loads(rendered("json", prov, ["x", "y"], [], [np.array([1])], values))
     assert doc["provenance"]["tool"] == "ccawalk"
     assert doc["records"] == [{"x": 1, "y": 0.5}]
 
@@ -177,37 +184,40 @@ def test_block_boundaries_and_edge_values_match_reference(fmt, rows):
     values = rng.standard_normal(rows) * 10.0 ** rng.integers(-20, 20, rows)
     prov = {"tool": "ccawalk", "config": {"a": [1, 2.5]}, "t": 0.1, "n": 3}
     columns = ["m", "edge", "value"]
-    blocks = _grid_blocks([], [index, edges], values[None])
     expected_rows = list(zip(index.tolist(), edges.tolist(), values.tolist()))
     reference = render_json if fmt == "json" else render_csv
     expected = reference(prov, columns, expected_rows)
-    assert rendered(fmt, prov, columns, blocks) == expected
+    chunks = list(render(fmt, prov, columns, [], [index, edges], values[None]))
+    assert "".join(chunks) == expected
+    # the header, one chunk per block of at most BLOCK_ROWS rows, JSON's closing
+    assert len(chunks) == 1 + -(-rows // BLOCK_ROWS) + (fmt == "json")
 
 
-def test_grid_blocks_are_row_major_over_outer_then_inner():
+def test_table_is_row_major_over_outer_then_inner():
     outer, inner = np.array([10, 20, 30]), np.array([0.5, 1.5])
     values = np.arange(6.0).reshape(3, 2)
-    blocks = list(_grid_blocks([outer], [inner], values))
-    # a block never spans two outer values, which arrive as 0-d columns
-    assert [np.ndim(block[0]) for block in blocks] == [0, 0, 0]
-    rows = [row for block in blocks for row in zip(*(
-        np.broadcast_to(c, block[-1].shape).tolist() for c in block))]
+    _, *chunks = render("csv", {}, ["o", "i", "v"], [outer], [inner], values)
+    # a chunk never spans two outer values
+    blocks = [[line.split(",") for line in chunk.splitlines()] for chunk in chunks]
+    assert [{row[0] for row in block} for block in blocks] == [{"10"}, {"20"}, {"30"}]
+    rows = [(int(o), float(i), float(v)) for block in blocks for o, i, v in block]
     assert rows == [(o, i, values[k, j]) for k, o in enumerate(outer.tolist())
                     for j, i in enumerate(inner.tolist())]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("value", EDGE_VALUES + [float("nan"), float("-inf"), 7])
-def test_zero_d_column_renders_as_its_broadcast_column(fmt, value):
+def test_outer_column_renders_as_its_broadcast_column(fmt, value):
     rows = 5
     inner = np.linspace(-1.0, 1.0, rows)
     fixed = np.array([value])
+    repeated = np.repeat(fixed, rows)
     prov = {"tool": "ccawalk"}
-    columns = ["a", "b", "c"]
-    broadcast = [(np.repeat(fixed, rows), inner, np.repeat(fixed, rows))]
-    zero_d = [(fixed[0], inner, fixed.reshape(()))]
-    text = rendered(fmt, prov, columns, zero_d)
-    assert text == rendered(fmt, prov, columns, broadcast)
+    # outer columns come first in CSV; JSON's sorted keys put "z" last
+    columns = ["a", "z", "b", "c"]
+    text = rendered(fmt, prov, columns, [fixed, fixed], [inner], repeated[None])
+    inner_only = [repeated, repeated, inner]
+    assert text == rendered(fmt, prov, columns, [], inner_only, [repeated])
     if value == 0.0 and np.signbit(value):
         assert ("-0," if fmt == "csv" else '"a": -0.0') in text
 
@@ -218,7 +228,7 @@ def test_non_finite_floats_render_as_the_encoder_writes_them(fmt):
     values[[1, -3, -2]] = [np.nan, np.inf, -np.inf]  # the first and the last block
     index = np.arange(values.size)
     prov = {"tool": "ccawalk"}
-    text = rendered(fmt, prov, ["i", "v"], _grid_blocks([], [index], values[None]))
+    text = rendered(fmt, prov, ["i", "v"], [], [index], values[None])
     rows = list(zip(index.tolist(), values.tolist()))
     reference = render_json if fmt == "json" else render_csv
     assert text == reference(prov, ["i", "v"], rows)
@@ -231,9 +241,9 @@ def test_non_finite_floats_render_as_the_encoder_writes_them(fmt):
 def test_empty_table_matches_reference(fmt):
     prov = {"tool": "ccawalk"}
     reference = render_json if fmt == "json" else render_csv
-    assert rendered(fmt, prov, ["x"], []) == reference(prov, ["x"], [])
-    empty = [(np.array([], dtype=float),)]
-    assert rendered(fmt, prov, ["x"], empty) == reference(prov, ["x"], [])
+    assert rendered(fmt, prov, ["x"], [], [], []) == reference(prov, ["x"], [])
+    empty = [np.array([], dtype=float)]
+    assert rendered(fmt, prov, ["x"], [], [], empty) == reference(prov, ["x"], [])
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -1,16 +1,21 @@
 """Invariants checked over randomized lattices, inputs and times."""
 
+import warnings
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from ccawalk import (
     LatticeSpec,
     NoonInput,
+    ValidationError,
     concurrence,
     correlation_matrix,
     mode_frequencies,
     propagator,
+    propagator_block,
     theta_for_concurrence,
+    tpd_family,
 )
 from conftest import full_propagator, tpd_degree
 
@@ -110,3 +115,38 @@ def test_concurrence_inversion_round_trip(c, branch):
     theta = theta_for_concurrence(c, branch)
     assert 0.0 <= theta <= HALF_PI
     assert abs(concurrence(NoonInput(theta=theta, site_r=1, site_s=2)) - c) < 1e-14
+
+
+# omega and J log-uniform over [1e-300, 1e308]
+magnitudes = st.floats(-300.0, 308.0).map(lambda exponent: 10.0**exponent)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(2, 12).flatmap(
+        lambda n: st.tuples(
+            st.builds(LatticeSpec, st.just(n), magnitudes, magnitudes),
+            st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True),
+        )
+    ),
+    st.lists(st.floats(-1e308, 1e308), min_size=1, max_size=4),
+)
+def test_extreme_scales_give_finite_arrays_or_refuse(case, times):
+    lattice, (site_r, site_s) = case
+    noon = NoonInput(theta=0.3927, site_r=site_r, site_s=site_s)
+    grid = sorted({abs(t) for t in times})
+    calls = {
+        "mode_frequencies": lambda: mode_frequencies(lattice),
+        "propagator": lambda: propagator(lattice, [site_r, site_s], times),
+        "propagator_block": lambda: propagator_block(lattice, [site_r], times),
+        "correlation_matrix": lambda: correlation_matrix(lattice, noon, times),
+        "tpd_family": lambda: tpd_family(lattice, [noon], grid),
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflow warning is a failure
+        for name, call in calls.items():
+            try:
+                result = call()
+            except ValidationError:
+                continue
+            assert np.isfinite(result).all(), name
