@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -137,7 +138,16 @@ def _load_scenario(args) -> ScenarioConfig:
         raw = read_config_document(args.config)
     else:
         raw = default_config_dict()
-    return config_from_dict(apply_overrides(raw, args.overrides))
+    cfg = config_from_dict(apply_overrides(raw, args.overrides))
+    # sweep flags replace the validated sweep block, so the header re-runs them
+    if getattr(args, "theta", None) is not None:
+        sweep = SweepConfig(theta=_parse_float_list(args.theta, "theta"))
+    elif getattr(args, "concurrence", None) is not None:
+        concurrences = _parse_float_list(args.concurrence, "concurrence")
+        sweep = SweepConfig(concurrence=concurrences, branch=args.branch)
+    else:
+        return cfg
+    return replace(cfg, sweep=sweep)
 
 
 def _out_path(args, cfg: ScenarioConfig) -> str | None:
@@ -157,22 +167,13 @@ def _parse_float_list(text: str, name: str) -> list[float]:
     return values
 
 
-def _emit(
-    cfg: ScenarioConfig, args, command: str, extra: dict, columns, outer, inner, values
-) -> None:
-    prov = provenance(command, __version__, config_to_dict(cfg), extra)
-    text = render(cfg.output.format, prov, columns, outer, inner, values)
-    write_text(text, _out_path(args, cfg))
-
-
-def cmd_spectrum(cfg: ScenarioConfig, args) -> int:
+def cmd_spectrum(cfg: ScenarioConfig, args):
     freqs = mode_frequencies(cfg.lattice)
     modes = np.arange(1, freqs.size + 1)
-    _emit(cfg, args, "spectrum", {}, ["k", "Omega_k"], [], [modes], freqs[None])
-    return EXIT_OK
+    return {}, ["k", "Omega_k"], [], [modes], freqs[None]
 
 
-def cmd_correlation(cfg: ScenarioConfig, args) -> int:
+def cmd_correlation(cfg: ScenarioConfig, args):
     scaled = cfg.time.t_max if args.t is None else args.t
     t = cfg.absolute_time(scaled)
     noon = cfg.input.to_noon()
@@ -185,34 +186,25 @@ def cmd_correlation(cfg: ScenarioConfig, args) -> int:
         "theta": noon.theta,
         "concurrence": concurrence(noon),
     }
-    _emit(cfg, args, "correlation", extra, ["m", "n", "P_mn"], [sites], [sites], p)
-    return EXIT_OK
+    return extra, ["m", "n", "P_mn"], [sites], [sites], p
 
 
-def cmd_tpd(cfg: ScenarioConfig, args) -> int:
+def cmd_tpd(cfg: ScenarioConfig, args):
     noon = cfg.input.to_noon()
     t = cfg.time_grid()
     eta = tpd_family(cfg.lattice, [noon], t)
     times = [t, t * cfg.lattice.omega, t * cfg.lattice.hopping]
     extra = {"theta": noon.theta, "concurrence": concurrence(noon)}
-    _emit(cfg, args, "tpd", extra, ["t", "omega_t", "J_t", "eta"], [], times, eta)
-    return EXIT_OK
+    return extra, ["t", "omega_t", "J_t", "eta"], [], times, eta
 
 
-def cmd_sweep(cfg: ScenarioConfig, args) -> int:
-    if args.theta is not None:
-        sweep = SweepConfig(theta=_parse_float_list(args.theta, "theta"))
-    elif args.concurrence is not None:
-        concurrences = _parse_float_list(args.concurrence, "concurrence")
-        sweep = SweepConfig(concurrence=concurrences, branch=args.branch)
-    elif cfg.sweep is not None:
-        sweep = cfg.sweep
-    else:
+def cmd_sweep(cfg: ScenarioConfig, args):
+    if cfg.sweep is None:
         raise ValidationError(
             "no sweep values: pass --theta or --concurrence, or add a 'sweep' "
             "block to the config"
         )
-    thetas = list(sweep.resolved_thetas())
+    thetas = list(cfg.sweep.resolved_thetas())
     points = len(thetas) * (cfg.time.steps + 1)
     if points > MAX_SWEEP_POINTS:
         raise ValidationError(
@@ -225,9 +217,7 @@ def cmd_sweep(cfg: ScenarioConfig, args) -> int:
     t = cfg.time_grid()
     eta = tpd_family(cfg.lattice, noons, t)
     angles = [thetas, [concurrence(noon) for noon in noons]]
-    columns = ["theta", "concurrence", "t", "eta"]
-    _emit(cfg, args, "sweep", {"thetas": thetas}, columns, angles, [t], eta)
-    return EXIT_OK
+    return {"thetas": thetas}, ["theta", "concurrence", "t", "eta"], angles, [t], eta
 
 
 def cmd_verify(cfg: ScenarioConfig, args) -> int:
@@ -248,12 +238,13 @@ def cmd_verify(cfg: ScenarioConfig, args) -> int:
     return EXIT_OK if report.passed else EXIT_VERIFICATION
 
 
-_COMMANDS = {
+# table commands return the provenance extras and the table: (extra, columns,
+# outer, inner, values), as output.render takes them
+_TABLES = {
     "spectrum": cmd_spectrum,
     "correlation": cmd_correlation,
     "tpd": cmd_tpd,
     "sweep": cmd_sweep,
-    "verify": cmd_verify,
 }
 
 
@@ -262,7 +253,13 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         cfg = _load_scenario(args)
-        return _COMMANDS[args.command](cfg, args)
+        if args.command == "verify":
+            return cmd_verify(cfg, args)
+        extra, columns, outer, inner, values = _TABLES[args.command](cfg, args)
+        prov = provenance(args.command, __version__, config_to_dict(cfg), extra)
+        text = render(cfg.output.format, prov, columns, outer, inner, values)
+        write_text(text, _out_path(args, cfg))
+        return EXIT_OK
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

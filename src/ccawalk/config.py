@@ -181,14 +181,15 @@ class ScenarioConfig:
 
         The time and the products the pipeline forms from it, omega * t
         (the carrier) and 2 * hopping * t (the mode phases, which covers
-        hopping * t), must be finite, computed in that order.
+        hopping * t), must be finite, computed in that order and, like the
+        kernel, as 2 * (hopping * t).
         """
         rate = self.lattice.omega if self.time.scale == "omega" else self.lattice.hopping
         t = scaled / rate
         products = (
             ("t", t),
             ("omega * t", self.lattice.omega * t),
-            ("2 * hopping * t", 2.0 * self.lattice.hopping * t),
+            ("2 * hopping * t", 2.0 * (self.lattice.hopping * t)),
         )
         checked_products(f"time {scaled} ({self.time.scale} units)", products)
         return t

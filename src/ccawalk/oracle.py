@@ -44,6 +44,7 @@ vectors themselves.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from math import isqrt, sqrt
 from typing import NamedTuple
@@ -425,13 +426,14 @@ def evolve(amplitudes, solution: TwoPhotonSolution, times) -> np.ndarray:
     ``amplitudes`` is one state over the solved basis, complex (D,) and of
     unit norm within 1e-12, as ``noon_state`` makes it; any other shape or
     norm is refused.  ``solution`` comes from ``solve_by_symmetry``; solve
-    once and evolve every time in one call.  The state is projected onto
-    the two mirror blocks once, each block advances all times with one real
-    product per sublattice side, and the carrier exp(-i d t) is one factor
-    per time.  Returns a read-only (len(times), D) complex array, one state
-    per row, whose norms are checked once to lie within 1e-12 of 1.  A time
-    whose carrier phase d t or largest block phase sigma t is not finite is
-    refused before any state is formed.
+    once and evolve every time in one call; ``times`` is a 1-d sequence of
+    real numbers, possibly empty, and a scalar is refused.  The state is
+    projected onto the two mirror blocks once, each block advances all
+    times with one real product per sublattice side, and the carrier
+    exp(-i d t) is one factor per time.  Returns a read-only (len(times),
+    D) complex array, one state per row, whose norms are checked once to
+    lie within 1e-12 of 1.  A time whose carrier phase d t or largest block
+    phase sigma t is not finite is refused before any state is formed.
     """
     d = solution.basis.dimension
     amps = np.asarray(amplitudes, dtype=complex)
@@ -441,6 +443,8 @@ def evolve(amplitudes, solution: TwoPhotonSolution, times) -> np.ndarray:
             f"got shape {amps.shape}"
         )
     _check_unit_norm(amps)
+    if not isinstance(times, Iterable) or getattr(times, "ndim", 1) != 1:
+        raise ValidationError("times must be a 1-d sequence of real numbers")
     times = np.array([checked_real(t, "time") for t in times], dtype=float)
     reach = float(np.abs(times).max(initial=0.0))
     sigma = max(float(block.sigma.max(initial=0.0)) for block in solution.blocks)

@@ -160,8 +160,9 @@ def run_verification(
         group_times += [t1, t2, t1 + t2]
 
     n = lattice.num_cavities
+    h = build_two_photon_hamiltonian(lattice)  # checks the dense guard first
     basis = TwoPhotonBasis(n)
-    solution = solve_by_symmetry(build_two_photon_hamiltonian(lattice), basis)
+    solution = solve_by_symmetry(h, basis)
     amplitudes = evolve(noon_state(basis, noon), solution, times)
     # g[:, k] is G(t_k) (G is symmetric): the samples, t = 0, then t1, t2, t1 + t2
     g = propagator(

@@ -33,8 +33,8 @@ def full_propagator(lattice, t):
 
 
 def tpd_degree(lattice, noon, t):
-    """Eta at one time: one point of ``tpd_family`` (eta is even in t)."""
-    return float(tpd_family(lattice, [noon], [abs(t)])[0, 0])
+    """Eta at one time: one point of ``tpd_family``."""
+    return float(tpd_family(lattice, [noon], [t])[0, 0])
 
 
 def diagonal_mass(p):

@@ -133,6 +133,18 @@ class TestTpd:
                    "--out", str(out))
         assert code == 1
 
+    def test_mode_phase_checked_as_the_kernel_forms_it(self, tmp_path):
+        # 2 * hopping overflows, but 2 * (hopping * t) is about 1.7e10
+        out = tmp_path / "tpd.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("tpd", "--set", "lattice.omega=1e300",
+                       "--set", "lattice.hopping=1e308", "--set", "time.steps=3",
+                       "--out", str(out)) == 0
+        _, _, rows = read_csv(out)
+        assert len(rows) == 4
+        assert np.isfinite(np.array(rows, dtype=float)).all()
+
 
 class TestSweep:
     def test_single_theta_reduces_to_tpd(self, tmp_path, scenarios_dir):
@@ -215,6 +227,37 @@ class TestSweep:
                 "--set", "time.steps=10", "--out", str(tmp_path / "x.csv")]
         assert run(*argv) == 0  # the scenario's 3 angles x 11 times
         assert_one_line_error(capsys, *argv, "--theta", "0.1,0.2,0.3,0.4")
+
+    @pytest.mark.parametrize(
+        "flags, block",
+        [
+            (["--theta", "0.1,0.2"], {"theta": [0.1, 0.2]}),
+            (["--concurrence", "0,0.5,1"],
+             {"concurrence": [0.0, 0.5, 1.0], "branch": "low"}),
+            (["--concurrence", "0,0.5,1", "--branch", "high"],
+             {"concurrence": [0.0, 0.5, 1.0], "branch": "high"}),
+        ],
+        ids=["theta", "concurrence", "concurrence-high"],
+    )
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_header_config_reruns_a_flag_driven_sweep(
+        self, tmp_path, scenarios_dir, flags, block, fmt
+    ):
+        first, again = tmp_path / f"a.{fmt}", tmp_path / f"b.{fmt}"
+        assert run("sweep", "--config", str(scenarios_dir / "fig2.json"), *flags,
+                   "--set", "time.steps=10", "--set", f"output.format={fmt}",
+                   "--out", str(first)) == 0
+        if fmt == "csv":
+            comments, _, _ = read_csv(first)
+            (line,) = [c for c in comments if c.startswith("# config = ")]
+            config = json.loads(line.removeprefix("# config = "))
+        else:
+            config = json.loads(first.read_text())["provenance"]["config"]
+        assert config["sweep"] == block
+        header_cfg = tmp_path / "header.json"
+        header_cfg.write_text(json.dumps(config))
+        assert run("sweep", "--config", str(header_cfg), "--out", str(again)) == 0
+        assert again.read_bytes() == first.read_bytes()
 
 
 class TestVerify:
@@ -470,6 +513,28 @@ class TestFailureModes:
         for override in overrides:
             argv += ["--set", override]
         assert_one_line_error(capsys, *argv)
+
+    @pytest.mark.parametrize(
+        "flags", [["--theta", "0.1,0.2"], ["--concurrence", "0.5", "--branch", "high"]],
+        ids=["theta", "concurrence"],
+    )
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            ["sweep.theta=[5.0]"],
+            ["sweep.branch=high"],
+            ["sweep.theta=null", "sweep.concurrence=[1,1]"],
+        ],
+        ids=lambda value: ",".join(value)[:40],
+    )
+    def test_invalid_sweep_block_rejected_even_when_flags_replace_it(
+        self, capsys, scenarios_dir, flags, overrides
+    ):
+        argv = ["sweep", "--config", str(scenarios_dir / "fig1.json"), "--out", "-"]
+        for override in overrides:
+            argv += ["--set", override]
+        err = assert_one_line_error(capsys, *argv, *flags)
+        assert "sweep" in err
 
     def test_null_output_section_is_absent(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

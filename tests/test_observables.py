@@ -354,13 +354,15 @@ class TestTpdFamily:
         for eta in (series[0], tpd_degree(lattice, noon, 0.0)):
             assert eta == 0.0 and not np.signbit(eta)
 
-    def test_degree_accepts_negative_time(self):
-        # G(-t) = conj(G(t)), so eta is even in t
+    def test_degree_is_even_in_time(self):
+        # G(-t) = conj(G(t)), so eta is even in t; tpd_family takes t >= 0
+        # only, and correlation_matrix gives eta at -t as 1 - trace(P) / 2
         lattice = LatticeSpec(num_cavities=9, omega=1.0, hopping=0.7)
         noon = NoonInput(theta=0.4, site_r=4, site_s=6)
         for t in (0.7, 5.3, 41.0):
-            assert tpd_degree(lattice, noon, -t) == pytest.approx(
-                tpd_degree(lattice, noon, t), abs=1e-14
+            (p,) = correlation_matrix(lattice, noon, [-t])
+            assert tpd_degree(lattice, noon, t) == pytest.approx(
+                1.0 - diagonal_mass(p), abs=1e-14
             )
 
     def test_results_are_read_only(self):

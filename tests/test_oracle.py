@@ -681,6 +681,20 @@ class TestEvolve:
         with pytest.raises(ValidationError, match="time"):
             evolve(state, solve_by_symmetry(h, basis), [1.0, bad])
 
+    @pytest.mark.parametrize(
+        "times",
+        [3.0, np.float64(3.0), np.array(3.0), np.zeros((2, 2)), None],
+        ids=["float", "numpy-scalar", "0-d", "2-d", "none"],
+    )
+    def test_rejects_times_that_are_not_one_dimensional(self, times):
+        basis = TwoPhotonBasis(3)
+        solution = solve_by_symmetry(
+            build_two_photon_hamiltonian(LatticeSpec(3, 1.0, 0.5)), basis
+        )
+        state = noon_state(basis, NoonInput(theta=0.5, site_r=1, site_s=2))
+        with pytest.raises(ValidationError, match="^times must be a 1-d sequence"):
+            evolve(state, solution, times)
+
     @pytest.mark.parametrize("case", ["random-complex-hermitian", "chain-n5"])
     def test_matches_matrix_exponential(self, case):
         rng = np.random.default_rng(29)

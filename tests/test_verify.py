@@ -141,6 +141,16 @@ def test_overflowing_window_is_refused_before_any_check(
     assert solves == kernels == []
 
 
+def test_size_guard_fires_before_the_basis_is_built(monkeypatch):
+    def unbuildable(n):
+        raise AssertionError(f"basis of {n} cavities built past the guard")
+
+    monkeypatch.setattr(verify, "TwoPhotonBasis", unbuildable)
+    big = LatticeSpec(num_cavities=5000, omega=1.0, hopping=1.0)
+    with pytest.raises(ValidationError, match="dense-storage guard"):
+        run_verification(big, NOON, t_max=1.0, max_cavities=5000)
+
+
 def test_largest_finite_window_runs_without_warnings():
     # the report means nothing this far out; it must only be formed cleanly
     with warnings.catch_warnings():
