@@ -108,8 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--branch",
         choices=["low", "high"],
-        default="low",
-        help="theta branch used with --concurrence (default: low)",
+        help="theta branch used with --concurrence, which it needs (default: low)",
     )
 
     p_verify = sub.add_parser(
@@ -139,6 +138,8 @@ def _load_scenario(args) -> ScenarioConfig:
     else:
         raw = default_config_dict()
     cfg = config_from_dict(apply_overrides(raw, args.overrides))
+    if getattr(args, "branch", None) is not None and args.concurrence is None:
+        raise ValidationError("--branch is only meaningful together with --concurrence")
     # sweep flags replace the validated sweep block, so the header re-runs them
     if getattr(args, "theta", None) is not None:
         sweep = SweepConfig(theta=_parse_float_list(args.theta, "theta"))

@@ -14,20 +14,23 @@ splits into a mirror-even and a mirror-odd block of about D/2 labels each.
 Every hop moves one photon one site, so it changes m + n by one: within
 each block H is its constant diagonal d plus a part that only links
 even-sum to odd-sum labels, the rectangular block C.  Each C is scattered
-from H's entries, and one dense ``np.linalg.svd`` of it gives the
-eigenvalues d +- sigma and, with C = U S V^T,
+from H's entries, one dense ``np.linalg.eigh`` of its Gram matrix C C^T
+gives orthonormal U with C C^T = U S^2 U^T, and sigma_i = ||C^T u_i||
+gives the eigenvalues d +- sigma.  exp(-i H t) depends on the block's
+square alone and C f(C^T C) = f(C C^T) C, so
 
-    exp(-i H t) = exp(-i d t) [[1 + U (cos St - 1) U^T, -i U sin(St) V^T],
-                               [-i V sin(St) U^T, 1 + V (cos St - 1) V^T]],
+    exp(-i H t) = exp(-i d t) [[1 + U (cos St - 1) U^T, -i U (sin(St)/S) U^T C],
+                               [-i C^T U (sin(St)/S) U^T, 1 + C^T U G U^T C]]
 
-so ``evolve`` advances a state to every requested time in one pass, and
-neither H nor an eigenvector matrix is ever stored as D x D.  Both splits
-rest on H's matrix elements alone: the mirror on the lattice geometry, the
-sublattice on hops being nearest-neighbour, which holds for any
-amplitudes.  Neither uses the sine transform, its mode frequencies or the
-free-boson structure, and the SVD is a generic dense factorization, so the
-reference stays independent of the path it checks; a matrix without both
-symmetries is refused, never split.
+with G = -2 (sin(St/2)/S)^2, so ``evolve`` advances a state to every
+requested time in one pass, and neither H nor an eigenvector matrix is
+ever stored as D x D.  Both splits rest on H's matrix elements alone: the
+mirror on the lattice geometry, the sublattice on hops being
+nearest-neighbour, which holds for any amplitudes.  Neither uses the sine
+transform, its mode frequencies or the free-boson structure, and the
+eigensolve is a generic dense factorization, so the reference stays
+independent of the path it checks; a matrix without both symmetries is
+refused, never split.
 
 States are plain complex arrays.  ``evolve`` takes one (D,) state, as
 ``noon_state`` makes it, and refuses any other shape or a norm off 1
@@ -56,7 +59,7 @@ from .lattice import LatticeSpec
 from .observables import NoonInput
 
 # Bounds the dense pieces that remain: each mirror block's C with its U and
-# V^T (about D/4 x D/4 apiece) and evolve's (T, D) arrays.
+# Gram matrix (about D/4 x D/4 apiece) and evolve's (T, D) arrays.
 MAX_DIMENSION = 5000
 # the largest N whose two-photon sector N (N + 1) / 2 fits the guard: 99
 ORACLE_MAX_CAVITIES = (isqrt(8 * MAX_DIMENSION + 1) - 1) // 2
@@ -152,9 +155,10 @@ def build_two_photon_hamiltonian(lattice: LatticeSpec) -> HamiltonianEntries:
     Raises
     ------
     ValidationError
-        If the sector dimension N (N + 1) / 2 exceeds 5000; the dense SVD
-        blocks and time-by-label arrays of the solve stop being cheap past
-        that point.  Also if an entry, 2 omega or sqrt(2) J, is not finite.
+        If the sector dimension N (N + 1) / 2 exceeds 5000; the dense
+        eigensolves of the blocks and the time-by-label arrays of the solve
+        stop being cheap past that point.  Also if an entry, 2 omega or
+        sqrt(2) J, is not finite.
     """
     n = lattice.num_cavities
     d = n * (n + 1) // 2
@@ -199,36 +203,47 @@ class SublatticeBlock(NamedTuple):
     """One mirror block of H in sublattice form, d I + [[0, C], [C^T, 0]].
 
     ``even_side`` and ``odd_side`` are the positions, among the block's
-    coordinates, of the labels with even and odd m + n; C couples the
-    first to the second and C = ``u`` diag(``sigma``) ``vt`` is its thin
-    SVD.  A block with an empty side has C empty and no singular values.
+    coordinates, of the labels with even and odd m + n; ``coupling`` is C,
+    which couples the first to the second.  ``u`` holds the min(even, odd)
+    orthonormal eigenvectors of C C^T of largest eigenvalue, which span C's
+    column space, and ``sigma`` the singular values ||C^T u_i|| that go
+    with them.  A block with an empty side has C empty and no singular
+    values.
     """
 
     even_side: np.ndarray
     odd_side: np.ndarray
+    coupling: np.ndarray
     u: np.ndarray
     sigma: np.ndarray
-    vt: np.ndarray
 
     def evolve(self, coeffs: np.ndarray, times: np.ndarray) -> np.ndarray:
         """Block coordinates at each time, carrier left out: a (T, size) array.
 
-        With a = U^T x_even and b = V^T x_odd, exp(-i (H - d I) t) maps x
-        to x_even + U ((cos St - 1) a - i sin(St) b) on the even side and
-        x_odd + V ((cos St - 1) b - i sin(St) a) on the odd side.  Each side
-        is one real product with the 2T real and imaginary rows stacked.
+        exp(-i K t) for K = [[0, C], [C^T, 0]] depends on K^2 alone, and
+        C f(C^T C) = f(C C^T) C, so with a = U^T x_even and b = U^T C x_odd
+        it maps x to x_even + U ((cos St - 1) a - i s b) on the even side
+        and x_odd + C^T U (g b - i s a) on the odd side, where s = sin(St)/S
+        and g = -2 (sin(St/2)/S)^2, which tend to t and -t^2/2 at S = 0.
+        cos St - 1 is formed as -2 sin^2(St/2), and g b as -2 h (h b) with
+        h = sin(St/2)/S, so no factor overflows while S t is finite.  Each
+        product is real, with the 2T real and imaginary rows stacked.
         """
         x_even, x_odd = coeffs[self.even_side], coeffs[self.odd_side]
         a = _real_product(x_even, self.u)
-        b = _real_product(x_odd, self.vt.T)
+        b = _real_product(_real_product(x_odd, self.coupling.T), self.u)
         phase = np.multiply.outer(times, self.sigma)
-        cos_m1, sin = np.cos(phase) - 1.0, np.sin(phase)
+        sin_half = np.sin(0.5 * phase)
+        nonzero = self.sigma != 0.0
+        at_zero = np.multiply.outer(times, np.ones(self.sigma.size))  # s at sigma = 0
+        h = np.divide(sin_half, self.sigma, out=0.5 * at_zero, where=nonzero)
+        s = np.divide(np.sin(phase), self.sigma, out=at_zero, where=nonzero)
         out = np.empty((times.size, coeffs.size), dtype=complex)
         out[:, self.even_side] = x_even + _real_product(
-            cos_m1 * a - 1j * sin * b, self.u.T
+            -2.0 * sin_half**2 * a - 1j * s * b, self.u.T
         )
         out[:, self.odd_side] = x_odd + _real_product(
-            cos_m1 * b - 1j * sin * a, self.vt
+            _real_product(-2.0 * h * (h * b) - 1j * s * a, self.u.T), self.coupling
         )
         return out
 
@@ -251,9 +266,10 @@ class TwoPhotonSolution(NamedTuple):
     ``diagonal`` is H's constant diagonal d (2 omega for the chain),
     ``eigenvalues`` H's spectrum in ascending order, ``pairs`` one label of
     each pair the mirror swaps, ``fixed`` the labels it fixes, and
-    ``blocks`` the mirror-even and mirror-odd blocks.  The even block's
-    coordinates are (e_i + e_Mi)/sqrt(2) over ``pairs`` followed by e_i over
-    ``fixed``; the odd block's are (e_i - e_Mi)/sqrt(2) over ``pairs``.
+    ``blocks`` the mirror-even and mirror-odd blocks, each with its C, U
+    and sigma.  The even block's coordinates are (e_i + e_Mi)/sqrt(2) over
+    ``pairs`` followed by e_i over ``fixed``; the odd block's are
+    (e_i - e_Mi)/sqrt(2) over ``pairs``.
     """
 
     basis: TwoPhotonBasis
@@ -280,12 +296,20 @@ def _sublattice_block(
     in C through row and column position maps, h[a, b] first and then
     sign h[a, Mb] added where it is nonzero, which gives C bit for bit as
     dense gathers of the two terms would.
+
+    C is factored through its Gram matrix.  C is scaled by the exact power
+    of two 2^-e that brings its largest entry into [0.5, 1), so that C C^T
+    neither overflows nor underflows, and one ``np.linalg.eigh`` of that
+    Gram matrix gives U.  Only the min(even, odd) columns of largest eigenvalue
+    are kept, since the others span C's null space, and sigma_i is
+    2^e ||C^T u_i||: the square roots of the eigenvalues would lose digits
+    near sigma = 0.
     """
     odd_side = np.flatnonzero(odd_sum[labels])
     even_side = np.flatnonzero(~odd_sum[labels])
-    if not (even_side.size and odd_side.size):  # nothing to factor, svd may refuse
-        u = np.zeros((even_side.size, 0))
-        sigma, vt = np.zeros(0), np.zeros((0, odd_side.size))
+    if not (even_side.size and odd_side.size):  # nothing to factor
+        c = np.zeros((even_side.size, odd_side.size))
+        u, sigma = np.zeros((even_side.size, 0)), np.zeros(0)
     else:
         row_at = np.full(mirror.size, -1)
         row_at[labels[even_side]] = np.arange(even_side.size)
@@ -301,11 +325,23 @@ def _sublattice_block(
         hit = (i >= 0) & (j >= 0)
         c[i[hit], j[hit]] += sign * values[hit]
         c *= np.multiply.outer(weights[even_side], weights[odd_side])
+        if not np.isfinite(c).all():  # block sums past the double range
+            raise ValidationError(
+                "matrix block cannot be factored: an entry is not finite"
+            )
+        # an exact power of two brings C's largest entry into [0.5, 1)
+        _, e = np.frexp(np.abs(c).max())
+        scaled = np.ldexp(c, -e)
+        gram = scaled @ scaled.T
+        del scaled  # only C and its Gram matrix live through the eigensolve
         try:
-            u, sigma, vt = np.linalg.svd(c, full_matrices=False)
-        except np.linalg.LinAlgError as exc:  # entries near the double range
+            _, u = np.linalg.eigh(gram)
+        except np.linalg.LinAlgError as exc:
             raise ValidationError(f"matrix block cannot be factored: {exc}") from None
-    return SublatticeBlock(even_side, odd_side, u, sigma, vt)
+        del gram
+        u = u[:, even_side.size - min(c.shape) :]
+        sigma = np.ldexp(np.linalg.norm(np.ldexp(c.T, -e) @ u, axis=0), e)
+    return SublatticeBlock(even_side, odd_side, c, u, sigma)
 
 
 def _values_at(keys: np.ndarray, values: np.ndarray, wanted: np.ndarray) -> np.ndarray:
@@ -327,9 +363,9 @@ def solve_by_symmetry(
     the chain mirror M of ``basis``, have one constant diagonal d, and link
     no two labels whose m + n have the same parity.  The mirror splits it
     into an even and an odd block; within each, the part linking even-sum
-    to odd-sum labels is a rectangular C, and one ``np.linalg.svd(C)``
-    gives that block's eigenvalues d +- sigma, plus d once per unpaired
-    label.  Nothing D x D is formed.
+    to odd-sum labels is a rectangular C, and one ``np.linalg.eigh`` of
+    its Gram matrix C C^T gives that block's eigenvalues d +- sigma, plus d
+    once per unpaired label.  Nothing D x D is formed.
 
     Raises
     ------
@@ -337,9 +373,10 @@ def solve_by_symmetry(
         If ``h`` is not a real D x D matrix of the basis's D given by
         nonzero entries at sorted, distinct, in-range positions, or breaks
         any of the conditions above; the mirror is checked first.  Such a
-        matrix is never split.  Also if a block's SVD does not converge, as
-        for entries near the largest double, or if a band edge d +- sigma
-        is not finite.
+        matrix is never split.  Also if a block's C is not finite, as when
+        entries near the largest double overflow its sums, or its Gram
+        eigensolve does not converge, or if a band edge d +- sigma is not
+        finite.
     """
     d = basis.dimension
     rows, cols, values = (np.asarray(part) for part in h[1:])

@@ -196,6 +196,39 @@ class TestSweep:
         thetas = sorted({float(r[0]) for r in rows})
         assert thetas == pytest.approx([0.0, PI / 12, PI / 4])
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--theta", "0.1", "--branch", "high"], ["--branch", "high"],
+         ["--branch", "low"]],
+        ids=["with-theta", "high-alone", "low-alone"],
+    )
+    def test_branch_without_concurrence_is_one_line_error(
+        self, tmp_path, capsys, monkeypatch, scenarios_dir, flags
+    ):
+        def no_kernel(*args):
+            raise AssertionError("--branch must be refused before any eta exists")
+
+        monkeypatch.setattr(cli, "tpd_family", no_kernel)
+        out = tmp_path / "x.csv"
+        err = assert_one_line_error(
+            capsys, "sweep", "--config", str(scenarios_dir / "fig1.json"), *flags,
+            "--out", str(out),
+        )
+        assert "--branch" in err and "--concurrence" in err
+        assert not out.exists()
+
+    def test_concurrence_without_branch_takes_the_low_branch(
+        self, tmp_path, scenarios_dir
+    ):
+        outputs = []
+        for branch in ([], ["--branch", "low"]):
+            out = tmp_path / f"sweep{len(branch)}.csv"
+            assert run("sweep", "--config", str(scenarios_dir / "fig2.json"),
+                       "--concurrence", "0,0.5,1", *branch, "--set", "time.steps=10",
+                       "--out", str(out)) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_duplicates_rejected(self, tmp_path, scenarios_dir):
         code = run("sweep", "--config", str(scenarios_dir / "fig2.json"),
                    "--theta", "0.1,0.1", "--out", str(tmp_path / "x.csv"))

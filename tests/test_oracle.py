@@ -117,10 +117,24 @@ def dense_coupling(h, basis, labels, weights, sign):
     return c
 
 
-def dense_gather_blocks(dense, basis):
-    """Reference blocks of a dense H: each C by ``dense_coupling``, then one svd.
+def gram_factor(c):
+    """Reference factor of one C: 2^-e scaling, one eigh of the Gram matrix.
 
-    Returns (even_side, odd_side, u, sigma, vt) for the mirror-even and the
+    Returns U's min(rows, cols) columns of largest eigenvalue and
+    sigma_i = 2^e ||C^T u_i||, as the documented solve forms them.
+    """
+    if not c.size:
+        return np.zeros((len(c), 0)), np.zeros(0)
+    _, e = np.frexp(np.abs(c).max())
+    scaled = np.ldexp(c, -e)
+    u = np.linalg.eigh(scaled @ scaled.T)[1][:, len(c) - min(c.shape) :]
+    return u, np.ldexp(np.linalg.norm(scaled.T @ u, axis=0), e)
+
+
+def dense_gather_blocks(dense, basis):
+    """Reference blocks of a dense H: C by ``dense_coupling``, then ``gram_factor``.
+
+    Returns (even_side, odd_side, c, u, sigma) for the mirror-even and the
     mirror-odd block, in the order ``solve_by_symmetry`` lays them out.
     """
     mirror = basis.mirror
@@ -135,12 +149,8 @@ def dense_gather_blocks(dense, basis):
         (pairs, np.ones(pairs.size), -1.0),
     ):
         c = dense_coupling(dense, basis, block_labels, weights, sign)
-        if c.size:
-            u, sigma, vt = np.linalg.svd(c, full_matrices=False)
-        else:
-            u, sigma, vt = np.zeros((len(c), 0)), np.zeros(0), np.zeros((0, c.shape[1]))
         sides = np.flatnonzero(~odd[block_labels]), np.flatnonzero(odd[block_labels])
-        blocks.append((*sides, u, sigma, vt))
+        blocks.append((*sides, c, *gram_factor(c)))
     return blocks
 
 
@@ -289,8 +299,9 @@ class TestSolveBySymmetry:
         assert np.all(np.diff(evals) >= 0.0)
         assert np.abs(evals - full[0]).max() < 1e-12
 
-        # each block is d I + [[0, C], [C^T, 0]] with C = U diag(sigma) V^T,
-        # U and V orthonormal, and the two blocks do not mix
+        # each block is d I + [[0, C], [C^T, 0]]; U is orthonormal, spans
+        # C's columns and diagonalizes C C^T to sigma^2, sigma_i = ||C^T u_i||
+        # are C's singular values, and the two blocks do not mix
         even, odd = block_bases(solution)
         assert np.abs(even.T @ h @ odd).max() < 1e-12
         for q, block in zip((even, odd), solution.blocks):
@@ -300,12 +311,19 @@ class TestSolveBySymmetry:
                 range(size)
             )
             c = folded[np.ix_(block.even_side, block.odd_side)]
-            assert worst((block.u * block.sigma) @ block.vt - c) < 1e-12
+            assert worst(block.coupling - c) < 1e-12
             for side in (block.even_side, block.odd_side):
                 diagonal = folded[np.ix_(side, side)]
                 assert worst(diagonal - 2.0 * np.eye(side.size)) < 1e-12
-            assert worst(block.u.T @ block.u - np.eye(block.sigma.size)) < 1e-12
-            assert worst(block.vt @ block.vt.T - np.eye(block.sigma.size)) < 1e-12
+            u, sigma = block.u, block.sigma
+            assert u.shape == (len(c), min(c.shape)) == (block.even_side.size, sigma.size)
+            assert worst(u.T @ u - np.eye(sigma.size)) < 1e-12
+            assert worst(u @ (u.T @ c) - c) < 1e-12
+            assert worst(c @ (c.T @ u) - u * sigma**2) < 1e-12
+            assert worst(np.linalg.norm(c.T @ u, axis=0) - sigma) < 1e-12
+            if c.size:
+                singular = np.linalg.svd(c, compute_uv=False)
+                assert worst(np.sort(sigma) - np.sort(singular)) < 1e-12
 
         r, s = (n + 1) // 2, n
         rng = np.random.default_rng(n)
@@ -427,8 +445,8 @@ class TestSolveBySymmetry:
         with pytest.raises(ValidationError, match="does not match"):
             solve_by_symmetry(h, TwoPhotonBasis(5))
 
-    def test_unconverged_svd_is_a_validation_error(self):
-        # hops of sqrt(2) * 1e308 overflow the block sums and the SVD
+    def test_unfactorable_block_is_a_validation_error(self):
+        # hops of sqrt(2) * 1e308 overflow the block sums, so C is not finite
         h = build_two_photon_hamiltonian(
             LatticeSpec(num_cavities=8, omega=1.0, hopping=1e308)
         )
@@ -447,15 +465,15 @@ class TestSolveBySymmetry:
             )
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    def test_empty_sublattice_side_never_reaches_svd(self, n, monkeypatch):
+    def test_empty_sublattice_side_never_reaches_eigh(self, n, monkeypatch):
         shapes = []
-        svd = np.linalg.svd
+        eigh = np.linalg.eigh
 
-        def recording_svd(c, *args, **kwargs):
-            shapes.append(c.shape)
-            return svd(c, *args, **kwargs)
+        def recording_eigh(gram, *args, **kwargs):
+            shapes.append(gram.shape)
+            return eigh(gram, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
         h = build_two_photon_hamiltonian(
             LatticeSpec(num_cavities=n, omega=1.0, hopping=0.7)
         )
@@ -463,6 +481,11 @@ class TestSolveBySymmetry:
         assert all(min(shape) > 0 for shape in shapes)
         sides = [(b.even_side.size, b.odd_side.size) for b in solution.blocks]
         assert len(shapes) == sum(min(side) > 0 for side in sides)
+        assert shapes == [(even, even) for even, odd in sides if min(even, odd) > 0]
+        for block, (even, odd) in zip(solution.blocks, sides):
+            assert block.coupling.shape == (even, odd)
+            assert block.u.shape == (even, min(even, odd))
+            assert block.sigma.shape == (min(even, odd),)
         if n == 2:  # the odd block is the single label (1, 1) - (2, 2)
             assert sides == [(1, 1), (1, 0)]
             assert shapes == [(1, 1)]
@@ -470,13 +493,13 @@ class TestSolveBySymmetry:
     @pytest.mark.parametrize("n", [2, 3, 8, 29, 50])
     def test_factored_coupling_is_bitwise_the_folded_block(self, n, monkeypatch):
         factored = []
-        svd = np.linalg.svd
+        eigh = np.linalg.eigh
 
-        def recording_svd(c, *args, **kwargs):
-            factored.append(c.copy())
-            return svd(c, *args, **kwargs)
+        def recording_eigh(gram, *args, **kwargs):
+            factored.append(gram.copy())
+            return eigh(gram, *args, **kwargs)
 
-        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
         basis = TwoPhotonBasis(n)
         h = build_two_photon_hamiltonian(
             LatticeSpec(num_cavities=n, omega=1.3, hopping=0.37)
@@ -489,15 +512,20 @@ class TestSolveBySymmetry:
         )
         even_labels = np.concatenate((pairs, fixed))
         expected = [
-            coupling
-            for coupling in (
-                dense_coupling(dense, basis, even_labels, even_weights, 1.0),
-                dense_coupling(dense, basis, pairs, np.ones(pairs.size), -1.0),
-            )
-            if coupling.size
+            dense_coupling(dense, basis, even_labels, even_weights, 1.0),
+            dense_coupling(dense, basis, pairs, np.ones(pairs.size), -1.0),
         ]
-        assert len(factored) == len(expected) > 0
-        for got, want in zip(factored, expected):
+        for block, want in zip(solution.blocks, expected):
+            assert block.coupling.shape == want.shape
+            assert block.coupling.tobytes() == want.tobytes()
+        # the Gram matrix factored is that of C scaled by an exact power of two
+        grams = []
+        for c in expected:
+            if c.size:
+                scaled = np.ldexp(c, -np.frexp(np.abs(c).max())[1])
+                grams.append(scaled @ scaled.T)
+        assert len(factored) == len(grams) > 0
+        for got, want in zip(factored, grams):
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
 
@@ -512,18 +540,37 @@ class TestSolveBySymmetry:
         dense = dense_hamiltonian(h)
         reference = dense_gather_blocks(dense, basis)
         for block, want in zip(solution.blocks, reference):
+            assert len(block) == len(want)
             for got, expected in zip(block, want):
                 assert got.shape == expected.shape
                 assert got.tobytes() == expected.tobytes()
         center = dense[0, 0]
-        sigma = np.concatenate([block[3] for block in reference])
+        sigma = np.concatenate([block[4] for block in reference])
         unpaired = np.full(basis.dimension - 2 * sigma.size, center)
         evals = np.sort(np.concatenate((center - sigma, unpaired, center + sigma)))
         assert solution.eigenvalues.tobytes() == evals.tobytes()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("hopping", [1e-300, 1e-200, 1e150, 1e300])
+    def test_singular_values_scale_with_hopping(self, hopping):
+        # C C^T of these chains leaves the double range unless C is first
+        # scaled by a power of two: J^2 underflows to 0 or overflows to inf
+        n = 8
+        basis = TwoPhotonBasis(n)
+
+        def singular_values(j):
+            lattice = LatticeSpec(num_cavities=n, omega=1.0, hopping=j)
+            solution = solve_by_symmetry(build_two_photon_hamiltonian(lattice), basis)
+            return [block.sigma for block in solution.blocks]
+
+        for got, unit in zip(singular_values(hopping), singular_values(1.0)):
+            assert got.shape == unit.shape
+            assert worst(got / hopping - unit) <= 1e-12 * unit.max()
+
     def test_build_and_solve_allocate_no_dense_square(self):
         # a D x D float64 H alone would be D^2 * 8 bytes; the solve's largest
-        # arrays are the mirror blocks' C, U and V^T, about (D/4)^2 apiece
+        # arrays are the mirror blocks' C, its Gram matrix and U, about
+        # (D/4)^2 apiece
         n = 50
         d = n * (n + 1) // 2
         lattice = LatticeSpec(num_cavities=n, omega=1.0, hopping=0.7)
@@ -659,6 +706,7 @@ class TestEvolve:
 
     def test_rows_off_unit_norm_are_refused(self):
         # a corrupted factorization: U scaled by 2 no longer preserves the norm
+        # (at t = 0 every term it enters is zero, so that row still passes)
         h = build_two_photon_hamiltonian(
             LatticeSpec(num_cavities=5, omega=1.0, hopping=0.7)
         )
@@ -718,6 +766,38 @@ class TestEvolve:
         for t, evolved in zip(times, route(state, operand, times)):
             expected = expm(-1j * h * t) @ state
             assert np.abs(evolved - expected).max() < 1e-12
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_matches_matrix_exponential_over_long_windows(self, n):
+        # At J t = 83.57 (fig1's window) and 1e3 the bound is the 1e-12
+        # above.  Past that, every double-precision route, scipy's expm
+        # included, is off the exact evolution by about the resolution
+        # eps |E| t of its largest phase, so that is the bound there.
+        hopping = 0.7
+        lattice = LatticeSpec(num_cavities=n, omega=1.0, hopping=hopping)
+        entries = build_two_photon_hamiltonian(lattice)
+        h = dense_hamiltonian(entries)
+        state = random_state(TwoPhotonBasis(n), np.random.default_rng(29))
+        reach = np.abs(np.linalg.eigvalsh(h)).max()
+        times = [jt / hopping for jt in (83.57, 1e3, 1e4, 1e5)]
+        for t, evolved in zip(times, solved_evolve(state, entries, times)):
+            bound = max(1e-12, np.finfo(float).eps * reach * t)
+            assert np.abs(evolved - expm(-1j * h * t) @ state).max() < bound
+
+    @pytest.mark.filterwarnings("error")
+    def test_tiny_scale_chain_over_its_own_window(self):
+        # omega = J = 1e-200 over J t up to 83.57 puts t near 1e202, where
+        # (sin(St/2)/S)^2 alone overflows though every phase is finite
+        basis = TwoPhotonBasis(8)
+        state = random_state(basis, np.random.default_rng(3))
+        jt = [0.3, 17.0, 83.57]
+        tiny = LatticeSpec(num_cavities=8, omega=1e-200, hopping=1e-200)
+        unit = LatticeSpec(num_cavities=8, omega=1.0, hopping=1.0)
+        times = [x / 1e-200 for x in jt]
+        got = solved_evolve(state, build_two_photon_hamiltonian(tiny), times)
+        want = solved_evolve(state, build_two_photon_hamiltonian(unit), jt)
+        assert np.abs(got - want).max() < 1e-12
 
     def test_dimension_mismatch(self):
         state = noon_state(TwoPhotonBasis(3), NoonInput(theta=0.5, site_r=1, site_s=2))
