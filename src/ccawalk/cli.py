@@ -10,15 +10,16 @@ verify       cross-check the closed form against the brute-force reference
 
 Every command takes ``--config PATH`` (JSON scenario, see config module),
 ``--out PATH`` ('-' or omitted with no configured path means stdout) and
-repeated ``--set key.path=value`` overrides.  Exit codes: 0 success,
-1 validation error, 2 verification failure, 3 I/O error.
+repeated ``--set key.path=value`` overrides.  One table lists every flag;
+``parse_args`` reads argv from it and ``--help`` prints it.  Exit codes:
+0 success, 1 validation error, 2 verification failure, 3 I/O error.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -33,7 +34,7 @@ from .config import (
     default_config_dict,
     read_config_document,
 )
-from .errors import ValidationError
+from .errors import ValidationError, checked_real
 from .lattice import mode_frequencies
 from .observables import NoonInput, concurrence, correlation_matrix, tpd_family
 from .oracle import ORACLE_MAX_CAVITIES
@@ -46,90 +47,103 @@ EXIT_VERIFICATION = 2
 EXIT_IO = 3
 
 
-class _Parser(argparse.ArgumentParser):
-    """ArgumentParser that reports usage problems as validation errors."""
-
-    def error(self, message):
-        raise ValidationError(message)
+def _float_list(text: str) -> list[float]:
+    return [float(piece) for piece in text.split(",")]
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = _Parser(add_help=False)
-    common.add_argument("--config", metavar="PATH", help="scenario JSON file")
-    common.add_argument(
-        "--out",
-        metavar="PATH",
-        help="output file; '-' for stdout; overrides output.path from the config",
-    )
-    common.add_argument(
-        "--set",
-        dest="overrides",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        help="override a config field by dotted path, e.g. lattice.hopping=0.1",
-    )
+# Every flag as (dest, converter, default, help); a switch has no converter.
+# parse_args and the --help text both read these tables.  A converter only
+# parses: SweepConfig checks the sweep flags, as it checks the config's own
+# block, cmd_correlation checks --t and run_verification the verify flags.
+_COMMON = {
+    "--config": ("config", str, None, "PATH: scenario JSON file"),
+    "--out": ("out", str, None, "PATH: output file, '-' stdout; overrides output.path"),
+    "--set": ("overrides", str, (), "KEY=VALUE: override a config field; repeatable"),
+}
+_COMMANDS = {
+    "spectrum": ("write normal-mode frequencies", {}),
+    "correlation": ("write the coincidence matrix at one time", {
+        "--t": ("t", float, None, "T: time >= 0 in the config's scale (default t_max)"),
+    }),
+    "tpd": ("write the delocalization-degree time series", {}),
+    "sweep": ("eta series for several superposition angles", {
+        "--theta": ("theta", _float_list, None, "LIST: comma-separated angles"),
+        "--concurrence": ("concurrence", _float_list, None, "LIST: comma-separated"),
+        "--branch": ("branch", str, None, "low|high: with --concurrence only"),
+    }),
+    "verify": ("run the reference cross-check suite", {
+        "--max-n": ("max_n", int, ORACLE_MAX_CAVITIES, "N: shrink the chain to at most "
+                    f"N cavities (default {ORACLE_MAX_CAVITIES}, the dense limit)"),
+        "--swap-weights": ("swap_weights", None, False,
+                           "exchange the weights, to show the check catches it"),
+        "--seed": ("seed", int, 20260810, "S: seed of the random check times"),
+    }),
+}
 
-    parser = _Parser(
-        prog="ccawalk",
-        description="Two-photon transport in a coupled-cavity array.",
-    )
-    parser.add_argument(
-        "--version", action="version", version=f"%(prog)s {__version__}"
-    )
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    sub.add_parser(
-        "spectrum", parents=[common], help="write normal-mode frequencies"
-    )
+def _usage(command: str | None) -> str:
+    if command is None:
+        about = ("Two-photon transport in a coupled-cavity array. Flags take their "
+                 "full name; 'ccawalk <command> --help' lists them.")
+        rows = {name: text for name, (text, _) in _COMMANDS.items()}
+        rows["--version"] = "print the version"
+    else:
+        about, flags = _COMMANDS[command]
+        rows = {flag: entry[3] for flag, entry in {**_COMMON, **flags}.items()}
+    usage = f"usage: ccawalk {command or '<command>'} [--flag value | --flag=value ...]"
+    lines = [usage, about] + [f"  {name:<16}{text}" for name, text in rows.items()]
+    return "\n".join(lines)
 
-    p_corr = sub.add_parser(
-        "correlation", parents=[common], help="write the coincidence matrix at one time"
-    )
-    p_corr.add_argument(
-        "--t",
-        type=float,
-        default=None,
-        help="evaluation time in the configured scale units (default: time.t_max)",
-    )
 
-    sub.add_parser(
-        "tpd", parents=[common], help="write the delocalization-degree time series"
-    )
+def parse_args(argv: list[str]) -> SimpleNamespace | None:
+    """The command and flags in ``argv``, or None once help or the version is printed.
 
-    p_sweep = sub.add_parser(
-        "sweep", parents=[common], help="eta series for several superposition angles"
-    )
-    group = p_sweep.add_mutually_exclusive_group()
-    group.add_argument("--theta", help="comma-separated list of theta values")
-    group.add_argument(
-        "--concurrence", help="comma-separated list of concurrence values"
-    )
-    p_sweep.add_argument(
-        "--branch",
-        choices=["low", "high"],
-        help="theta branch used with --concurrence, which it needs (default: low)",
-    )
-
-    p_verify = sub.add_parser(
-        "verify", parents=[common], help="run the reference cross-check suite"
-    )
-    p_verify.add_argument(
-        "--max-n",
-        type=int,
-        default=ORACLE_MAX_CAVITIES,
-        metavar="N",
-        help="shrink the scenario to at most N cavities (default %(default)s, the "
-        "largest N whose N(N+1)/2 two-photon labels fit the dense reference)",
-    )
-    p_verify.add_argument(
-        "--swap-weights",
-        action="store_true",
-        help="diagnostic: exchange the superposition weights in the closed form "
-        "to demonstrate the cross-check catches it",
-    )
-    p_verify.add_argument("--seed", type=int, default=20260810)
-    return parser
+    Flags take their full name, as ``--flag value`` or ``--flag=value`` (a value
+    may start with '-' but not '--').  ``--set`` accumulates; another repeated
+    flag keeps its last value.  Anything malformed raises ValidationError.
+    """
+    command, *rest = argv or [""]
+    if command in ("-h", "--help", "--version"):
+        print(f"ccawalk {__version__}" if command == "--version" else _usage(None))
+        return None
+    if command not in _COMMANDS:
+        choices = ", ".join(_COMMANDS)
+        raise ValidationError(f"expected a command ({choices}), got {command!r}")
+    flags = {**_COMMON, **_COMMANDS[command][1]}
+    args = SimpleNamespace(command=command, **{
+        entry[0]: entry[2] for _, table in _COMMANDS.values()
+        for entry in {**_COMMON, **table}.values()
+    })
+    tokens = iter(rest)
+    for token in tokens:
+        if token in ("-h", "--help"):
+            print(_usage(command))
+            return None
+        name, eq, value = token.partition("=")
+        if name not in flags:
+            raise ValidationError(
+                f"{command} takes no argument {token!r}; see 'ccawalk {command} --help'"
+            )
+        dest, convert, *_ = flags[name]
+        if convert is None:
+            if eq:
+                raise ValidationError(f"{name} takes no value")
+            setattr(args, dest, True)
+            continue
+        if not eq:
+            value = next(tokens, "--")
+            if value.startswith("--"):
+                raise ValidationError(f"{name} needs a value")
+        try:
+            value = convert(value)
+        except ValueError:
+            raise ValidationError(f"invalid {name} value {value!r}") from None
+        setattr(args, dest, args.overrides + (value,) if dest == "overrides" else value)
+    if args.theta is not None and args.concurrence is not None:
+        raise ValidationError("--theta and --concurrence exclude each other")
+    if args.branch is not None and args.concurrence is None:
+        raise ValidationError("--branch is only meaningful together with --concurrence")
+    return args
 
 
 def _load_scenario(args) -> ScenarioConfig:
@@ -138,34 +152,14 @@ def _load_scenario(args) -> ScenarioConfig:
     else:
         raw = default_config_dict()
     cfg = config_from_dict(apply_overrides(raw, args.overrides))
-    if getattr(args, "branch", None) is not None and args.concurrence is None:
-        raise ValidationError("--branch is only meaningful together with --concurrence")
-    # sweep flags replace the validated sweep block, so the header re-runs them
-    if getattr(args, "theta", None) is not None:
-        sweep = SweepConfig(theta=_parse_float_list(args.theta, "theta"))
-    elif getattr(args, "concurrence", None) is not None:
-        concurrences = _parse_float_list(args.concurrence, "concurrence")
-        sweep = SweepConfig(concurrence=concurrences, branch=args.branch)
-    else:
+    if args.theta is None and args.concurrence is None:
         return cfg
-    return replace(cfg, sweep=sweep)
+    # sweep flags replace the validated sweep block, so the header re-runs them
+    return replace(cfg, sweep=SweepConfig(args.theta, args.concurrence, args.branch))
 
 
 def _out_path(args, cfg: ScenarioConfig) -> str | None:
     return args.out if args.out is not None else cfg.output.path
-
-
-def _parse_float_list(text: str, name: str) -> list[float]:
-    values = []
-    for piece in text.split(","):
-        piece = piece.strip()
-        if not piece:
-            raise ValidationError(f"empty entry in --{name} list")
-        try:
-            values.append(float(piece))
-        except ValueError:
-            raise ValidationError(f"--{name} entry {piece!r} is not a number") from None
-    return values
 
 
 def cmd_spectrum(cfg: ScenarioConfig, args):
@@ -176,7 +170,8 @@ def cmd_spectrum(cfg: ScenarioConfig, args):
 
 def cmd_correlation(cfg: ScenarioConfig, args):
     scaled = cfg.time.t_max if args.t is None else args.t
-    t = cfg.absolute_time(scaled)
+    t = cfg.absolute_time(scaled)  # first, so that an overflow names its product
+    checked_real(scaled, "--t", 0.0)
     noon = cfg.input.to_noon()
     (p,) = correlation_matrix(cfg.lattice, noon, [t])
     sites = np.arange(1, cfg.lattice.num_cavities + 1)
@@ -250,9 +245,10 @@ _TABLES = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+        if args is None:
+            return EXIT_OK
         cfg = _load_scenario(args)
         if args.command == "verify":
             return cmd_verify(cfg, args)

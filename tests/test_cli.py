@@ -12,8 +12,9 @@ import pytest
 from conftest import REPO_ROOT, read_csv
 
 from ccawalk import LatticeSpec, NoonInput, cli, correlation_matrix, mode_frequencies
-from ccawalk.cli import main
+from ccawalk.cli import main, parse_args
 from ccawalk.config import MAX_STEPS
+from ccawalk.oracle import ORACLE_MAX_CAVITIES
 
 PI = np.pi
 SMALL_CHAIN = [
@@ -33,6 +34,15 @@ def assert_one_line_error(capsys, *argv):
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ")
     return err
+
+
+def src_env():
+    """The environment with this checkout's src first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(REPO_ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    return env
 
 
 class TestSpectrum:
@@ -433,14 +443,10 @@ class TestFailureModes:
         ],
     )
     def test_non_numeric_value_is_one_line_error(self, command, override):
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [str(REPO_ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p]
-        )
         proc = subprocess.run(
             [sys.executable, "-m", "ccawalk.cli", command, "--set", override,
              "--out", "-"],
-            capture_output=True, text=True, env=env, timeout=60,
+            capture_output=True, text=True, env=src_env(), timeout=60,
         )
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
@@ -581,6 +587,162 @@ class TestFailureModes:
         out = tmp_path / "spec.csv"
         assert run("spectrum", "--config", str(cfg_path), "--out", str(out)) == 0
         assert '"output":{"format":"csv","path":null}' in out.read_text()
+
+
+COMMANDS = ("spectrum", "correlation", "tpd", "sweep", "verify")
+# every flag that takes a value: (command, flag, value, dest, parsed, other argv)
+VALUED_FLAGS = [
+    (command, flag, value, dest, parsed, [])
+    for command in COMMANDS
+    for flag, value, dest, parsed in [
+        ("--config", "scenarios/fig1.json", "config", "scenarios/fig1.json"),
+        ("--out", "a.csv", "out", "a.csv"),
+        ("--set", "lattice.hopping=0.1", "overrides", ("lattice.hopping=0.1",)),
+    ]
+] + [
+    ("correlation", "--t", "2.5", "t", 2.5, []),
+    ("sweep", "--theta", "0.1,0.2", "theta", [0.1, 0.2], []),
+    ("sweep", "--concurrence", "0, 0.5", "concurrence", [0.0, 0.5], []),
+    ("sweep", "--branch", "high", "branch", "high", ["--concurrence", "0.5"]),
+    ("verify", "--max-n", "8", "max_n", 8, []),
+    ("verify", "--seed", "7", "seed", 7, []),
+]
+SWITCHES = [("verify", "--swap-weights", "swap_weights")]
+
+
+class TestParseArgs:
+    @pytest.mark.parametrize(
+        "command, flag, value, dest, parsed, other", VALUED_FLAGS,
+        ids=[f"{command} {flag}" for command, flag, *_ in VALUED_FLAGS],
+    )
+    def test_both_value_forms_parse_alike(self, command, flag, value, dest, parsed,
+                                          other):
+        spaced = parse_args([command, *other, flag, value])
+        joined = parse_args([command, *other, f"{flag}={value}"])
+        assert vars(spaced) == vars(joined)
+        assert getattr(spaced, dest) == parsed
+        # and no other field moves from its default
+        expected = vars(parse_args([command, *other])) | {dest: parsed}
+        assert vars(spaced) == expected
+
+    @pytest.mark.parametrize("command, flag, dest", SWITCHES)
+    def test_switch_takes_no_value(self, capsys, command, flag, dest):
+        assert getattr(parse_args([command]), dest) is False
+        assert getattr(parse_args([command, flag]), dest) is True
+        assert_one_line_error(capsys, command, f"{flag}=yes")
+
+    def test_defaults(self):
+        args = parse_args(["verify"])
+        assert (args.config, args.out, args.overrides) == (None, None, ())
+        assert (args.max_n, args.seed, args.swap_weights) == (
+            ORACLE_MAX_CAVITIES, 20260810, False
+        )
+        args = parse_args(["sweep"])
+        assert (args.theta, args.concurrence, args.branch) == (None, None, None)
+        assert parse_args(["correlation"]).t is None
+
+    @pytest.mark.parametrize(
+        "argv, dest, parsed",
+        [
+            (["correlation", "--t", "-5"], "t", -5.0),
+            (["spectrum", "--out", "-"], "out", "-"),
+            (["verify", "--seed", "-1"], "seed", -1),
+            (["verify", "--max-n", "-5"], "max_n", -5),
+            (["sweep", "--theta", "-0.1,0.2"], "theta", [-0.1, 0.2]),
+        ],
+        ids=["t", "out", "seed", "max-n", "theta"],
+    )
+    def test_a_value_may_start_with_a_dash(self, argv, dest, parsed):
+        assert getattr(parse_args(argv), dest) == parsed
+
+    def test_set_accumulates_and_a_repeated_flag_keeps_its_last_value(self):
+        args = parse_args(["correlation", "--set", "a.b=1", "--t", "1", "--out", "x",
+                           "--set=c.d=2", "--t=2", "--out", "y"])
+        assert args.overrides == ("a.b=1", "c.d=2")
+        assert (args.t, args.out) == (2.0, "y")
+        args = parse_args(["sweep", "--concurrence", "0.5", "--branch", "high",
+                           "--branch", "low"])
+        assert args.branch == "low"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["nonsense"],
+            ["--config", "scenarios/fig1.json", "spectrum"],
+            ["spectrum", "--bogus", "1"],
+            ["spectrum", "extra"],
+            ["spectrum", "-x"],
+            ["tpd", "--theta", "0.1"],
+            ["correlation", "--max-n", "8"],
+            ["tpd", "--version"],
+            ["spectrum", "--out"],
+            ["spectrum", "--out", "--set", "lattice.hopping=0.1"],
+            ["correlation", "--t", "x"],
+            ["correlation", "--t="],
+            ["verify", "--seed", "1e3"],
+            ["verify", "--max-n", "8.5"],
+            ["sweep", "--theta", "0.1,,0.2"],
+            ["sweep", "--concurrence", "0.5", "--branch", "mid"],
+            ["sweep", "--theta", "0.1", "--concurrence", "0.5"],
+            ["spectrum", "--conf", "scenarios/fig1.json"],
+            ["verify", "--max", "8"],
+        ],
+        ids=" ".join,
+    )
+    def test_malformed_argv_is_one_line_error(self, capsys, argv):
+        assert_one_line_error(capsys, *argv)
+        assert capsys.readouterr().out == ""
+
+    def test_t_out_of_range_is_one_line_error(self, tmp_path, capsys):
+        out = tmp_path / "p.csv"
+        err = assert_one_line_error(capsys, "correlation", "--t", "-5", "--out", str(out))
+        assert "--t must be >= 0" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["-h"], ["--help"]], ids=" ".join)
+    def test_help_lists_every_command(self, capsys, argv):
+        assert run(*argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.startswith("usage: ccawalk")
+        for command in COMMANDS:
+            assert f"\n  {command} " in captured.out
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("help_flag", ["-h", "--help"])
+    def test_command_help_lists_exactly_its_flags(self, capsys, command, help_flag):
+        assert run(command, "--set", "a.b=1", help_flag) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.startswith(f"usage: ccawalk {command}")
+        listed = re.findall(r"^  (--[a-z-]+) ", captured.out, re.MULTILINE)
+        expected = [f for c, f, *_ in VALUED_FLAGS + SWITCHES if c == command]
+        assert sorted(listed) == sorted(expected)
+
+    def test_version(self, capsys):
+        assert run("--version") == 0
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("ccawalk 0.1.0\n", "")
+
+    def test_cold_start_loads_no_argument_parsing_modules(self):
+        # what the interpreter and numpy load themselves is the baseline; on
+        # numpy 2.4 that holds none of the three, so there none is loaded at all
+        code = (
+            "import sys\n"
+            "import numpy\n"
+            "baseline = set(sys.modules)\n"
+            "import ccawalk.cli\n"
+            "assert ccawalk.cli.main(['tpd']) == 0\n"
+            "assert ccawalk.cli.main(['verify', '--max-n', '8']) == 0\n"
+            "loaded = [m for m in ('argparse', 'gettext', 'locale')\n"
+            "          if m in sys.modules and m not in baseline]\n"
+            "print(' '.join(loaded), file=sys.stderr)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, env=src_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == "\n"
 
 
 class TestAtomicOut:

@@ -12,7 +12,7 @@ import pytest
 from conftest import REPO_ROOT
 
 from ccawalk import LatticeSpec, NoonInput, ValidationError, verify
-from ccawalk.cli import build_parser
+from ccawalk.cli import parse_args
 from ccawalk.oracle import MAX_DIMENSION, ORACLE_MAX_CAVITIES
 from ccawalk.verify import run_verification, shrink_scenario
 
@@ -65,7 +65,7 @@ def test_default_max_cavities_is_the_largest_chain_under_the_dense_guard():
     n = ORACLE_MAX_CAVITIES
     assert n * (n + 1) // 2 <= MAX_DIMENSION < (n + 1) * (n + 2) // 2
     assert n == 99
-    assert build_parser().parse_args(["verify"]).max_n == n
+    assert parse_args(["verify"]).max_n == n
     assert inspect.signature(run_verification).parameters["max_cavities"].default == n
     long_chain = LatticeSpec(num_cavities=120, omega=1.0, hopping=1.0)
     small, _ = shrink_scenario(long_chain, NOON, n)
