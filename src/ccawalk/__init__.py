@@ -7,7 +7,7 @@ against.  See the ``ccawalk`` CLI for scenario runs and data export.
 """
 
 from .errors import ValidationError
-from .lattice import LatticeSpec, mode_frequencies, propagator, propagator_block
+from .lattice import LatticeSpec, mode_frequencies, propagator_block
 from .observables import (
     NoonInput,
     concurrence,
@@ -29,7 +29,6 @@ __version__ = "0.1.0"
 __all__ = [
     "LatticeSpec",
     "mode_frequencies",
-    "propagator",
     "propagator_block",
     "NoonInput",
     "concurrence",

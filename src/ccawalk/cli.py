@@ -98,9 +98,10 @@ def _usage(command: str | None) -> str:
 def parse_args(argv: list[str]) -> SimpleNamespace | None:
     """The command and flags in ``argv``, or None once help or the version is printed.
 
-    Flags take their full name, as ``--flag value`` or ``--flag=value`` (a value
-    may start with '-' but not '--').  ``--set`` accumulates; another repeated
-    flag keeps its last value.  Anything malformed raises ValidationError.
+    Flags take their full name, as ``--flag value`` or ``--flag=value``, with a
+    value that is not empty and may start with '-' but not '--'.  ``--set``
+    accumulates; another repeated flag keeps its last value.  Anything
+    malformed raises ValidationError.
     """
     command, *rest = argv or [""]
     if command in ("-h", "--help", "--version"):
@@ -132,8 +133,8 @@ def parse_args(argv: list[str]) -> SimpleNamespace | None:
             continue
         if not eq:
             value = next(tokens, "--")
-            if value.startswith("--"):
-                raise ValidationError(f"{name} needs a value")
+        if not value or (not eq and value.startswith("--")):
+            raise ValidationError(f"{name} needs a value")
         try:
             value = convert(value)
         except ValueError:

@@ -27,7 +27,7 @@ JSON-parsed values (bare words fall back to strings, ``null`` deletes).
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields
 from math import isfinite, pi
 
 import numpy as np
@@ -116,8 +116,8 @@ class OutputConfig:
 
     def __post_init__(self) -> None:
         checked_choice(self.format, "output.format", ("csv", "json"))
-        if self.path is not None and not isinstance(self.path, str):
-            raise ValidationError("output.path must be a string or null")
+        if self.path is not None and not (isinstance(self.path, str) and self.path):
+            raise ValidationError("output.path must be a non-empty string or null")
 
 
 @dataclass(frozen=True)
@@ -206,8 +206,8 @@ class ScenarioConfig:
 
 
 # Section name -> (dataclass, required).  The dataclass fields are the keys
-# a section may carry; an absent or null optional section takes the
-# ScenarioConfig default.
+# a section may carry, and those without a default the keys it must carry;
+# an absent or null optional section takes the ScenarioConfig default.
 _SECTIONS = {
     "lattice": (LatticeSpec, True),
     "input": (InputConfig, True),
@@ -216,7 +216,8 @@ _SECTIONS = {
     "sweep": (SweepConfig, False),
 }
 _SECTION_KEYS = {
-    name: {field.name for field in fields(cls)} for name, (cls, _) in _SECTIONS.items()
+    name: {field.name: field.default is MISSING for field in fields(cls)}
+    for name, (cls, _) in _SECTIONS.items()
 }
 
 
@@ -241,7 +242,11 @@ def config_from_dict(raw: dict) -> ScenarioConfig:
                 continue
             if not isinstance(data, dict):
                 raise ValidationError(f"config section '{name}' must be an object")
-            _reject_unknown(data, _SECTION_KEYS[name], f"key(s) in '{name}'")
+            keys = _SECTION_KEYS[name]
+            _reject_unknown(data, keys, f"key(s) in '{name}'")
+            missing = [f"{name}.{k}" for k in keys if keys[k] and k not in data]
+            if missing:
+                raise ValidationError(f"config is missing {', '.join(missing)}")
             sections[name] = cls(**data)
         return ScenarioConfig(**sections)
     except ValidationError:
@@ -259,7 +264,7 @@ def read_config_document(path: str) -> dict:
             raise ValidationError(f"config file is not valid UTF-8: {exc}") from None
     try:
         return json.loads(text)
-    except ValueError as exc:  # also an integer past the int-from-str digit limit
+    except (ValueError, RecursionError) as exc:  # or an int past the digit limit
         raise ValidationError(f"config is not valid JSON: {exc}") from exc
 
 
@@ -283,9 +288,12 @@ def apply_overrides(raw: dict, assignments: list[str]) -> dict:
 
     Values are parsed as JSON when possible (numbers, booleans, quoted
     strings, lists); bare words become strings; ``null`` removes the key.
-    Returns a new dict, input untouched.
+    Returns a new dict, input untouched; nesting too deep to parse is refused.
     """
-    doc = json.loads(json.dumps(raw))
+    try:
+        doc = json.loads(json.dumps(raw))
+    except RecursionError:
+        raise ValidationError("config document is nested too deeply") from None
     if not isinstance(doc, dict):
         raise ValidationError("config document must be a JSON object")
     for assignment in assignments:
@@ -301,6 +309,8 @@ def apply_overrides(raw: dict, assignments: list[str]) -> dict:
             value = json.loads(raw_value)
         except ValueError:
             value = raw_value
+        except RecursionError:
+            raise ValidationError(f"override of {path!r} nests too deeply") from None
         node = doc
         for key in keys[:-1]:
             if key not in node or not isinstance(node[key], dict):

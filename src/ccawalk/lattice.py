@@ -25,17 +25,15 @@ point however many are requested and S is never built; each column is then
 four contiguous slice copies, and the full matrix an O(N^2) fill.
 
 Every function takes the ``LatticeSpec`` itself and reads only N, omega
-and J from it.  ``mode_frequencies`` gives Omega_k; nothing else needs
-them.  ``propagator_blocks`` is the one kernel: the real columns R_l of
-any sites over consecutive blocks of times.  It checks its inputs, forms
-the mode constants and allocates every per-block buffer once per call,
-then refills those buffers block by block.  ``propagator_block`` is its
-one-block case, one (sites, times, N) array, and both observables read
-only these real columns.  ``propagator`` adds the carrier exp(-i omega t),
-one factor per time, to give the complex G: verify's unitarity, identity
-and group-law checks read it, and so can library users.  All functions
-are pure and all returned arrays are read-only, so values are safe to
-share across threads.
+and J from it.  ``band_frequencies`` gives the band 2 J cos(theta_k), which
+verify's spectrum check reads, and ``mode_frequencies`` adds omega to it.
+``propagator_blocks`` is the one kernel: the real columns R_l of any sites
+over consecutive blocks of times.  It checks its inputs, forms the mode
+constants and allocates every per-block buffer once per call, then refills
+those buffers block by block; ``propagator_block`` is its one-block case.
+The carrier exp(-i omega t) is a global phase, so every caller reads only
+these real columns and no complex G is formed.  All functions are pure and
+return read-only arrays, so values are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -91,22 +89,28 @@ class LatticeSpec:
         object.__setattr__(self, "hopping", checked_real(self.hopping, "hopping", 0.0))
 
 
+def band_frequencies(lattice: LatticeSpec) -> np.ndarray:
+    """Omega_k - omega = J (2 cos theta_k), read-only; inf past the double range."""
+    n = lattice.num_cavities
+    k = np.arange(1, n + 1, dtype=float)
+    with np.errstate(over="ignore"):
+        return _readonly(lattice.hopping * (2.0 * np.cos(k * (np.pi / (n + 1)))))
+
+
 def mode_frequencies(lattice: LatticeSpec) -> np.ndarray:
-    """Mode frequencies Omega_k, k = 1 .. N, as a read-only array.
+    """Mode frequencies Omega_k = omega + ``band_frequencies``, as a read-only array.
 
     Decreasing in k and confined to [omega - 2J, omega + 2J].  O(N); the
     propagator never reads them, since the sine transform is never built.
     A band edge beyond the double range is refused, not returned as inf.
     """
-    n = lattice.num_cavities
-    k = np.arange(1, n + 1, dtype=float)
     with np.errstate(over="ignore"):
-        freqs = lattice.omega + lattice.hopping * (2.0 * np.cos(k * (np.pi / (n + 1))))
+        freqs = lattice.omega + band_frequencies(lattice)
     edge = np.flatnonzero(~np.isfinite(freqs))
     if edge.size:
         raise ValidationError(
             f"mode frequency Omega_{edge[0] + 1} = omega + 2 J cos(pi {edge[0] + 1}/"
-            f"{n + 1}) overflows at omega {lattice.omega}, J {lattice.hopping}"
+            f"{freqs.size + 1}) overflows at omega {lattice.omega}, J {lattice.hopping}"
         )
     return _readonly(freqs)
 
@@ -164,23 +168,6 @@ def propagator_block(lattice: LatticeSpec, sites, times) -> np.ndarray:
     """
     ((_, columns),) = propagator_blocks(lattice, sites, times)
     return columns
-
-
-def propagator(lattice: LatticeSpec, sites, times) -> np.ndarray:
-    """Complex columns G[:, l](t) = S diag(exp(-i Omega t)) S e_l.
-
-    ``propagator_block`` times exp(-i omega t) i^((j - l) mod 2), in its
-    layout.  Over all sites, ``[:, k]`` is the whole matrix G(t_k), exactly
-    symmetric, and depends on t_k alone, bit for bit.  A time whose
-    carrier phase omega t is not finite is refused.
-    """
-    real = propagator_block(lattice, sites, times)
-    times = np.asarray(times, dtype=float)
-    reach = float(np.abs(times).max())
-    checked_products(f"time {reach}", [("omega * t", lattice.omega * reach)])
-    carrier = np.exp(-1j * lattice.omega * times)
-    odd = (np.arange(1, lattice.num_cavities + 1) - np.asarray(sites)[:, None]) % 2
-    return _readonly(real * (carrier[:, None] * np.where(odd, 1j, 1.0)[:, None]))
 
 
 def _mode_sums(

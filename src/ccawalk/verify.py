@@ -7,11 +7,17 @@ the rest are structural invariants (unitarity, normalization, spectrum
 additivity) with fixed tolerances.  A scenario is checked at its own size
 unless its two-photon sector would exceed the oracle's dense guard
 (N > 99); only then is it shrunk.  Every propagator the checks need comes
-from one ``lattice.propagator`` call over all sites and all check times,
-every closed-form coincidence matrix from one ``correlation_matrix`` call,
-and every reference matrix from one ``evolve`` and one
+from one ``lattice.propagator_block`` call over all sites and all check
+times, every closed-form coincidence matrix from one ``correlation_matrix``
+call, and every reference matrix from one ``evolve`` and one
 ``oracle_correlation`` call; the checks read slices of them.  A window
 whose times or phases would overflow is refused before any check runs.
+
+No propagator or spectrum check sees the carrier, so omega >> J costs no
+digits: M(t)[j, l] = (-1)^floor((j - l)/2) R_l[j](t), the real orthogonal
+exp(i omega t) D* G(t) D with D = diag(i^j), is tested, and the oracle's
+offsets from its diagonal 2 omega (+-sigma_i, 0 per unpaired label) are
+compared with the pair sums of the band 2 J cos(theta_k).
 
 ``swap_weights`` corrupts the closed-form side by exchanging the two
 superposition weights; it exists to demonstrate that the equivalence check
@@ -28,7 +34,7 @@ from math import pi
 import numpy as np
 
 from .errors import checked_int, checked_products, checked_real
-from .lattice import LatticeSpec, mode_frequencies, propagator
+from .lattice import LatticeSpec, band_frequencies, propagator_block
 from .observables import NoonInput, correlation_matrix, tpd_family
 from .oracle import (
     ORACLE_MAX_CAVITIES,
@@ -138,9 +144,8 @@ def run_verification(
     ------
     ValidationError
         If a product the checks form from the window is not finite, before
-        any of them runs.  The group law's t1 + t2 reaches 2 t_max, where
-        the kernel forms omega t and 2J t; the oracle forms its carrier
-        2 omega t and its phases sigma t (sigma < 4J) for t up to t_max.
+        any of them runs: the kernel forms 2J t up to the group law's 2 t_max,
+        the oracle 2 omega t and sigma t (sigma < 4J) up to t_max.
     """
     lattice, noon = shrink_scenario(lattice, noon, max_cavities)
     t_max = checked_real(t_max, "t_max", 0.0)
@@ -164,25 +169,20 @@ def run_verification(
     basis = TwoPhotonBasis(n)
     solution = solve_by_symmetry(h, basis)
     amplitudes = evolve(noon_state(basis, noon), solution, times)
-    # g[:, k] is G(t_k) (G is symmetric): the samples, t = 0, then t1, t2, t1 + t2
-    g = propagator(
-        lattice, np.arange(1, n + 1), np.concatenate((times, [0.0], group_times))
-    )
+    # m[i] is M(t_i): the k sample times, t = 0, then t1, t2, t1 + t2 per pair
+    sites = np.arange(1, n + 1)
+    real = propagator_block(lattice, sites, np.concatenate((times, [0.0], group_times)))
+    m = real.transpose(1, 2, 0) * np.where((sites[:, None] - sites) // 2 % 2, -1.0, 1.0)
     # swapped weights (cos theta on r, sin theta on s) are theta -> pi/2 - theta
     closed_input = replace(noon, theta=pi / 2 - noon.theta) if swap_weights else noon
 
     closed = correlation_matrix(lattice, closed_input, times)
     oracle_dev = _deviation(closed, oracle_correlation(basis, amplitudes))
     pair_sum_dev = max(abs(float(p.sum()) - 2.0) for p in closed)
-    identity = np.eye(n)
-    unitarity_dev = max(
-        _deviation(g[:, k] @ g[:, k].conj().T, identity) for k in range(times.size)
-    )
-    identity_dev = _deviation(g[:, times.size], identity)
-    group_dev = max(
-        _deviation(g[:, k] @ g[:, k + 1], g[:, k + 2])
-        for k in range(times.size + 1, g.shape[1], 3)
-    )
+    identity, k = np.eye(n), times.size
+    unitarity_dev = _deviation(m[:k] @ m[:k].transpose(0, 2, 1), identity)
+    identity_dev = _deviation(m[k], identity)
+    group_dev = _deviation(m[k + 1 :: 3] @ m[k + 2 :: 3], m[k + 3 :: 3])
 
     # the sorted samples start at t = 0 and may repeat (all of them when t_max = 0)
     distinct = times[np.concatenate(([True], np.diff(times) > 0.0))]
@@ -190,9 +190,11 @@ def run_verification(
     eta_range_dev = max(0.0, -float(eta.min()), float(eta.max()) - 1.0)
     eta_zero_dev = abs(float(eta[0]))
 
-    f = mode_frequencies(lattice)
-    pair_sums = np.sort(np.add.outer(f, f)[np.triu_indices(n)])
-    spectrum_dev = _deviation(solution.eigenvalues, pair_sums)
+    sigma = np.concatenate([block.sigma for block in solution.blocks])
+    offsets = np.concatenate((-sigma, np.zeros(h.dimension - 2 * sigma.size), sigma))
+    band = band_frequencies(lattice)
+    pair_sums = np.add.outer(band, band)[np.triu_indices(n)]
+    spectrum_dev = _deviation(np.sort(offsets), np.sort(pair_sums))
 
     checks = (
         CheckResult("oracle-equivalence", oracle_dev, ORACLE_TOL),

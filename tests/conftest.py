@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ccawalk import propagator, tpd_family
+from ccawalk import propagator_block, tpd_family
 from ccawalk.oracle import HamiltonianEntries
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -27,9 +27,25 @@ def read_csv(path):
     return comments, header, rows
 
 
+def complex_propagator(lattice, sites, times):
+    """Complex columns G[:, l](t), read-only, in ``propagator_block``'s layout.
+
+    G[j, l](t) = exp(-i omega t) i^((j - l) mod 2) R_l[j](t): the real
+    columns times the carrier, one factor per time.  Over all sites,
+    ``[:, k]`` is the whole matrix G(t_k).
+    """
+    real = propagator_block(lattice, sites, times)
+    carrier = np.exp(-1j * lattice.omega * np.asarray(times, dtype=float))
+    odd = (np.arange(1, lattice.num_cavities + 1) - np.asarray(sites)[:, None]) % 2
+    g = real * (carrier[:, None] * np.where(odd, 1j, 1.0)[:, None])
+    g.setflags(write=False)
+    return g
+
+
 def full_propagator(lattice, t):
     """G(t) as an N x N matrix: every site at one time (G is symmetric)."""
-    return propagator(lattice, np.arange(1, lattice.num_cavities + 1), [t])[:, 0]
+    sites = np.arange(1, lattice.num_cavities + 1)
+    return complex_propagator(lattice, sites, [t])[:, 0]
 
 
 def tpd_degree(lattice, noon, t):

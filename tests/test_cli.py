@@ -13,7 +13,7 @@ from conftest import REPO_ROOT, read_csv
 
 from ccawalk import LatticeSpec, NoonInput, cli, correlation_matrix, mode_frequencies
 from ccawalk.cli import main, parse_args
-from ccawalk.config import MAX_STEPS
+from ccawalk.config import MAX_STEPS, default_config_dict
 from ccawalk.oracle import ORACLE_MAX_CAVITIES
 
 PI = np.pi
@@ -587,6 +587,46 @@ class TestFailureModes:
         out = tmp_path / "spec.csv"
         assert run("spectrum", "--config", str(cfg_path), "--out", str(out)) == 0
         assert '"output":{"format":"csv","path":null}' in out.read_text()
+
+
+def deep_json(depth):
+    return "[" * depth + "]" * depth
+
+
+# (argv, config document or None, the flag or key the one error line names);
+# a document is written to a file and passed with --config
+REFUSED_INPUTS = {
+    "empty-out": (["--out="], None, "--out"),
+    "empty-out-value": (["--out", ""], None, "--out"),
+    "empty-config": (["--config="], None, "--config"),
+    "empty-output-path": ([], {"output": {"format": "csv", "path": ""}}, "output.path"),
+    "deep-set": (["--set", f"lattice.omega={deep_json(3000)}"], None, "lattice.omega"),
+    "deep-config": ([], deep_json(5000), "not valid JSON"),
+    "missing-keys": (
+        [], {"lattice": {"num_cavities": 29}}, "lattice.omega, lattice.hopping"
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "argv, document, names", REFUSED_INPUTS.values(), ids=REFUSED_INPUTS
+)
+def test_refused_input_is_one_error_line(tmp_path, argv, document, names):
+    if document is not None:
+        if isinstance(document, dict):  # sections that replace the default's
+            document = json.dumps({**default_config_dict(), **document})
+        path = tmp_path / "config.json"
+        path.write_text(document)
+        argv = ["--config", str(path), *argv]
+    proc = subprocess.run(
+        [sys.executable, "-m", "ccawalk.cli", "spectrum", *argv],
+        capture_output=True, text=True, env=src_env(), timeout=60, cwd=tmp_path,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert names in proc.stderr
+    assert proc.stdout == ""
 
 
 COMMANDS = ("spectrum", "correlation", "tpd", "sweep", "verify")

@@ -263,6 +263,22 @@ def test_override_on_non_object_document_rejected():
         apply_overrides([1], ["lattice.hopping=0.5"])
 
 
+def test_section_missing_keys_names_them():
+    raw = json.loads(json.dumps(MINIMAL))
+    raw["lattice"] = {"num_cavities": 5}
+    with pytest.raises(ValidationError) as err:
+        config_from_dict(raw)
+    assert str(err.value) == "config is missing lattice.omega, lattice.hopping"
+
+
+def test_document_nested_past_the_recursion_limit_is_refused():
+    deep = []
+    for _ in range(5000):
+        deep = [deep]
+    with pytest.raises(ValidationError, match="nested too deeply"):
+        apply_overrides({"lattice": deep}, [])
+
+
 def test_default_config_is_valid():
     cfg = config_from_dict(default_config_dict())
     assert cfg.lattice.num_cavities == 29

@@ -13,7 +13,6 @@ from ccawalk import (
     mode_frequencies,
     noon_state,
     oracle_correlation,
-    propagator,
     propagator_block,
     solve_by_symmetry,
     theta_for_concurrence,
@@ -21,7 +20,7 @@ from ccawalk import (
 )
 from ccawalk.lattice import MAX_CAVITIES
 from ccawalk.observables import _BLOCK_ELEMENTS, _MIN_BLOCK_TIMES
-from conftest import diagonal_mass, sine_transform, tpd_degree
+from conftest import complex_propagator, diagonal_mass, sine_transform, tpd_degree
 
 PI = np.pi
 
@@ -126,7 +125,7 @@ class TestCorrelationMatrix:
         pairs = sorted((r, s) for r, s in pairs if r != s and r in sites and s in sites)
         assert len({(r + s) % 2 for r, s in pairs}) == (1 if n == 2 else 2)
         for r, s in pairs:
-            g_r, g_s = propagator(lattice, [r, s], times)
+            g_r, g_s = complex_propagator(lattice, [r, s], times)
             for theta in (0.0, 0.3927, PI / 4, 1.2, PI / 2):
                 p = correlation_matrix(lattice, NoonInput(theta, r, s), times)
                 amplitude = np.sin(theta) * (g_r[:, :, None] * g_r[:, None, :]) + (
@@ -417,7 +416,7 @@ class TestNoSharedWorkspace:
     # the result arrays of each kernel entry point, for an input list and a grid
     RESULTS = {
         "propagator_block": lambda lat, noons, t: [propagator_block(lat, [2, 40], t)],
-        "propagator": lambda lat, noons, t: [propagator(lat, [2, 40], t)],
+        "propagator": lambda lat, noons, t: [complex_propagator(lat, [2, 40], t)],
         "correlation_matrix": lambda lat, noons, t: [
             correlation_matrix(lat, noons[0], t)
         ],

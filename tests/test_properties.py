@@ -12,12 +12,11 @@ from ccawalk import (
     concurrence,
     correlation_matrix,
     mode_frequencies,
-    propagator,
     propagator_block,
     theta_for_concurrence,
     tpd_family,
 )
-from conftest import full_propagator, tpd_degree
+from conftest import complex_propagator, full_propagator, tpd_degree
 
 HALF_PI = float(np.pi / 2)
 
@@ -70,7 +69,7 @@ def test_propagator_symmetries_and_bound(lattice, t):
 @given(lattices, st.floats(0.0, 100.0), st.data())
 def test_columns_agree_with_matrix(lattice, t, data):
     site = data.draw(st.integers(1, lattice.num_cavities))
-    (column,) = propagator(lattice, [site], [t])[:, 0]
+    (column,) = complex_propagator(lattice, [site], [t])[:, 0]
     full = full_propagator(lattice, t)
     assert np.abs(column - full[:, site - 1]).max() < 1e-14
 
@@ -137,7 +136,6 @@ def test_extreme_scales_give_finite_arrays_or_refuse(case, times):
     grid = sorted({abs(t) for t in times})
     calls = {
         "mode_frequencies": lambda: mode_frequencies(lattice),
-        "propagator": lambda: propagator(lattice, [site_r, site_s], times),
         "propagator_block": lambda: propagator_block(lattice, [site_r], times),
         "correlation_matrix": lambda: correlation_matrix(lattice, noon, times),
         "tpd_family": lambda: tpd_family(lattice, [noon], grid),

@@ -10,7 +10,6 @@ PACKAGE_DIR = Path(ccawalk.__file__).resolve().parent
 EXPECTED_ALL = {
     "LatticeSpec",
     "mode_frequencies",
-    "propagator",
     "propagator_block",
     "NoonInput",
     "concurrence",
@@ -57,7 +56,7 @@ def test_no_module_imports_a_private_name_from_a_sibling():
 
 
 def test_guard_sees_a_private_import():
-    assert private_imports("from .lattice import _mode_sums, propagator\n") == [
+    assert private_imports("from .lattice import _mode_sums, propagator_block\n") == [
         ("lattice", "_mode_sums")
     ]
     assert private_imports("from . import __version__\n") == []

@@ -12,7 +12,7 @@ import pytest
 from conftest import REPO_ROOT
 
 from ccawalk import LatticeSpec, NoonInput, ValidationError, verify
-from ccawalk.cli import parse_args
+from ccawalk.cli import main, parse_args
 from ccawalk.oracle import MAX_DIMENSION, ORACLE_MAX_CAVITIES
 from ccawalk.verify import run_verification, shrink_scenario
 
@@ -43,7 +43,7 @@ def test_zero_window_passes_every_check():
 
 @pytest.mark.parametrize("t_max", [0.0, 0.75, 83.57])
 def test_group_law_times_stay_in_twice_the_window(monkeypatch, t_max):
-    calls = counting(monkeypatch, "propagator")
+    calls = counting(monkeypatch, "propagator_block")
     correlations = counting(monkeypatch, "correlation_matrix")
     run_verification(FIG1, NOON, t_max=t_max, seed=3)
     # one kernel call over every site covers all of verify's times
@@ -131,7 +131,7 @@ def test_overflowing_window_is_refused_before_any_check(
 ):
     # t1 + t2 reaches 2 t_max and the oracle's phases sigma t reach 4 J t_max
     solves = counting(monkeypatch, "solve_by_symmetry")
-    kernels = counting(monkeypatch, "propagator")
+    kernels = counting(monkeypatch, "propagator_block")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValidationError, match="^verify window") as err:
@@ -169,6 +169,39 @@ def test_swapped_weights_fail_equivalence_at_fifty_cavities():
     failed = [check.name for check in report.checks if not check.passed]
     assert failed == ["oracle-equivalence"]
     assert report.checks[0].deviation > 1e-3
+
+
+# omega >> J, the regime of real coupled-cavity arrays: fig1's chain over
+# J t in [0, 100] at three carriers, and a 20-cavity chain over J t in [0, 50]
+FAR_CARRIERS = {
+    f"fig1-omega-{omega}": [
+        "--config", str(REPO_ROOT / "scenarios" / "fig1.json"),
+        "--set", f"lattice.omega={omega}",
+        "--set", "time.scale=hopping", "--set", "time.t_max=100",
+    ]
+    for omega in ("1e5", "3e5", "1e6")
+}
+FAR_CARRIERS["n20-omega-1e6"] = [
+    "--set", "lattice.num_cavities=20", "--set", "input.site_r=10",
+    "--set", "input.site_s=11", "--set", "lattice.omega=1e6",
+    "--set", "time.scale=hopping", "--set", "time.t_max=50",
+]
+
+
+@pytest.mark.parametrize("argv", FAR_CARRIERS.values(), ids=FAR_CARRIERS)
+def test_carrier_far_above_the_band_passes_every_check(capsys, argv):
+    assert main(["verify", *argv]) == 0
+    assert capsys.readouterr().out.count("[PASS]") == 8
+
+
+@pytest.mark.parametrize("argv", FAR_CARRIERS.values(), ids=FAR_CARRIERS)
+def test_swapped_weights_fail_far_above_the_band(capsys, argv):
+    swapped = ["--swap-weights", "--set", "input.theta=0.3927"]
+    assert main(["verify", *argv, *swapped]) == 2
+    report = capsys.readouterr().out
+    assert [line for line in report.splitlines() if line.startswith("[FAIL]")] == [
+        line for line in report.splitlines() if "oracle-equivalence" in line
+    ]
 
 
 def test_shrink_keeps_a_chain_that_fits_and_recentres_a_shrunk_one():
