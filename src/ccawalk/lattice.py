@@ -32,7 +32,9 @@ over consecutive blocks of times.  It checks its inputs, forms the mode
 constants and allocates every per-block buffer once per call, then refills
 those buffers block by block; ``propagator_block`` is its one-block case.
 The carrier exp(-i omega t) is a global phase, so every caller reads only
-these real columns and no complex G is formed.  All functions are pure and
+these real columns and no complex G is formed.  ``light_cone`` gives the
+sub-chain that holds the columns of given sites up to a time, so a caller
+can run the kernel on that window alone.  All functions are pure and
 return read-only arrays, so values are safe to share across threads.
 """
 
@@ -40,6 +42,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
+from math import floor, log, log1p, sqrt
 
 import numpy as np
 
@@ -53,6 +56,8 @@ from .errors import (
 
 # bounds the N x N outputs: correlation writes N^2 rows, 25 million at this size
 MAX_CAVITIES = 5000
+# ln of what one cut bond of a light-cone window may move a column by, in 2-norm
+_LOG_CUT_ERROR = -61.0 * log(2.0)
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -168,6 +173,62 @@ def propagator_block(lattice: LatticeSpec, sites, times) -> np.ndarray:
     """
     ((_, columns),) = propagator_blocks(lattice, sites, times)
     return columns
+
+
+def light_cone(lattice: LatticeSpec, sites, t_max: float) -> tuple[int, int]:
+    """The sub-chain [a, b] that holds the columns of ``sites`` up to |t| = t_max.
+
+    Returns 1-based ends a <= b: every site lies in [a, b], and the columns
+    R_l over the W = b - a + 1 cavities of [a, b], taken as a chain of
+    their own, are the whole chain's columns to 2^-60 in 2-norm at every
+    |t| <= t_max.  The sites are checked against this chain's N first; a
+    mode phase z = 2 (J t_max) past the double range gives (1, N), for the
+    kernel to refuse; z = 0 gives the span of the sites.
+
+    The bound, with the carrier dropped (it is a global phase):
+
+    * Duhamel.  Cutting the bonds (a - 1, a) and (b, b + 1) changes the
+      Hamiltonian by J times those bonds.  The column phi(t) of site l on
+      [a, b] (zero outside it) and the whole chain's column therefore
+      differ in 2-norm by at most J t (max |phi_a(s)| + max |phi_b(s)|) over
+      0 <= s <= t, and a cut at a chain end costs nothing.
+    * Images.  On a chain of W sites the column is the image sum
+      phi_j = sum_m g(j - l + 2m(W + 1)) - g(j + l + 2m(W + 1)) in window
+      coordinates, with g(n) = (-i)^n J_n(2 J s) (Bessel J, even in n).
+      At an end site a distance d from l, each |n| is >= d and no value
+      occurs more than 4 times, so |phi_end(s)| <= 4 sum_{n >= d} |J_n(2 J s)|.
+    * Kapteyn's inequality (DLMF 10.14.5).  For n > z, |J_n(z)| <= K_n(z)
+      = (x e^r / (1 + r))^n with x = z/n and r = sqrt(1 - x^2).  K_n(z)
+      grows with z, and d ln K_n / dn = -arccosh(n/z) falls with n, so
+      K_{n+1} <= q K_n for n >= d with q = z / (d + sqrt(d^2 - z^2)) < 1.
+
+    So a cut at distance d > z from every site moves a column by at most
+    J t_max 4 K_d(z) / (1 - q), which falls with d and grows with z; the
+    radius R is the least d > z at which it is <= 2^-61, and
+    [a, b] = [min(sites) - R, max(sites) + R], clipped to the chain.  Both
+    cuts together give 2^-60, and eta, a fourth-degree form in unit columns
+    with weights summing to at most 2, moves by at most 8 2^-60.  R(z) is
+    non-decreasing and R > z, so a chain with N <= z is never cut.
+    O(R - z) scalar steps.
+    """
+    n = lattice.num_cavities
+    index = checked_array(sites, "cavity index", int, 1, n)
+    z = 2.0 * (lattice.hopping * abs(float(t_max)))  # formed as the kernel forms it
+    if not z < n:
+        return 1, n
+    radius = 0
+    if z > 0.0:
+        radius = floor(z) + 1
+        while radius < n and _log_cut_bound(z, radius) > _LOG_CUT_ERROR:
+            radius += 1
+    return max(1, int(index.min()) - radius), min(n, int(index.max()) + radius)
+
+
+def _log_cut_bound(z: float, d: int) -> float:
+    """ln(J t 4 K_d(z) / (1 - q)) with J t = z/2: ``light_cone``'s bound at d > z > 0."""
+    r = sqrt((d - z) * (d + z)) / d
+    q = z / (d * (1.0 + r))
+    return log(2.0 * z) + d * (log(z) - log(d) + r - log1p(r)) - log1p(-q)
 
 
 def _mode_sums(

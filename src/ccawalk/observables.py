@@ -38,9 +38,10 @@ it flags a swapped assignment.
 Everything here is pure, takes the ``LatticeSpec`` itself and returns
 plain read-only arrays: ``tpd_family`` one (inputs, times) eta array,
 ``correlation_matrix`` one (times, N, N) array.  Both read the two real
-columns r and s from the one kernel.  Eta costs O(N log N) per time
-point and the coincidence matrix O(N^2); angles on one site pair share
-one pair of columns.
+columns r and s from the one kernel.  Eta costs O(W log W) per time
+point on the window of W <= N cavities that the photons reach by the
+grid's last time (``lattice.light_cone``), and the coincidence matrix
+O(N^2); angles on one site pair share one pair of columns.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from .errors import (
     checked_int,
     checked_real,
 )
-from .lattice import LatticeSpec, propagator_block, propagator_blocks
+from .lattice import LatticeSpec, light_cone, propagator_block, propagator_blocks
 
 
 @dataclass(frozen=True)
@@ -136,9 +137,12 @@ def tpd_family(lattice: LatticeSpec, noons: list[NoonInput], t_grid) -> np.ndarr
     The two real propagator columns come from one ``propagator_blocks``
     call, one L2-sized block of times at a time, and their squares and
     products reuse two buffers across blocks; each input then adds O(1) per
-    time point (the all-real form above).  The grid must be strictly
-    increasing and non-negative.  Returns a read-only (len(noons),
-    len(t_grid)) array, one row per input, in order.
+    time point (the all-real form above).  The call runs on the
+    ``light_cone`` window of the site pair up to the grid's last time, as a
+    chain of its own with the sites relabelled: eta moves by at most
+    8 2^-60, and a window that spans the chain is the chain itself.  The
+    grid must be strictly increasing and non-negative.  Returns a read-only
+    (len(noons), len(t_grid)) array, one row per input, in order.
     """
     if not noons or len({(noon.site_r, noon.site_s) for noon in noons}) != 1:
         raise ValidationError("an eta family needs inputs on exactly one site pair")
@@ -151,11 +155,14 @@ def tpd_family(lattice: LatticeSpec, noons: list[NoonInput], t_grid) -> np.ndarr
     site_r, site_s = noons[0].site_r, noons[0].site_s
     cross = -2.0 * (-1.0) ** (site_r + site_s) * w_r * w_s
     eta = np.empty((len(noons), times.size), dtype=float)
-    n = lattice.num_cavities
+    first, last = light_cone(lattice, [site_r, site_s], times[-1])
+    n = last - first + 1
+    window = LatticeSpec(n, lattice.omega, lattice.hopping)
+    sites = [site_r - first + 1, site_s - first + 1]  # r + s keeps its parity
     step = max(_MIN_BLOCK_TIMES, _BLOCK_ELEMENTS // n)
     squares = np.empty((2, min(step, times.size), n))
     products = np.empty(squares.shape[1:])
-    for block, columns in propagator_blocks(lattice, [site_r, site_s], times, step):
+    for block, columns in propagator_blocks(window, sites, times, step):
         rows = columns.shape[1]
         a, b = np.square(columns, out=squares[:, :rows])
         scratch = products[:rows]

@@ -1,6 +1,9 @@
+from math import exp
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.special import jv
 
 from ccawalk import (
     LatticeSpec,
@@ -8,7 +11,13 @@ from ccawalk import (
     mode_frequencies,
     propagator_block,
 )
-from ccawalk.lattice import _mode_sums, propagator_blocks
+from ccawalk.lattice import (
+    MAX_CAVITIES,
+    _log_cut_bound,
+    _mode_sums,
+    light_cone,
+    propagator_blocks,
+)
 from conftest import complex_propagator, full_propagator, sine_transform
 
 
@@ -353,3 +362,46 @@ class TestOverflowRefusals:
         lattice = LatticeSpec(num_cavities=4, omega=1.0, hopping=1e308)
         g = complex_propagator(lattice, [1, 2, 3, 4], [0.0])[:, 0]
         assert np.array_equal(g, np.eye(4))
+
+
+class TestLightCone:
+    # one site in the middle of the longest chain: the window is [l - R, l + R]
+    MIDDLE = MAX_CAVITIES // 2
+
+    def radius(self, z):
+        lattice = LatticeSpec(num_cavities=MAX_CAVITIES, omega=1.0, hopping=1.0)
+        first, last = light_cone(lattice, [self.MIDDLE], z / 2.0)
+        assert last - self.MIDDLE == self.MIDDLE - first
+        return self.MIDDLE - first
+
+    def test_bound_covers_the_bessel_tail(self):
+        zs = np.geomspace(0.1, 2000.0, 60)
+        radii = [self.radius(z) for z in zs]
+        assert all(later >= earlier for earlier, later in zip(radii, radii[1:]))
+        for z, radius in zip(zs, radii):
+            assert radius > z
+            # J t times 4 sum_{n >= R} |J_n(z)|, the image-sum error of one cut
+            tail = z / 2.0 * 4.0 * np.abs(jv(np.arange(radius, radius + 400), z)).sum()
+            bound = exp(_log_cut_bound(z, radius))
+            assert tail <= bound <= 2.0**-61, z
+            if radius - 1 > z:  # the least radius the bound allows
+                assert exp(_log_cut_bound(z, radius - 1)) > 2.0**-61
+
+    def test_zero_hopping_or_time_gives_the_pair(self):
+        still = LatticeSpec(num_cavities=100, omega=1.0, hopping=0.0)
+        assert light_cone(still, [45, 40], 1e300) == (40, 45)
+        moving = LatticeSpec(num_cavities=100, omega=1.0, hopping=1.0)
+        assert light_cone(moving, [45, 40], 0.0) == (40, 45)
+
+    def test_chain_no_longer_than_the_phase_is_never_cut(self):
+        lattice = LatticeSpec(num_cavities=29, omega=1.0, hopping=1.0)
+        assert light_cone(lattice, [15, 16], 14.5) == (1, 29)
+        assert light_cone(lattice, [15, 16], 0.01) == (7, 24)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("hopping", [0.0, 1e-300, 1e308])
+    @pytest.mark.parametrize("t_max", [0.0, 5e-324, 1e-300, 1.0, 1e10, 1e308])
+    def test_radius_raises_no_warning(self, hopping, t_max):
+        lattice = LatticeSpec(num_cavities=MAX_CAVITIES, omega=1.0, hopping=hopping)
+        first, last = light_cone(lattice, [7, 3], t_max)
+        assert 1 <= first <= 3 and 7 <= last <= MAX_CAVITIES

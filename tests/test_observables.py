@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from ccawalk import (
     LatticeSpec,
@@ -18,7 +19,7 @@ from ccawalk import (
     theta_for_concurrence,
     tpd_family,
 )
-from ccawalk.lattice import MAX_CAVITIES
+from ccawalk.lattice import MAX_CAVITIES, light_cone
 from ccawalk.observables import _BLOCK_ELEMENTS, _MIN_BLOCK_TIMES
 from conftest import complex_propagator, diagonal_mass, sine_transform, tpd_degree
 
@@ -407,6 +408,20 @@ class TestTpdFamily:
         with pytest.raises(ValidationError):
             tpd_family(lattice, [NoonInput(theta=0.3, site_r=1, site_s=6)], [0.0, 1.0])
 
+    def test_site_beyond_a_windowed_chain_names_the_chain(self):
+        # J t_max = 1 would cut a short window around the pair
+        lattice = LatticeSpec(num_cavities=1000, omega=1.0, hopping=0.1)
+        noon = NoonInput(theta=0.3, site_r=5, site_s=1001)
+        with pytest.raises(ValidationError, match=r"must lie in \[1, 1000\], got 1001"):
+            tpd_family(lattice, [noon], [0.0, 10.0])
+
+    def test_zero_hopping_runs_on_the_pair(self):
+        lattice = LatticeSpec(num_cavities=MAX_CAVITIES, omega=1.0, hopping=0.0)
+        assert light_cone(lattice, [2000, 2003], 1e6) == (2000, 2003)
+        noons = [NoonInput(theta=theta, site_r=2003, site_s=2000) for theta in (0.3, 1.2)]
+        eta = tpd_family(lattice, noons, [0.0, 1.0, 1e6])
+        assert np.abs(eta).max() <= 1e-15
+
 
 class TestNoSharedWorkspace:
     """Results never alias a kernel buffer, so a later call cannot change them."""
@@ -524,6 +539,25 @@ class TestTpdKernelAccuracy:
         assert eta.min() >= -1e-12
         assert eta.max() <= 1.0 + 1e-12
 
+    def test_long_chain_window_matches_tridiagonal_eigensolver(self):
+        # the shape of the benchmark's long chain: N = 1000, a pair near one
+        # end, J t_max = 100, against the gate's reference from the
+        # eigenpairs of the tridiagonal Hamiltonian
+        lattice = LatticeSpec(num_cavities=1000, omega=1.0, hopping=0.1)
+        times = np.linspace(0.0, 1000.0, 1001)
+        first, last = light_cone(lattice, [961, 979], times[-1])
+        assert last - first + 1 < lattice.num_cavities
+        noons = [NoonInput(theta=theta, site_r=961, site_s=979) for theta in self.THETAS]
+        eta = tpd_family(lattice, noons, times)
+        energies, modes = eigh_tridiagonal(np.full(1000, 1.0), np.full(999, 0.1))
+        picks = np.unique(np.r_[0, 1000, np.random.default_rng(3).choice(1001, 62)])
+        phases = np.exp(-1j * np.outer(times[picks], energies))
+        g_r, g_s = ((phases * modes[site - 1]) @ modes.T for site in (961, 979))
+        for noon, row in zip(noons, eta):
+            diag = np.sin(noon.theta) * g_r**2 + np.cos(noon.theta) * g_s**2
+            reference = 1.0 - np.sum(np.abs(diag) ** 2, axis=1)
+            assert np.abs(row[picks] - reference).max() <= 1e-12
+
     @pytest.mark.skipif(
         np.finfo(np.longdouble).eps >= 1e-18, reason="long double is not extended"
     )
@@ -545,6 +579,13 @@ class TestOverflowRefusals:
     def test_tpd_family(self):
         with pytest.raises(ValidationError, match=r"2 \* hopping \* t is inf"):
             tpd_family(self.LATTICE, [self.NOON], [0.0, 1e308])
+
+    @pytest.mark.parametrize("hopping, t", [(1e308, 1e10), (1.0, 1e308)])
+    def test_tpd_family_on_a_long_chain(self, hopping, t):
+        # a window is cut only from a finite phase, so the kernel refuses
+        lattice = LatticeSpec(num_cavities=MAX_CAVITIES, omega=1.0, hopping=hopping)
+        with pytest.raises(ValidationError, match=r"2 \* hopping \* t is inf"):
+            tpd_family(lattice, [NoonInput(theta=0.3, site_r=1, site_s=2)], [0.0, t])
 
     def test_correlation_matrix(self):
         with pytest.raises(ValidationError, match=r"2 \* hopping \* t is inf"):

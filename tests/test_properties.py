@@ -16,6 +16,7 @@ from ccawalk import (
     theta_for_concurrence,
     tpd_family,
 )
+from ccawalk.lattice import light_cone
 from conftest import complex_propagator, full_propagator, tpd_degree
 
 HALF_PI = float(np.pi / 2)
@@ -36,6 +37,43 @@ def lattice_with_noon(draw):
     site_s = draw(st.integers(1, n).filter(lambda s: s != site_r))
     theta = draw(st.floats(0.0, HALF_PI))
     return lattice, NoonInput(theta=theta, site_r=site_r, site_s=site_s)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(2, 600).flatmap(
+        lambda n: st.tuples(
+            st.just(n),
+            st.lists(
+                st.one_of(st.sampled_from([1, 2, n - 1, n]), st.integers(1, n)),
+                min_size=2,
+                max_size=2,
+                unique=True,
+            ),
+        )
+    ),
+    st.floats(1e-3, 1e3),
+    st.floats(0.0, 300.0),
+    st.lists(st.floats(0.0, HALF_PI), min_size=1, max_size=5),
+)
+def test_windowed_eta_matches_whole_chain_columns(case, hopping, jt_max, thetas):
+    n, (site_r, site_s) = case
+    lattice = LatticeSpec(num_cavities=n, omega=1.0, hopping=hopping)
+    times = np.unique(np.linspace(0.0, jt_max / hopping, 9))
+    first, last = light_cone(lattice, [site_r, site_s], times[-1])
+    assert 1 <= first <= min(site_r, site_s) and max(site_r, site_s) <= last <= n
+    noons = [NoonInput(theta=theta, site_r=site_r, site_s=site_s) for theta in thetas]
+    eta = tpd_family(lattice, noons, times)
+    # the all-real formula on the whole chain's columns
+    a, b = np.square(propagator_block(lattice, [site_r, site_s], times))
+    for noon, row in zip(noons, eta):
+        w_r, w_s = np.sin(noon.theta), np.cos(noon.theta)
+        reference = (
+            w_r**2 * (1.0 - np.sum(a * a, axis=1))
+            + w_s**2 * (1.0 - np.sum(b * b, axis=1))
+            - 2.0 * (-1.0) ** (site_r + site_s) * w_r * w_s * np.sum(a * b, axis=1)
+        )
+        assert np.abs(row - reference).max() <= 1e-13
 
 
 @settings(max_examples=40, deadline=None)
