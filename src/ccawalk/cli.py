@@ -3,7 +3,7 @@
 Subcommands
 -----------
 spectrum     mode index k and frequency Omega_k, one row per mode
-correlation  coincidence matrix P[m, n] at one time, as (m, n, value) triples
+correlation  coincidence matrix P[m, n] at time.t_max, as (m, n, value) triples
 tpd          delocalization degree eta over the configured time grid
 sweep        eta series for a family of superposition angles
 verify       cross-check the closed form against the brute-force reference
@@ -11,8 +11,10 @@ verify       cross-check the closed form against the brute-force reference
 Every command takes ``--config PATH`` (JSON scenario, see config module),
 ``--out PATH`` ('-' or omitted with no configured path means stdout) and
 repeated ``--set key.path=value`` overrides.  One table lists every flag;
-``parse_args`` reads argv from it and ``--help`` prints it.  Exit codes:
-0 success, 1 validation error, 2 verification failure, 3 I/O error.
+``parse_args`` reads argv from it and ``--help`` prints it.  The config in a
+table's header re-runs that table, and ``verify`` writes its report where a
+table would go.  Exit codes: 0 success, 1 validation error, 2 verification
+failure, 3 I/O error.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .config import (
     default_config_dict,
     read_config_document,
 )
-from .errors import ValidationError, checked_real
+from .errors import ValidationError
 from .lattice import mode_frequencies
 from .observables import NoonInput, concurrence, correlation_matrix, tpd_family
 from .oracle import ORACLE_MAX_CAVITIES
@@ -54,7 +56,7 @@ def _float_list(text: str) -> list[float]:
 # Every flag as (dest, converter, default, help); a switch has no converter.
 # parse_args and the --help text both read these tables.  A converter only
 # parses: SweepConfig checks the sweep flags, as it checks the config's own
-# block, cmd_correlation checks --t and run_verification the verify flags.
+# block, and run_verification the verify flags.
 _COMMON = {
     "--config": ("config", str, None, "PATH: scenario JSON file"),
     "--out": ("out", str, None, "PATH: output file, '-' stdout; overrides output.path"),
@@ -62,9 +64,7 @@ _COMMON = {
 }
 _COMMANDS = {
     "spectrum": ("write normal-mode frequencies", {}),
-    "correlation": ("write the coincidence matrix at one time", {
-        "--t": ("t", float, None, "T: time >= 0 in the config's scale (default t_max)"),
-    }),
+    "correlation": ("write the coincidence matrix at time.t_max", {}),
     "tpd": ("write the delocalization-degree time series", {}),
     "sweep": ("eta series for several superposition angles", {
         "--theta": ("theta", _float_list, None, "LIST: comma-separated angles"),
@@ -159,10 +159,6 @@ def _load_scenario(args) -> ScenarioConfig:
     return replace(cfg, sweep=SweepConfig(args.theta, args.concurrence, args.branch))
 
 
-def _out_path(args, cfg: ScenarioConfig) -> str | None:
-    return args.out if args.out is not None else cfg.output.path
-
-
 def cmd_spectrum(cfg: ScenarioConfig, args):
     freqs = mode_frequencies(cfg.lattice)
     modes = np.arange(1, freqs.size + 1)
@@ -170,9 +166,7 @@ def cmd_spectrum(cfg: ScenarioConfig, args):
 
 
 def cmd_correlation(cfg: ScenarioConfig, args):
-    scaled = cfg.time.t_max if args.t is None else args.t
-    t = cfg.absolute_time(scaled)  # first, so that an overflow names its product
-    checked_real(scaled, "--t", 0.0)
+    t = cfg.absolute_time(cfg.time.t_max)
     noon = cfg.input.to_noon()
     (p,) = correlation_matrix(cfg.lattice, noon, [t])
     sites = np.arange(1, cfg.lattice.num_cavities + 1)
@@ -217,7 +211,7 @@ def cmd_sweep(cfg: ScenarioConfig, args):
     return {"thetas": thetas}, ["theta", "concurrence", "t", "eta"], angles, [t], eta
 
 
-def cmd_verify(cfg: ScenarioConfig, args) -> int:
+def cmd_verify(cfg: ScenarioConfig, args) -> tuple[str, int]:
     noon = cfg.input.to_noon()
     report = run_verification(
         cfg.lattice,
@@ -227,12 +221,7 @@ def cmd_verify(cfg: ScenarioConfig, args) -> int:
         swap_weights=args.swap_weights,
         max_cavities=args.max_n,
     )
-    text = report.format() + "\n"
-    sys.stdout.write(text)
-    destination = _out_path(args, cfg)
-    if destination is not None and destination != "-":
-        write_text(text, destination)
-    return EXIT_OK if report.passed else EXIT_VERIFICATION
+    return report.format() + "\n", EXIT_OK if report.passed else EXIT_VERIFICATION
 
 
 # table commands return the provenance extras and the table: (extra, columns,
@@ -252,12 +241,14 @@ def main(argv=None) -> int:
             return EXIT_OK
         cfg = _load_scenario(args)
         if args.command == "verify":
-            return cmd_verify(cfg, args)
-        extra, columns, outer, inner, values = _TABLES[args.command](cfg, args)
-        prov = provenance(args.command, __version__, config_to_dict(cfg), extra)
-        text = render(cfg.output.format, prov, columns, outer, inner, values)
-        write_text(text, _out_path(args, cfg))
-        return EXIT_OK
+            text, code = cmd_verify(cfg, args)
+        else:
+            extra, columns, outer, inner, values = _TABLES[args.command](cfg, args)
+            prov = provenance(args.command, __version__, config_to_dict(cfg), extra)
+            text = render(cfg.output.format, prov, columns, outer, inner, values)
+            code = EXIT_OK
+        write_text(text, args.out if args.out is not None else cfg.output.path)
+        return code
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -22,6 +22,15 @@ SMALL_CHAIN = [
     "--set", "input.site_r=1",
     "--set", "input.site_s=2",
 ]
+COMMANDS = ("spectrum", "correlation", "tpd", "sweep", "verify")
+STEPS_10 = ["--set", "time.steps=10"]
+# a 12-cavity chain over 21 times, off the shipped site pair
+SHORT_RUN = [
+    "--set", "lattice.num_cavities=12",
+    "--set", "input.site_r=3",
+    "--set", "input.site_s=4",
+    "--set", "time.steps=20",
+]
 
 
 def run(*argv):
@@ -79,7 +88,7 @@ class TestCorrelation:
     def test_time_zero_has_exactly_two_nonzero_triples(self, tmp_path, scenarios_dir):
         out = tmp_path / "p0.csv"
         assert run("correlation", "--config", str(scenarios_dir / "fig1.json"),
-                   "--t", "0", "--out", str(out)) == 0
+                   "--set", "time.t_max=0", "--out", str(out)) == 0
         _, header, rows = read_csv(out)
         assert header == ["m", "n", "P_mn"]
         assert len(rows) == 29 * 29
@@ -271,24 +280,32 @@ class TestSweep:
         assert run(*argv) == 0  # the scenario's 3 angles x 11 times
         assert_one_line_error(capsys, *argv, "--theta", "0.1,0.2,0.3,0.4")
 
+    # (argv, the sweep block the header must hold, or None for the scenario's own)
     @pytest.mark.parametrize(
-        "flags, block",
+        "argv, block",
         [
-            (["--theta", "0.1,0.2"], {"theta": [0.1, 0.2]}),
-            (["--concurrence", "0,0.5,1"],
+            (["sweep", "--theta", "0.1,0.2", *STEPS_10], {"theta": [0.1, 0.2]}),
+            (["sweep", "--concurrence", "0,0.5,1", *STEPS_10],
              {"concurrence": [0.0, 0.5, 1.0], "branch": "low"}),
-            (["--concurrence", "0,0.5,1", "--branch", "high"],
+            (["sweep", "--concurrence", "0,0.5,1", "--branch", "high", *STEPS_10],
              {"concurrence": [0.0, 0.5, 1.0], "branch": "high"}),
+            (["spectrum", *SHORT_RUN], None),
+            (["correlation", *SHORT_RUN], None),
+            (["tpd", *SHORT_RUN], None),
+            (["sweep", "--theta", "0.1,0.2", *SHORT_RUN], {"theta": [0.1, 0.2]}),
+            (["sweep", "--concurrence", "0,0.5", "--branch", "high", *SHORT_RUN],
+             {"concurrence": [0.0, 0.5], "branch": "high"}),
         ],
-        ids=["theta", "concurrence", "concurrence-high"],
+        ids=["theta", "concurrence", "concurrence-high", "spectrum-n12", "correlation-n12",
+             "tpd-n12", "theta-n12", "concurrence-high-n12"],
     )
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_header_config_reruns_a_flag_driven_sweep(
-        self, tmp_path, scenarios_dir, flags, block, fmt
+        self, tmp_path, scenarios_dir, argv, block, fmt
     ):
+        scenario = scenarios_dir / "fig2.json"
         first, again = tmp_path / f"a.{fmt}", tmp_path / f"b.{fmt}"
-        assert run("sweep", "--config", str(scenarios_dir / "fig2.json"), *flags,
-                   "--set", "time.steps=10", "--set", f"output.format={fmt}",
+        assert run(*argv, "--config", str(scenario), "--set", f"output.format={fmt}",
                    "--out", str(first)) == 0
         if fmt == "csv":
             comments, _, _ = read_csv(first)
@@ -296,10 +313,12 @@ class TestSweep:
             config = json.loads(line.removeprefix("# config = "))
         else:
             config = json.loads(first.read_text())["provenance"]["config"]
+        if block is None:
+            block = json.loads(scenario.read_text())["sweep"]
         assert config["sweep"] == block
         header_cfg = tmp_path / "header.json"
         header_cfg.write_text(json.dumps(config))
-        assert run("sweep", "--config", str(header_cfg), "--out", str(again)) == 0
+        assert run(argv[0], "--config", str(header_cfg), "--out", str(again)) == 0
         assert again.read_bytes() == first.read_bytes()
 
 
@@ -368,11 +387,82 @@ class TestVerify:
             )
         assert "4 * hopping * t_max is inf" in err
 
-    def test_report_written_to_file(self, tmp_path, scenarios_dir):
+    def test_report_written_to_file(self, tmp_path, capsys, scenarios_dir):
         out = tmp_path / "report.txt"
         assert run("verify", "--config", str(scenarios_dir / "fig1.json"),
                    "--out", str(out)) == 0
-        assert "overall: PASS" in out.read_text()
+        assert capsys.readouterr().out == ""
+        assert out.read_text().splitlines()[-1] == "overall: PASS"
+
+    @pytest.mark.parametrize("stdout", [[], ["--out", "-"]], ids=["no-out", "out-dash"])
+    def test_stdout_holds_the_report_once(self, tmp_path, capsys, stdout):
+        out = tmp_path / "report.txt"
+        assert run("verify", "--out", str(out)) == 0
+        assert run("verify", *stdout) == 0
+        assert capsys.readouterr().out == out.read_text()
+
+    def test_failed_report_goes_only_to_its_file(self, tmp_path, capsys):
+        out = tmp_path / "report.txt"
+        assert run("verify", "--swap-weights", "--set", "input.theta=0.3927",
+                   "--max-n", "8", "--out", str(out)) == 2
+        assert capsys.readouterr().out == ""
+        assert out.read_text().splitlines()[-1] == "overall: FAIL"
+
+    def test_config_output_path_takes_the_report(self, tmp_path, capsys):
+        target = tmp_path / "from_config.txt"
+        document = default_config_dict()
+        document["output"]["path"] = str(target)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(document))
+        assert run("verify", "--config", str(cfg_path)) == 0
+        assert capsys.readouterr().out == ""
+        assert target.read_text().splitlines()[-1] == "overall: PASS"
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kB on Linux")
+    def test_refused_dense_chain_stays_small(self, tmp_path):
+        # Linux carries a parent's peak RSS into its child's ru_maxrss across
+        # fork and exec, so verify runs as the child of a small launcher
+        launcher = (
+            "import os, subprocess, sys\n"
+            "proc = subprocess.Popen(sys.argv[2:])\n"
+            "_, status, usage = os.wait4(proc.pid, 0)\n"
+            "with open(sys.argv[1], 'w') as fh:\n"
+            "    print(os.waitstatus_to_exitcode(status), usage.ru_maxrss, file=fh)\n"
+        )
+        result = tmp_path / "result.txt"
+        proc = subprocess.run(
+            [sys.executable, "-c", launcher, str(result), sys.executable, "-m",
+             "ccawalk.cli", "verify", "--set", "lattice.num_cavities=5000",
+             "--max-n", "5000"],
+            capture_output=True, text=True, env=src_env(), timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        code, peak_kb = map(int, result.read_text().split())
+        assert code == 1
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert proc.stderr.startswith("error: ")
+        assert peak_kb < 100 * 1024
+
+
+@pytest.mark.parametrize("scenario", ["fig1", "fig2", "fig3"])
+@pytest.mark.parametrize("command", COMMANDS)
+def test_shipped_scenarios_raise_no_warning(tmp_path, capsys, scenarios_dir, scenario,
+                                            command):
+    out = [] if command == "verify" else ["--out", str(tmp_path / f"{command}.csv")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(command, "--config", str(scenarios_dir / f"{scenario}.json"), *out) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_long_verify_window_raises_no_warning(capsys, scenarios_dir):
+    # the Gram-matrix oracle over J t = 1e6
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run("verify", "--config", str(scenarios_dir / "fig1.json"),
+                   "--set", "time.t_max=1e6") == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "overall: PASS"
 
 
 class TestOutputModes:
@@ -503,9 +593,9 @@ class TestFailureModes:
               "--set", "time.steps=2"], "omega * t"),
             (["sweep", "--theta", "0.1,0.2", "--set", "lattice.hopping=1e308",
               "--set", "time.steps=3"], "2 * hopping * t"),
-            (["correlation", "--t", "1e308"], "2 * hopping * t"),
-            (["correlation", "--t=-1e308"], "2 * hopping * t"),
-            (["correlation", "--t", "nan"], "t is nan"),
+            (["correlation", "--set", "time.t_max=1e308"], "2 * hopping * t"),
+            (["correlation", "--set", "time.t_max=-1e308"], "time.t_max must be >= 0"),
+            (["correlation", "--set", "time.t_max=NaN"], "time.t_max must be finite"),
             # t = 83.57 / omega passes the config's checks; Omega_1 is 2.29e308
             (["spectrum", "--set", "lattice.num_cavities=4", "--set", "input.site_r=1",
               "--set", "input.site_s=2", "--set", "lattice.omega=1e308",
@@ -629,7 +719,6 @@ def test_refused_input_is_one_error_line(tmp_path, argv, document, names):
     assert proc.stdout == ""
 
 
-COMMANDS = ("spectrum", "correlation", "tpd", "sweep", "verify")
 # every flag that takes a value: (command, flag, value, dest, parsed, other argv)
 VALUED_FLAGS = [
     (command, flag, value, dest, parsed, [])
@@ -640,7 +729,6 @@ VALUED_FLAGS = [
         ("--set", "lattice.hopping=0.1", "overrides", ("lattice.hopping=0.1",)),
     ]
 ] + [
-    ("correlation", "--t", "2.5", "t", 2.5, []),
     ("sweep", "--theta", "0.1,0.2", "theta", [0.1, 0.2], []),
     ("sweep", "--concurrence", "0, 0.5", "concurrence", [0.0, 0.5], []),
     ("sweep", "--branch", "high", "branch", "high", ["--concurrence", "0.5"]),
@@ -679,27 +767,26 @@ class TestParseArgs:
         )
         args = parse_args(["sweep"])
         assert (args.theta, args.concurrence, args.branch) == (None, None, None)
-        assert parse_args(["correlation"]).t is None
+        assert not hasattr(parse_args(["correlation"]), "t")
 
     @pytest.mark.parametrize(
         "argv, dest, parsed",
         [
-            (["correlation", "--t", "-5"], "t", -5.0),
             (["spectrum", "--out", "-"], "out", "-"),
             (["verify", "--seed", "-1"], "seed", -1),
             (["verify", "--max-n", "-5"], "max_n", -5),
             (["sweep", "--theta", "-0.1,0.2"], "theta", [-0.1, 0.2]),
         ],
-        ids=["t", "out", "seed", "max-n", "theta"],
+        ids=["out", "seed", "max-n", "theta"],
     )
     def test_a_value_may_start_with_a_dash(self, argv, dest, parsed):
         assert getattr(parse_args(argv), dest) == parsed
 
     def test_set_accumulates_and_a_repeated_flag_keeps_its_last_value(self):
-        args = parse_args(["correlation", "--set", "a.b=1", "--t", "1", "--out", "x",
-                           "--set=c.d=2", "--t=2", "--out", "y"])
+        args = parse_args(["correlation", "--set", "a.b=1", "--config", "p", "--out",
+                           "x", "--set=c.d=2", "--config=q", "--out", "y"])
         assert args.overrides == ("a.b=1", "c.d=2")
-        assert (args.t, args.out) == (2.0, "y")
+        assert (args.config, args.out) == ("q", "y")
         args = parse_args(["sweep", "--concurrence", "0.5", "--branch", "high",
                            "--branch", "low"])
         assert args.branch == "low"
@@ -718,8 +805,7 @@ class TestParseArgs:
             ["tpd", "--version"],
             ["spectrum", "--out"],
             ["spectrum", "--out", "--set", "lattice.hopping=0.1"],
-            ["correlation", "--t", "x"],
-            ["correlation", "--t="],
+            ["correlation", "--t", "1"],
             ["verify", "--seed", "1e3"],
             ["verify", "--max-n", "8.5"],
             ["sweep", "--theta", "0.1,,0.2"],
@@ -736,8 +822,9 @@ class TestParseArgs:
 
     def test_t_out_of_range_is_one_line_error(self, tmp_path, capsys):
         out = tmp_path / "p.csv"
-        err = assert_one_line_error(capsys, "correlation", "--t", "-5", "--out", str(out))
-        assert "--t must be >= 0" in err
+        err = assert_one_line_error(capsys, "correlation", "--set", "time.t_max=-5",
+                                    "--out", str(out))
+        assert "time.t_max must be >= 0" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [["-h"], ["--help"]], ids=" ".join)
