@@ -39,7 +39,7 @@ from .errors import (
     checked_products,
     checked_real,
 )
-from .lattice import LatticeSpec
+from .lattice import LatticeSpec, mode_phase
 from .observables import NoonInput, theta_for_concurrence
 
 MAX_STEPS = 10**6  # time_grid() is an array of steps + 1 floats
@@ -180,18 +180,15 @@ class ScenarioConfig:
         """Convert a time in the configured scale to absolute units.
 
         The time and the products the pipeline forms from it, omega * t
-        (the carrier) and 2 * hopping * t (the mode phases, which covers
-        hopping * t), must be finite, computed in that order and, like the
-        kernel, as 2 * (hopping * t).
+        (the carrier) and the mode phase 2 * hopping * t of
+        ``lattice.mode_phase`` (which covers hopping * t), must be finite,
+        checked in that order.
         """
         rate = self.lattice.omega if self.time.scale == "omega" else self.lattice.hopping
         t = scaled / rate
-        products = (
-            ("t", t),
-            ("omega * t", self.lattice.omega * t),
-            ("2 * hopping * t", 2.0 * (self.lattice.hopping * t)),
-        )
-        checked_products(f"time {scaled} ({self.time.scale} units)", products)
+        what = f"time {scaled} ({self.time.scale} units)"
+        checked_products(what, (("t", t), ("omega * t", self.lattice.omega * t)))
+        mode_phase(self.lattice, t, what)
         return t
 
     def time_grid(self) -> np.ndarray:

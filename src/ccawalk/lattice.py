@@ -27,6 +27,7 @@ four contiguous slice copies, and the full matrix an O(N^2) fill.
 Every function takes the ``LatticeSpec`` itself and reads only N, omega
 and J from it.  ``band_frequencies`` gives the band 2 J cos(theta_k), which
 verify's spectrum check reads, and ``mode_frequencies`` adds omega to it.
+``mode_phase`` forms 2 J t for the config, the kernel and ``light_cone``.
 ``propagator_blocks`` is the one kernel: the real columns R_l of any sites
 over consecutive blocks of times.  It checks its inputs, forms the mode
 constants and allocates every per-block buffer once per call, then refills
@@ -120,6 +121,19 @@ def mode_frequencies(lattice: LatticeSpec) -> np.ndarray:
     return _readonly(freqs)
 
 
+def mode_phase(lattice: LatticeSpec, t, what: str | None = None):
+    """2 J t, which scales every mode phase a_k = 2 J t cos(theta_k).
+
+    The one place it is formed, as 2 * (J * t), for a float or an array t.
+    Given ``what``, a float t whose phase is not finite is refused as
+    ``what`` out of range, with the product named ``2 * hopping * t``.
+    """
+    phase = 2.0 * (lattice.hopping * t)
+    if what is not None:
+        checked_products(what, [("2 * hopping * t", phase)])
+    return phase
+
+
 def propagator_blocks(
     lattice: LatticeSpec, sites, times, block_times: int | None = None
 ) -> Iterator[tuple[slice, np.ndarray]]:
@@ -138,8 +152,7 @@ def propagator_blocks(
     index = checked_array(sites, "cavity index", int, 1, n).tolist()
     times = checked_array(times, "time")
     reach = float(np.abs(times).max())
-    phase = 2.0 * (lattice.hopping * reach)  # formed as the kernel forms it
-    checked_products(f"time {reach}", [("2 * hopping * t", phase)])
+    mode_phase(lattice, reach, f"time {reach}")
     if block_times is None:
         size = times.size
     else:
@@ -182,7 +195,7 @@ def light_cone(lattice: LatticeSpec, sites, t_max: float) -> tuple[int, int]:
     R_l over the W = b - a + 1 cavities of [a, b], taken as a chain of
     their own, are the whole chain's columns to 2^-60 in 2-norm at every
     |t| <= t_max.  The sites are checked against this chain's N first; a
-    mode phase z = 2 (J t_max) past the double range gives (1, N), for the
+    z = ``mode_phase`` at t_max past the double range gives (1, N), for the
     kernel to refuse; z = 0 gives the span of the sites.
 
     The bound, with the carrier dropped (it is a global phase):
@@ -213,7 +226,7 @@ def light_cone(lattice: LatticeSpec, sites, t_max: float) -> tuple[int, int]:
     """
     n = lattice.num_cavities
     index = checked_array(sites, "cavity index", int, 1, n)
-    z = 2.0 * (lattice.hopping * abs(float(t_max)))  # formed as the kernel forms it
+    z = mode_phase(lattice, abs(float(t_max)))
     if not z < n:
         return 1, n
     radius = 0
@@ -279,7 +292,7 @@ def _mode_sums(
         t = times[start : start + size]
         rows = t.size
         a, c, s = phases[:rows], cos_a[:rows], sin_a[:rows]
-        np.multiply((2.0 * (lattice.hopping * t))[:, None], cos_theta, out=a)
+        np.multiply(mode_phase(lattice, t)[:, None], cos_theta, out=a)
         np.cos(a, out=c)
         np.sin(a, out=s)
         first_odd = np.sum(np.multiply(s, cos_theta, out=a), axis=1) * (-2.0 / m)

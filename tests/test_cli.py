@@ -54,6 +54,29 @@ def src_env():
     return env
 
 
+# Linux carries a parent's peak RSS into its child's ru_maxrss across fork
+# and exec, so a measured child runs under this small launcher
+LAUNCHER = (
+    "import os, subprocess, sys\n"
+    "proc = subprocess.Popen(sys.argv[2:])\n"
+    "_, status, usage = os.wait4(proc.pid, 0)\n"
+    "with open(sys.argv[1], 'w') as fh:\n"
+    "    print(os.waitstatus_to_exitcode(status), usage.ru_maxrss, file=fh)\n"
+)
+
+
+def launched(tmp_path, *argv):
+    """Run ``python *argv`` under ``LAUNCHER``: (exit code, peak RSS in kB, output)."""
+    result = tmp_path / "launched.txt"
+    proc = subprocess.run(
+        [sys.executable, "-c", LAUNCHER, str(result), sys.executable, *argv],
+        capture_output=True, text=True, env=src_env(), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, peak_kb = map(int, result.read_text().split())
+    return code, peak_kb, proc
+
+
 class TestSpectrum:
     def test_small_chain_rows(self, tmp_path):
         out = tmp_path / "spec.csv"
@@ -163,6 +186,29 @@ class TestTpd:
         _, _, rows = read_csv(out)
         assert len(rows) == 4
         assert np.isfinite(np.array(rows, dtype=float)).all()
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="Linux page-fault counts")
+    @pytest.mark.skipif(int(np.__version__.split(".")[0]) < 2, reason="numpy < 2")
+    def test_cold_long_chain_reuses_one_kernel_workspace(self, tmp_path):
+        # a cold N=1000, 1001-point tpd refills one set of kernel buffers
+        # block by block: at most 1,500 minor page faults inside cli.main
+        counted = (
+            "import resource, sys\n"
+            "from ccawalk.cli import main\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "code = main(sys.argv[1:])\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+            "sys.exit(code)\n"
+        )
+        code, _, proc = launched(
+            tmp_path, "-c", counted, "tpd",
+            "--set", "lattice.num_cavities=1000", "--set", "lattice.hopping=0.1",
+            "--set", "input.site_r=7", "--set", "input.site_s=9",
+            "--set", "time.t_max=100.0", "--set", "time.steps=1000",
+            "--set", "time.scale=hopping", "--out", str(tmp_path / "tpd.csv"),
+        )
+        assert code == 0, proc.stderr
+        assert int(proc.stdout) <= 1500
 
 
 class TestSweep:
@@ -420,29 +466,27 @@ class TestVerify:
 
     @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kB on Linux")
     def test_refused_dense_chain_stays_small(self, tmp_path):
-        # Linux carries a parent's peak RSS into its child's ru_maxrss across
-        # fork and exec, so verify runs as the child of a small launcher
-        launcher = (
-            "import os, subprocess, sys\n"
-            "proc = subprocess.Popen(sys.argv[2:])\n"
-            "_, status, usage = os.wait4(proc.pid, 0)\n"
-            "with open(sys.argv[1], 'w') as fh:\n"
-            "    print(os.waitstatus_to_exitcode(status), usage.ru_maxrss, file=fh)\n"
+        code, peak_kb, proc = launched(
+            tmp_path, "-m", "ccawalk.cli", "verify",
+            "--set", "lattice.num_cavities=5000", "--max-n", "5000",
         )
-        result = tmp_path / "result.txt"
-        proc = subprocess.run(
-            [sys.executable, "-c", launcher, str(result), sys.executable, "-m",
-             "ccawalk.cli", "verify", "--set", "lattice.num_cavities=5000",
-             "--max-n", "5000"],
-            capture_output=True, text=True, env=src_env(), timeout=60,
-        )
-        assert proc.returncode == 0, proc.stderr
-        code, peak_kb = map(int, result.read_text().split())
         assert code == 1
         assert proc.stdout == ""
         assert len(proc.stderr.splitlines()) == 1, proc.stderr
         assert proc.stderr.startswith("error: ")
         assert peak_kb < 100 * 1024
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kB on Linux")
+    def test_shrunk_chain_stays_under_250_mb(self, tmp_path):
+        # H is kept as its nonzero entries: the N=99 copy of a 120-cavity chain
+        code, peak_kb, proc = launched(
+            tmp_path, "-m", "ccawalk.cli", "verify", "--set", "lattice.num_cavities=120"
+        )
+        assert code == 0, proc.stderr
+        report = proc.stdout.splitlines()
+        assert report[0].startswith("verification scenario: N=99,")
+        assert report[-1] == "overall: PASS"
+        assert peak_kb < 250 * 1024
 
 
 @pytest.mark.parametrize("scenario", ["fig1", "fig2", "fig3"])

@@ -338,6 +338,17 @@ class TestModeSums:
         assert sums.shape == (times.size, n + 2)
         assert float(np.abs(sums - reference).max()) <= 1e-14
 
+    @pytest.mark.parametrize("n", [5, 29])
+    def test_odd_chain_middle_mode_is_stationary(self, n):
+        # v[l] = sin(l pi/2), exactly 1, 0, -1, 0, ..., is the mode at
+        # theta = pi/2, of frequency omega, so sum_l R_l[j](t) v[l] = v[j] at
+        # every J t; a phase 2 J t cos(pi/2) read as 2 J t 6e-17 moves it by
+        # about 2e-10 at J t = 1e6
+        lattice = LatticeSpec(num_cavities=n, omega=1.0, hopping=1.0)
+        v = np.array([0.0, 1.0, 0.0, -1.0])[np.arange(1, n + 1) % 4]
+        columns = propagator_block(lattice, np.arange(1, n + 1), [1e6])[:, 0]
+        assert float(np.abs(v @ columns - v).max()) <= 1e-13
+
 
 @pytest.mark.filterwarnings("error")  # refused before any overflowing operation
 class TestOverflowRefusals:

@@ -1,9 +1,10 @@
 """Invariants checked over randomized lattices, inputs and times."""
 
 import warnings
+from math import isfinite
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ccawalk import (
     LatticeSpec,
@@ -16,7 +17,8 @@ from ccawalk import (
     theta_for_concurrence,
     tpd_family,
 )
-from ccawalk.lattice import light_cone
+from ccawalk.config import config_from_dict
+from ccawalk.lattice import light_cone, propagator_blocks
 from conftest import complex_propagator, full_propagator, tpd_degree
 
 HALF_PI = float(np.pi / 2)
@@ -186,3 +188,40 @@ def test_extreme_scales_give_finite_arrays_or_refuse(case, times):
             except ValidationError:
                 continue
             assert np.isfinite(result).all(), name
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(2, 40),
+    st.floats(1e-300, 1e308),
+    st.floats(1e-300, 1e308),
+    st.floats(0.0, 1e308),
+)
+def test_config_kernel_and_light_cone_share_one_phase_rule(n, omega, hopping, t_max):
+    t = t_max / omega  # the config's absolute time at scale "omega"
+    assume(isfinite(t) and isfinite(omega * t))
+    lattice = LatticeSpec(num_cavities=n, omega=omega, hopping=hopping)
+    document = {
+        "lattice": {"num_cavities": n, "omega": omega, "hopping": hopping},
+        "input": {"site_r": 1, "site_s": n, "theta": 0.3927},
+        "time": {"t_max": t_max, "steps": 1, "scale": "omega"},
+    }
+    refusals = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # an overflow warning is a failure
+        try:
+            grid = config_from_dict(document).time_grid()
+        except ValidationError as err:
+            refusals.append(str(err))
+        else:
+            assert grid[-1] == t  # the time the kernel is given below
+        try:
+            next(propagator_blocks(lattice, [1], [t]))
+        except ValidationError as err:
+            refusals.append(str(err))
+        window = light_cone(lattice, [1], t)
+    assert len(refusals) in (0, 2)
+    assert all("2 * hopping * t is " in message for message in refusals)
+    assert bool(refusals) == (not isfinite(2.0 * (hopping * t)))
+    if refusals:
+        assert window == (1, n)

@@ -112,6 +112,24 @@ def test_oracle_is_solved_once_and_evolved_once(monkeypatch):
     assert [len(args[2]) for args in families] == [25, 1]
 
 
+def test_negative_eta_fails_eta_range(monkeypatch):
+    real_family = verify.tpd_family
+
+    def dipped(*args):
+        (eta,) = real_family(*args)
+        eta = eta.copy()
+        eta[-1] = -1e-6
+        return eta[None]
+
+    monkeypatch.setattr(verify, "tpd_family", dipped)
+    report = run_verification(FIG1, NOON, t_max=83.57)
+    checks = {check.name: check for check in report.checks}
+    assert not checks["eta-range"].passed
+    assert checks["eta-range"].deviation == 1e-6
+    assert checks["eta-zero-at-start"].passed
+    assert not report.passed
+
+
 SMALL = LatticeSpec(num_cavities=8, omega=1.0, hopping=1.0)
 SMALL_NOON = NoonInput(theta=np.pi / 4, site_r=4, site_s=5)
 
