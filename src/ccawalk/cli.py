@@ -159,14 +159,14 @@ def _load_scenario(args) -> ScenarioConfig:
     return replace(cfg, sweep=SweepConfig(args.theta, args.concurrence, args.branch))
 
 
-def cmd_spectrum(cfg: ScenarioConfig, args):
+def cmd_spectrum(cfg: ScenarioConfig):
     freqs = mode_frequencies(cfg.lattice)
     modes = np.arange(1, freqs.size + 1)
     return {}, ["k", "Omega_k"], [], [modes], freqs[None]
 
 
-def cmd_correlation(cfg: ScenarioConfig, args):
-    t = cfg.absolute_time(cfg.time.t_max)
+def cmd_correlation(cfg: ScenarioConfig):
+    t = cfg.absolute_time()
     noon = cfg.input.to_noon()
     (p,) = correlation_matrix(cfg.lattice, noon, [t])
     sites = np.arange(1, cfg.lattice.num_cavities + 1)
@@ -180,7 +180,7 @@ def cmd_correlation(cfg: ScenarioConfig, args):
     return extra, ["m", "n", "P_mn"], [sites], [sites], p
 
 
-def cmd_tpd(cfg: ScenarioConfig, args):
+def cmd_tpd(cfg: ScenarioConfig):
     noon = cfg.input.to_noon()
     t = cfg.time_grid()
     eta = tpd_family(cfg.lattice, [noon], t)
@@ -189,7 +189,7 @@ def cmd_tpd(cfg: ScenarioConfig, args):
     return extra, ["t", "omega_t", "J_t", "eta"], [], times, eta
 
 
-def cmd_sweep(cfg: ScenarioConfig, args):
+def cmd_sweep(cfg: ScenarioConfig):
     if cfg.sweep is None:
         raise ValidationError(
             "no sweep values: pass --theta or --concurrence, or add a 'sweep' "
@@ -216,7 +216,7 @@ def cmd_verify(cfg: ScenarioConfig, args) -> tuple[str, int]:
     report = run_verification(
         cfg.lattice,
         noon,
-        cfg.absolute_time(cfg.time.t_max),
+        cfg.absolute_time(),
         seed=args.seed,
         swap_weights=args.swap_weights,
         max_cavities=args.max_n,
@@ -243,7 +243,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             text, code = cmd_verify(cfg, args)
         else:
-            extra, columns, outer, inner, values = _TABLES[args.command](cfg, args)
+            extra, columns, outer, inner, values = _TABLES[args.command](cfg)
             prov = provenance(args.command, __version__, config_to_dict(cfg), extra)
             text = render(cfg.output.format, prov, columns, outer, inner, values)
             code = EXIT_OK

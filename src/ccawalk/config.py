@@ -169,21 +169,22 @@ class ScenarioConfig:
             raise ValidationError(
                 "time.scale='hopping' requires a nonzero hopping strength"
             )
-        t_end = self.absolute_time(self.time.t_max)
+        t_end = self.absolute_time()
         if not isfinite(t_end * self.time.steps):
             raise ValidationError(
                 f"time grid overflows: t_max {self.time.t_max} is {t_end} in absolute "
                 f"units, and {t_end} * {self.time.steps} steps is not finite"
             )
 
-    def absolute_time(self, scaled: float) -> float:
-        """Convert a time in the configured scale to absolute units.
+    def absolute_time(self) -> float:
+        """``time.t_max``, given in the configured scale, in absolute units.
 
         The time and the products the pipeline forms from it, omega * t
         (the carrier) and the mode phase 2 * hopping * t of
         ``lattice.mode_phase`` (which covers hopping * t), must be finite,
         checked in that order.
         """
+        scaled = self.time.t_max
         rate = self.lattice.omega if self.time.scale == "omega" else self.lattice.hopping
         t = scaled / rate
         what = f"time {scaled} ({self.time.scale} units)"
@@ -196,7 +197,7 @@ class ScenarioConfig:
 
         Sample i is ``t_end * i / steps``, rounded in that order.
         """
-        t_end, steps = self.absolute_time(self.time.t_max), self.time.steps
+        t_end, steps = self.absolute_time(), self.time.steps
         grid = t_end * np.arange(steps + 1, dtype=float) / steps
         grid.setflags(write=False)
         return grid

@@ -38,10 +38,12 @@ it flags a swapped assignment.
 Everything here is pure, takes the ``LatticeSpec`` itself and returns
 plain read-only arrays: ``tpd_family`` one (inputs, times) eta array,
 ``correlation_matrix`` one (times, N, N) array.  Both read the two real
-columns r and s from the one kernel.  Eta costs O(W log W) per time
-point on the window of W <= N cavities that the photons reach by the
-grid's last time (``lattice.light_cone``), and the coincidence matrix
-O(N^2); angles on one site pair share one pair of columns.
+columns r and s from the one kernel, run on the window of W <= N
+cavities that the photons reach (``lattice.light_cone``): eta on the
+window of the grid's last time, at O(W log W) per time point, with the
+angles on one site pair sharing one pair of columns; the coincidence
+matrix on the window of each time's own |t|, at O(W^2) per time, with
+exact zeros outside it.
 """
 
 from __future__ import annotations
@@ -100,26 +102,54 @@ def theta_for_concurrence(c: float, branch: str = "low") -> float:
     return pi / 2.0 - asin(c) / 2.0
 
 
+def _window(
+    lattice: LatticeSpec, sites: list[int], t_max: float
+) -> tuple[int, LatticeSpec, list[int]]:
+    """The ``light_cone`` window of ``sites`` up to |t| = t_max, as a chain of its own.
+
+    Returns (first, window, relabelled): the window's first cavity on the
+    chain, a ``LatticeSpec`` of its W cavities, and ``sites`` relabelled
+    onto it, so that r + s keeps its parity.  A window that spans the chain
+    is the chain itself.
+    """
+    first, last = light_cone(lattice, sites, t_max)
+    window = LatticeSpec(last - first + 1, lattice.omega, lattice.hopping)
+    return first, window, [site - first + 1 for site in sites]
+
+
 def correlation_matrix(lattice: LatticeSpec, noon: NoonInput, times) -> np.ndarray:
     """Coincidence matrices P[m, n](t) = 2 A[m, n]^2 for the NOON-type input.
 
-    Reads the real columns x = R_r and y = R_s from one kernel call over
-    every time, then forms A per time from two outer products: O(N^2)
-    each.  Every product x_m x_n is formed before it is scaled, so P is
-    symmetric bit for bit.  Returns a read-only (len(times), N, N) array
-    whose matrices sum to 2 up to roundoff (a consequence of propagator
-    unitarity); each depends on its own time alone, bit for bit.
+    Each time runs on the ``light_cone`` window of W cavities that the
+    photons reach by its own |t|: one kernel call reads the real columns
+    x = R_r and y = R_s there, and A comes from two outer products, O(W^2).
+    P is written into that block of a zeroed (len(times), N, N) array and
+    is exactly 0 outside it, where the true P is below 3e-36; a window that
+    spans the chain gives the whole chain's P.  Every product x_m x_n is
+    formed before it is scaled, so P is symmetric bit for bit.  Returns a
+    read-only array whose matrices sum to 2 up to roundoff (a consequence
+    of propagator unitarity); each depends on its own time alone, bit for
+    bit.
     """
     r, s = noon.site_r, noon.site_s
-    x, y = propagator_block(lattice, [r, s], times)
-    y = y * (-1.0) ** ((r + s) * np.arange(1, lattice.num_cavities + 1))  # y'
-    p = x[:, :, None] * x[:, None, :]
-    p *= sin(noon.theta)
-    yy = y[:, :, None] * y[:, None, :]
-    yy *= (-1.0) ** (r + s) * cos(noon.theta)
-    p += yy
-    np.square(p, out=p)
-    p *= 2.0
+    w_r, w_s = sin(noon.theta), (-1.0) ** (r + s) * cos(noon.theta)
+    times = checked_array(times, "time")
+    n = lattice.num_cavities
+    p = np.zeros((times.size, n, n))
+    for t, matrix in zip(times, p):
+        first, window, sites = _window(lattice, [r, s], t)
+        x, y = propagator_block(window, sites, [t])[:, 0]
+        cavities = np.arange(first, first + x.size)
+        y = y * (-1.0) ** ((r + s) * cavities)  # y'
+        cut = slice(first - 1, first - 1 + x.size)
+        block = matrix[cut, cut]
+        np.multiply(x[:, None], x, out=block)
+        block *= w_r
+        yy = y[:, None] * y
+        yy *= w_s
+        block += yy
+        np.square(block, out=block)
+        block *= 2.0
     p.setflags(write=False)
     return p
 
@@ -155,10 +185,8 @@ def tpd_family(lattice: LatticeSpec, noons: list[NoonInput], t_grid) -> np.ndarr
     site_r, site_s = noons[0].site_r, noons[0].site_s
     cross = -2.0 * (-1.0) ** (site_r + site_s) * w_r * w_s
     eta = np.empty((len(noons), times.size), dtype=float)
-    first, last = light_cone(lattice, [site_r, site_s], times[-1])
-    n = last - first + 1
-    window = LatticeSpec(n, lattice.omega, lattice.hopping)
-    sites = [site_r - first + 1, site_s - first + 1]  # r + s keeps its parity
+    _, window, sites = _window(lattice, [site_r, site_s], times[-1])
+    n = window.num_cavities
     step = max(_MIN_BLOCK_TIMES, _BLOCK_ELEMENTS // n)
     squares = np.empty((2, min(step, times.size), n))
     products = np.empty(squares.shape[1:])

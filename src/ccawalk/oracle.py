@@ -264,7 +264,9 @@ class TwoPhotonSolution(NamedTuple):
     """Everything ``evolve`` needs to apply exp(-i H t), from ``solve_by_symmetry``.
 
     ``diagonal`` is H's constant diagonal d (2 omega for the chain),
-    ``eigenvalues`` H's spectrum in ascending order, ``pairs`` one label of
+    ``offsets`` H's spectrum less d in ascending order (-sigma, 0 once per
+    unpaired label, +sigma), so d + ``offsets`` is the spectrum bit for
+    bit, ``pairs`` one label of
     each pair the mirror swaps, ``fixed`` the labels it fixes, and
     ``blocks`` the mirror-even and mirror-odd blocks, each with its C, U
     and sigma.  The even block's coordinates are (e_i + e_Mi)/sqrt(2) over
@@ -274,7 +276,7 @@ class TwoPhotonSolution(NamedTuple):
 
     basis: TwoPhotonBasis
     diagonal: float
-    eigenvalues: np.ndarray
+    offsets: np.ndarray
     pairs: np.ndarray
     fixed: np.ndarray
     blocks: tuple[SublatticeBlock, SublatticeBlock]
@@ -451,10 +453,9 @@ def solve_by_symmetry(
     edge = float(sigma.max(initial=0.0))
     bounds = (("d - sigma", center - edge), ("d + sigma", center + edge))
     checked_products("two-photon spectrum", bounds)
-    unpaired = np.full(d - 2 * sigma.size, center)
-    evals = np.sort(np.concatenate((center - sigma, unpaired, center + sigma)))
-    evals.setflags(write=False)
-    return TwoPhotonSolution(basis, center, evals, pairs, fixed, blocks)
+    offsets = np.sort(np.concatenate((-sigma, np.zeros(d - 2 * sigma.size), sigma)))
+    offsets.setflags(write=False)
+    return TwoPhotonSolution(basis, center, offsets, pairs, fixed, blocks)
 
 
 def evolve(amplitudes, solution: TwoPhotonSolution, times) -> np.ndarray:

@@ -190,11 +190,9 @@ def run_verification(
     eta_range_dev = max(0.0, -float(eta.min()), float(eta.max()) - 1.0)
     eta_zero_dev = abs(float(eta[0]))
 
-    sigma = np.concatenate([block.sigma for block in solution.blocks])
-    offsets = np.concatenate((-sigma, np.zeros(h.dimension - 2 * sigma.size), sigma))
     band = band_frequencies(lattice)
     pair_sums = np.add.outer(band, band)[np.triu_indices(n)]
-    spectrum_dev = _deviation(np.sort(offsets), np.sort(pair_sums))
+    spectrum_dev = _deviation(solution.offsets, np.sort(pair_sums))
 
     checks = (
         CheckResult("oracle-equivalence", oracle_dev, ORACLE_TOL),

@@ -147,6 +147,18 @@ class TestCorrelation:
         diag_mass = sum(float(v) for m, n, v in rows if m == n) / 2.0
         assert diag_mass < 0.088
 
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kB on Linux")
+    def test_largest_chain_matrix_stays_under_600_mb(self, tmp_path):
+        # CI's N=5000 bound: only the light-cone block of the zeroed array is written
+        code, peak_kb, proc = launched(
+            tmp_path, "-c",
+            "from ccawalk import LatticeSpec, NoonInput, correlation_matrix; "
+            "correlation_matrix(LatticeSpec(5000, 1.0, 1.0), NoonInput(0.3927, 2500, "
+            "2501), [83.57])",
+        )
+        assert code == 0, proc.stderr
+        assert peak_kb < 600 * 1024
+
 
 class TestTpd:
     def test_columns_and_first_row(self, tmp_path, scenarios_dir):

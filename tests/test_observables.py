@@ -216,6 +216,30 @@ class TestCorrelationMatrix:
         singles = np.stack([correlation_matrix(lattice, noon, [t])[0] for t in times])
         assert batch.tobytes() == singles.tobytes()
 
+    def test_long_chain_window_matches_tridiagonal_eigensolver(self):
+        # fig1's J t_max on a 1000-cavity chain: P inside the light cone
+        # against the eigenpairs of the tridiagonal Hamiltonian, and exact
+        # zeros outside it
+        lattice = LatticeSpec(num_cavities=1000, omega=1.0, hopping=1.0)
+        noon = NoonInput(theta=0.3927, site_r=500, site_s=501)
+        t = 83.57
+        first, last = light_cone(lattice, [500, 501], t)
+        assert 1 < first and last < 1000
+        (p,) = correlation_matrix(lattice, noon, [t])
+        energies, modes = eigh_tridiagonal(np.full(1000, 1.0), np.full(999, 1.0))
+        g_r, g_s = ((np.exp(-1j * t * energies) * modes[site - 1]) @ modes.T
+                    for site in (500, 501))
+        amplitude = np.sin(noon.theta) * np.outer(g_r, g_r) + np.cos(
+            noon.theta
+        ) * np.outer(g_s, g_s)
+        inside = slice(first - 1, last)
+        reference = 2.0 * np.abs(amplitude[inside, inside]) ** 2
+        assert np.abs(p[inside, inside] - reference).max() <= 1e-12
+        outside = np.ones(p.shape, dtype=bool)
+        outside[inside, inside] = False
+        assert np.all(p[outside] == 0.0)
+        assert abs(float(p.sum()) - 2.0) <= 1e-14
+
 
 class TestTpdDegree:
     def test_zero_at_start_for_any_input(self):

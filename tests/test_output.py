@@ -56,7 +56,7 @@ def reference_artifact(command, cfg):
     """The artifact as the row-tuple command code and the loops wrote it."""
     lattice = cfg.lattice
     noon = cfg.input.to_noon()
-    t_end, steps = cfg.absolute_time(cfg.time.t_max), cfg.time.steps
+    t_end, steps = cfg.absolute_time(), cfg.time.steps
     grid = [t_end * i / steps for i in range(steps + 1)]
     omega, hopping = cfg.lattice.omega, cfg.lattice.hopping
     if command == "spectrum":

@@ -41,19 +41,23 @@ def lattice_with_noon(draw):
     return lattice, NoonInput(theta=theta, site_r=site_r, site_s=site_s)
 
 
+# a chain of up to 600 cavities and a site pair anywhere on it, ends included
+chains_with_pair = st.integers(2, 600).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(
+            st.one_of(st.sampled_from([1, 2, n - 1, n]), st.integers(1, n)),
+            min_size=2,
+            max_size=2,
+            unique=True,
+        ),
+    )
+)
+
+
 @settings(max_examples=100, deadline=None)
 @given(
-    st.integers(2, 600).flatmap(
-        lambda n: st.tuples(
-            st.just(n),
-            st.lists(
-                st.one_of(st.sampled_from([1, 2, n - 1, n]), st.integers(1, n)),
-                min_size=2,
-                max_size=2,
-                unique=True,
-            ),
-        )
-    ),
+    chains_with_pair,
     st.floats(1e-3, 1e3),
     st.floats(0.0, 300.0),
     st.lists(st.floats(0.0, HALF_PI), min_size=1, max_size=5),
@@ -76,6 +80,32 @@ def test_windowed_eta_matches_whole_chain_columns(case, hopping, jt_max, thetas)
             - 2.0 * (-1.0) ** (site_r + site_s) * w_r * w_s * np.sum(a * b, axis=1)
         )
         assert np.abs(row - reference).max() <= 1e-13
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    chains_with_pair,
+    st.floats(1e-3, 1e3),
+    st.lists(st.floats(-300.0, 300.0), min_size=1, max_size=3),
+    st.floats(0.0, HALF_PI),
+)
+def test_windowed_correlation_matches_whole_chain_columns(case, hopping, jts, theta):
+    n, (site_r, site_s) = case
+    lattice = LatticeSpec(num_cavities=n, omega=1.0, hopping=hopping)
+    times = np.array(jts) / hopping
+    p = correlation_matrix(lattice, NoonInput(theta, site_r, site_s), times)
+    # 2 A^2 on the whole chain's columns
+    x, y = propagator_block(lattice, [site_r, site_s], times)
+    y = y * (-1.0) ** ((site_r + site_s) * np.arange(1, n + 1))
+    amplitude = np.sin(theta) * x[:, :, None] * x[:, None, :] + (
+        (-1.0) ** (site_r + site_s) * np.cos(theta) * y[:, :, None] * y[:, None, :]
+    )
+    assert np.abs(p - 2.0 * amplitude**2).max() <= 1e-13
+    for t, matrix in zip(times, p):
+        first, last = light_cone(lattice, [site_r, site_s], t)
+        outside = np.ones(matrix.shape, dtype=bool)
+        outside[first - 1 : last, first - 1 : last] = False
+        assert np.all(matrix[outside] == 0.0)
 
 
 @settings(max_examples=40, deadline=None)
