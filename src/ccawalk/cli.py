@@ -68,8 +68,8 @@ _COMMANDS = {
     "tpd": ("write the delocalization-degree time series", {}),
     "sweep": ("eta series for several superposition angles", {
         "--theta": ("theta", _float_list, None, "LIST: comma-separated angles"),
-        "--concurrence": ("concurrence", _float_list, None, "LIST: comma-separated"),
-        "--branch": ("branch", str, None, "low|high: with --concurrence only"),
+        "--concurrence": ("concurrence", _float_list, None, "LIST: at theta = "
+                          "asin(C)/2; exchange r and s for pi/2 - theta"),
     }),
     "verify": ("run the reference cross-check suite", {
         "--max-n": ("max_n", int, ORACLE_MAX_CAVITIES, "N: shrink the chain to at most "
@@ -140,10 +140,6 @@ def parse_args(argv: list[str]) -> SimpleNamespace | None:
         except ValueError:
             raise ValidationError(f"invalid {name} value {value!r}") from None
         setattr(args, dest, args.overrides + (value,) if dest == "overrides" else value)
-    if args.theta is not None and args.concurrence is not None:
-        raise ValidationError("--theta and --concurrence exclude each other")
-    if args.branch is not None and args.concurrence is None:
-        raise ValidationError("--branch is only meaningful together with --concurrence")
     return args
 
 
@@ -156,7 +152,7 @@ def _load_scenario(args) -> ScenarioConfig:
     if args.theta is None and args.concurrence is None:
         return cfg
     # sweep flags replace the validated sweep block, so the header re-runs them
-    return replace(cfg, sweep=SweepConfig(args.theta, args.concurrence, args.branch))
+    return replace(cfg, sweep=SweepConfig(args.theta, args.concurrence))
 
 
 def cmd_spectrum(cfg: ScenarioConfig):

@@ -10,15 +10,16 @@ A scenario is a single JSON document:
       "sweep":   {"theta": [0.0, 0.2617..., 0.7853...]}          # optional
     }
 
-``input`` carries exactly one of ``theta`` or ``concurrence`` (the latter
-with an optional ``branch``, "low" or "high", defaulting to "low").
+``input`` carries exactly one of ``theta`` or ``concurrence``.  A
+concurrence C resolves to theta = arcsin(C)/2; its other angle,
+pi/2 - theta, is the same input with ``site_r`` and ``site_s`` exchanged.
 ``time.scale`` says which energy sets the grid unit: "omega" means t_max is
 omega*t, "hopping" means t_max is J*t; absolute times are t_max divided by
 the corresponding rate.  ``output.path`` of null means stdout.  The
 optional ``sweep`` block provides default angle families for the sweep
 command, under the same rule as ``input``: a non-empty theta list or a
-concurrence list plus branch, in range and free of duplicates.  A null
-``output`` or ``sweep`` section is the same as an absent one.
+concurrence list, in range and free of duplicates.  A null ``output`` or
+``sweep`` section is the same as an absent one.
 
 CLI ``--set key=value`` overrides use dotted paths into this document and
 JSON-parsed values (bare words fall back to strings, ``null`` deletes).
@@ -48,45 +49,30 @@ MAX_STEPS = 10**6  # time_grid() is an array of steps + 1 floats
 MAX_SWEEP_POINTS = 16 * (MAX_STEPS + 1)
 
 
-def _angle_branch(section: str, theta, concurrence, branch) -> str | None:
-    """The angle rule of ``input`` and ``sweep``, resolving their branch.
-
-    Exactly one of theta or concurrence is given; a branch goes only with a
-    concurrence and defaults to "low" there.
-    """
+def _one_angle(section: str, theta, concurrence) -> None:
+    """The angle rule that ``input`` and ``sweep`` share: theta or concurrence."""
     if (theta is None) == (concurrence is None):
         raise ValidationError(
             f"{section} must specify exactly one of 'theta' or 'concurrence'"
         )
-    if concurrence is None:
-        if branch is not None:
-            raise ValidationError(
-                f"{section}.branch is only meaningful together with "
-                f"{section}.concurrence"
-            )
-        return None
-    branch = "low" if branch is None else branch
-    return checked_choice(branch, f"{section}.branch", ("low", "high"))
 
 
 @dataclass(frozen=True)
 class InputConfig:
-    """NOON input selection: sites plus either theta or concurrence+branch."""
+    """NOON input selection: sites plus either theta or concurrence."""
 
     site_r: int
     site_s: int
     theta: float | None = None
     concurrence: float | None = None
-    branch: str | None = None
 
     def __post_init__(self) -> None:
-        branch = _angle_branch("input", self.theta, self.concurrence, self.branch)
-        object.__setattr__(self, "branch", branch)
+        _one_angle("input", self.theta, self.concurrence)
 
     def resolved_theta(self) -> float:
         if self.theta is not None:
             return self.theta  # NoonInput checks it
-        return theta_for_concurrence(self.concurrence, self.branch)
+        return theta_for_concurrence(self.concurrence)
 
     def to_noon(self) -> NoonInput:
         return NoonInput(
@@ -126,12 +112,10 @@ class SweepConfig:
 
     theta: tuple[float, ...] | None = None
     concurrence: tuple[float, ...] | None = None
-    branch: str | None = None
 
     def __post_init__(self) -> None:
-        branch = _angle_branch("sweep", self.theta, self.concurrence, self.branch)
-        object.__setattr__(self, "branch", branch)
-        name, high = ("theta", pi / 2) if branch is None else ("concurrence", 1.0)
+        _one_angle("sweep", self.theta, self.concurrence)
+        name, high = ("concurrence", 1.0) if self.theta is None else ("theta", pi / 2)
         values = getattr(self, name)
         if not isinstance(values, (list, tuple)) or not values:
             raise ValidationError(f"sweep.{name} must be a non-empty list")
@@ -146,9 +130,7 @@ class SweepConfig:
     def resolved_thetas(self) -> tuple[float, ...]:
         if self.theta is not None:
             return self.theta
-        return tuple(
-            theta_for_concurrence(c, self.branch) for c in self.concurrence
-        )
+        return tuple(theta_for_concurrence(c) for c in self.concurrence)
 
 
 @dataclass(frozen=True)

@@ -53,13 +53,7 @@ from math import asin, cos, pi, sin
 
 import numpy as np
 
-from .errors import (
-    ValidationError,
-    checked_array,
-    checked_choice,
-    checked_int,
-    checked_real,
-)
+from .errors import ValidationError, checked_array, checked_int, checked_real
 from .lattice import LatticeSpec, light_cone, propagator_block, propagator_blocks
 
 
@@ -89,17 +83,14 @@ def concurrence(noon: NoonInput) -> float:
     return abs(sin(2.0 * noon.theta))
 
 
-def theta_for_concurrence(c: float, branch: str = "low") -> float:
-    """Invert C = |sin 2 theta| on [0, pi/2].
+def theta_for_concurrence(c: float) -> float:
+    """Invert C = |sin 2 theta| on [0, pi/4]: theta = arcsin(c)/2.
 
-    The map is two-to-one, so ``branch`` picks the solution:
-    ``"low"`` gives theta = arcsin(c)/2 in [0, pi/4], ``"high"`` gives
-    theta = pi/2 - arcsin(c)/2 in [pi/4, pi/2].
+    The other angle of that concurrence, pi/2 - theta, is the same input
+    with the sites exchanged: ``NoonInput(pi/2 - theta, r, s)`` is
+    ``NoonInput(theta, s, r)``.
     """
-    c = checked_real(c, "concurrence", 0.0, 1.0)
-    if checked_choice(branch, "branch", ("low", "high")) == "low":
-        return asin(c) / 2.0
-    return pi / 2.0 - asin(c) / 2.0
+    return asin(checked_real(c, "concurrence", 0.0, 1.0)) / 2.0
 
 
 def _window(

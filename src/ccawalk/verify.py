@@ -20,7 +20,8 @@ offsets from its diagonal 2 omega (+-sigma_i, 0 per unpaired label) are
 compared with the pair sums of the band 2 J cos(theta_k).
 
 ``swap_weights`` corrupts the closed-form side by exchanging the two
-superposition weights; it exists to demonstrate that the equivalence check
+superposition weights, theta -> pi/2 - theta, which is the same input with
+r and s exchanged; it exists to demonstrate that the equivalence check
 detects a wrong weight assignment (deviations of order 1 appear away from
 theta = pi/4).
 """
@@ -169,9 +170,9 @@ def run_verification(
     basis = TwoPhotonBasis(n)
     solution = solve_by_symmetry(h, basis)
     amplitudes = evolve(noon_state(basis, noon), solution, times)
-    # m[i] is M(t_i): the k sample times, t = 0, then t1, t2, t1 + t2 per pair
+    # m[i] is M(t_i): the k sample times from t = 0, then t1, t2, t1 + t2 per pair
     sites = np.arange(1, n + 1)
-    real = propagator_block(lattice, sites, np.concatenate((times, [0.0], group_times)))
+    real = propagator_block(lattice, sites, np.concatenate((times, group_times)))
     m = real.transpose(1, 2, 0) * np.where((sites[:, None] - sites) // 2 % 2, -1.0, 1.0)
     # swapped weights (cos theta on r, sin theta on s) are theta -> pi/2 - theta
     closed_input = replace(noon, theta=pi / 2 - noon.theta) if swap_weights else noon
@@ -181,8 +182,8 @@ def run_verification(
     pair_sum_dev = max(abs(float(p.sum()) - 2.0) for p in closed)
     identity, k = np.eye(n), times.size
     unitarity_dev = _deviation(m[:k] @ m[:k].transpose(0, 2, 1), identity)
-    identity_dev = _deviation(m[k], identity)
-    group_dev = _deviation(m[k + 1 :: 3] @ m[k + 2 :: 3], m[k + 3 :: 3])
+    identity_dev = _deviation(m[0], identity)
+    group_dev = _deviation(m[k::3] @ m[k + 1 :: 3], m[k + 2 :: 3])
 
     # the sorted samples start at t = 0 and may repeat (all of them when t_max = 0)
     distinct = times[np.concatenate(([True], np.diff(times) > 0.0))]

@@ -134,7 +134,7 @@ def _eta_family(hopping):
     family = {}
     for c in (0.0, 0.5, 1.0):
         noon = NoonInput(
-            theta=theta_for_concurrence(c, "low"), site_r=15, site_s=16
+            theta=theta_for_concurrence(c), site_r=15, site_s=16
         )
         (family[c],) = tpd_family(lattice, [noon], times)
     return times, family

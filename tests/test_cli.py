@@ -5,6 +5,7 @@ import stat
 import subprocess
 import sys
 import warnings
+from math import asin
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from conftest import REPO_ROOT, read_csv
 from ccawalk import LatticeSpec, NoonInput, cli, correlation_matrix, mode_frequencies
 from ccawalk.cli import main, parse_args
 from ccawalk.config import MAX_STEPS, default_config_dict
+from ccawalk.lattice import light_cone
 from ccawalk.oracle import ORACLE_MAX_CAVITIES
 
 PI = np.pi
@@ -24,6 +26,8 @@ SMALL_CHAIN = [
 ]
 COMMANDS = ("spectrum", "correlation", "tpd", "sweep", "verify")
 STEPS_10 = ["--set", "time.steps=10"]
+# the shipped site pair exchanged: pi/2 - theta for every angle
+EXCHANGED = ["--set", "input.site_r=16", "--set", "input.site_s=15"]
 # a 12-cavity chain over 21 times, off the shipped site pair
 SHORT_RUN = [
     "--set", "lattice.num_cavities=12",
@@ -75,6 +79,17 @@ def launched(tmp_path, *argv):
     assert proc.returncode == 0, proc.stderr
     code, peak_kb = map(int, result.read_text().split())
     return code, peak_kb, proc
+
+
+def rerun_bytes(tmp_path, *argv):
+    """The artifacts of two ``ccawalk.cli *argv`` runs under ``launched``, as bytes."""
+    artifacts = []
+    for name in ("a.csv", "b.csv"):
+        out = tmp_path / name
+        code, _, proc = launched(tmp_path, "-m", "ccawalk.cli", *argv, "--out", str(out))
+        assert code == 0, proc.stderr
+        artifacts.append(out.read_bytes())
+    return artifacts
 
 
 class TestSpectrum:
@@ -147,6 +162,14 @@ class TestCorrelation:
         diag_mass = sum(float(v) for m, n, v in rows if m == n) / 2.0
         assert diag_mass < 0.088
 
+    def test_windowed_long_chain_reruns_byte_for_byte(self, tmp_path):
+        # CI's N=2000 rerun, whose light-cone window cuts the chain at both ends
+        first, last = light_cone(LatticeSpec(2000, 1.0, 1.0), [1000, 1001], 83.57)
+        assert 1 < first and last < 2000
+        a, b = rerun_bytes(tmp_path, "correlation", "--set", "lattice.num_cavities=2000",
+                           "--set", "input.site_r=1000", "--set", "input.site_s=1001")
+        assert a == b
+
     @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kB on Linux")
     def test_largest_chain_matrix_stays_under_600_mb(self, tmp_path):
         # CI's N=5000 bound: only the light-cone block of the zeroed array is written
@@ -198,6 +221,26 @@ class TestTpd:
         _, _, rows = read_csv(out)
         assert len(rows) == 4
         assert np.isfinite(np.array(rows, dtype=float)).all()
+
+    def test_prime_length_chain_reruns_byte_for_byte(self, tmp_path):
+        # CI's N=4000 rerun: the kernel's length-(N+1) transform has prime
+        # length, and J t_max = 2000 puts the light cone past both ends
+        assert light_cone(LatticeSpec(4000, 1.0, 1.0), [15, 16], 2000.0) == (1, 4000)
+        a, b = rerun_bytes(tmp_path, "tpd", "--set", "lattice.num_cavities=4000",
+                           "--set", "time.steps=200", "--set", "time.t_max=2000")
+        assert a == b
+
+    def test_long_chain_raises_no_runtime_warning(self, tmp_path):
+        # CI's N=5000 run: the default J t_max = 83.57 cuts the chain to a window
+        out = tmp_path / "big.csv"
+        code, _, proc = launched(
+            tmp_path, "-W", "error::RuntimeWarning", "-m", "ccawalk.cli", "tpd",
+            "--set", "lattice.num_cavities=5000", "--set", "time.steps=200",
+            "--out", str(out),
+        )
+        assert (code, proc.stderr) == (0, "")
+        _, _, rows = read_csv(out)
+        assert len(rows) == 201
 
     @pytest.mark.skipif(sys.platform != "linux", reason="Linux page-fault counts")
     @pytest.mark.skipif(int(np.__version__.split(".")[0]) < 2, reason="numpy < 2")
@@ -273,17 +316,27 @@ class TestSweep:
         thetas = sorted({float(r[0]) for r in rows})
         assert thetas == pytest.approx([0.0, PI / 12, PI / 4])
 
+    # (flags, what the one error line names): a concurrence has one angle, so
+    # no branch flag or key exists, and SweepConfig alone checks the flags
     @pytest.mark.parametrize(
-        "flags",
-        [["--theta", "0.1", "--branch", "high"], ["--branch", "high"],
-         ["--branch", "low"]],
-        ids=["with-theta", "high-alone", "low-alone"],
+        "flags, names",
+        [
+            (["--theta", "0.1", "--branch", "high"], "'--branch'"),
+            (["--branch", "high"], "'--branch'"),
+            (["--concurrence", "0.5", "--branch", "low"], "'--branch'"),
+            (["--concurrence", "0.5", "--set", "input.branch=high"], "'branch'"),
+            (["--concurrence", "0.5", "--set", "sweep.branch=high"], "'branch'"),
+            (["--theta", "0.1", "--concurrence", "0.5"],
+             "sweep must specify exactly one of 'theta' or 'concurrence'"),
+        ],
+        ids=["with-theta", "high-alone", "with-concurrence", "input-key", "sweep-key",
+             "theta-and-concurrence"],
     )
-    def test_branch_without_concurrence_is_one_line_error(
-        self, tmp_path, capsys, monkeypatch, scenarios_dir, flags
+    def test_refused_angle_flags_reach_no_kernel(
+        self, tmp_path, capsys, monkeypatch, scenarios_dir, flags, names
     ):
         def no_kernel(*args):
-            raise AssertionError("--branch must be refused before any eta exists")
+            raise AssertionError("the flags must be refused before any eta exists")
 
         monkeypatch.setattr(cli, "tpd_family", no_kernel)
         out = tmp_path / "x.csv"
@@ -291,20 +344,26 @@ class TestSweep:
             capsys, "sweep", "--config", str(scenarios_dir / "fig1.json"), *flags,
             "--out", str(out),
         )
-        assert "--branch" in err and "--concurrence" in err
+        assert names in err
         assert not out.exists()
 
-    def test_concurrence_without_branch_takes_the_low_branch(
+    def test_concurrence_takes_the_low_angle_and_exchanged_sites_the_other(
         self, tmp_path, scenarios_dir
     ):
-        outputs = []
-        for branch in ([], ["--branch", "low"]):
-            out = tmp_path / f"sweep{len(branch)}.csv"
-            assert run("sweep", "--config", str(scenarios_dir / "fig2.json"),
-                       "--concurrence", "0,0.5,1", *branch, "--set", "time.steps=10",
-                       "--out", str(out)) == 0
-            outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1]
+        # theta = asin(C)/2 on sites (16, 15) is pi/2 - theta on (15, 16)
+        scenario = str(scenarios_dir / "fig2.json")
+        low, high = tmp_path / "low.csv", tmp_path / "high.csv"
+        assert run("sweep", "--config", scenario, "--concurrence", "0,0.5,1",
+                   *EXCHANGED, *STEPS_10, "--out", str(low)) == 0
+        thetas = [asin(c) / 2 for c in (0.0, 0.5, 1.0)]
+        assert run("sweep", "--config", scenario,
+                   "--theta", ",".join(repr(PI / 2 - t) for t in thetas),
+                   *STEPS_10, "--out", str(high)) == 0
+        low_rows = np.array(read_csv(low)[2], dtype=float)
+        high_rows = np.array(read_csv(high)[2], dtype=float)
+        assert list(low_rows[::11, 0]) == thetas
+        ulp = np.finfo(float).eps
+        assert np.abs(low_rows[:, 1:] - high_rows[:, 1:]).max() <= 2 * ulp
 
     def test_duplicates_rejected(self, tmp_path, scenarios_dir):
         code = run("sweep", "--config", str(scenarios_dir / "fig2.json"),
@@ -344,18 +403,18 @@ class TestSweep:
         [
             (["sweep", "--theta", "0.1,0.2", *STEPS_10], {"theta": [0.1, 0.2]}),
             (["sweep", "--concurrence", "0,0.5,1", *STEPS_10],
-             {"concurrence": [0.0, 0.5, 1.0], "branch": "low"}),
-            (["sweep", "--concurrence", "0,0.5,1", "--branch", "high", *STEPS_10],
-             {"concurrence": [0.0, 0.5, 1.0], "branch": "high"}),
+             {"concurrence": [0.0, 0.5, 1.0]}),
+            (["sweep", "--concurrence", "0,0.5,1", *EXCHANGED, *STEPS_10],
+             {"concurrence": [0.0, 0.5, 1.0]}),
             (["spectrum", *SHORT_RUN], None),
             (["correlation", *SHORT_RUN], None),
             (["tpd", *SHORT_RUN], None),
             (["sweep", "--theta", "0.1,0.2", *SHORT_RUN], {"theta": [0.1, 0.2]}),
-            (["sweep", "--concurrence", "0,0.5", "--branch", "high", *SHORT_RUN],
-             {"concurrence": [0.0, 0.5], "branch": "high"}),
+            (["sweep", "--concurrence", "0,0.5", *SHORT_RUN, "--set", "input.site_r=4",
+              "--set", "input.site_s=3"], {"concurrence": [0.0, 0.5]}),
         ],
-        ids=["theta", "concurrence", "concurrence-high", "spectrum-n12", "correlation-n12",
-             "tpd-n12", "theta-n12", "concurrence-high-n12"],
+        ids=["theta", "concurrence", "concurrence-exchanged", "spectrum-n12",
+             "correlation-n12", "tpd-n12", "theta-n12", "concurrence-exchanged-n12"],
     )
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_header_config_reruns_a_flag_driven_sweep(
@@ -700,7 +759,7 @@ class TestFailureModes:
         assert_one_line_error(capsys, *argv)
 
     @pytest.mark.parametrize(
-        "flags", [["--theta", "0.1,0.2"], ["--concurrence", "0.5", "--branch", "high"]],
+        "flags", [["--theta", "0.1,0.2"], ["--concurrence", "0.5"]],
         ids=["theta", "concurrence"],
     )
     @pytest.mark.parametrize(
@@ -787,7 +846,6 @@ VALUED_FLAGS = [
 ] + [
     ("sweep", "--theta", "0.1,0.2", "theta", [0.1, 0.2], []),
     ("sweep", "--concurrence", "0, 0.5", "concurrence", [0.0, 0.5], []),
-    ("sweep", "--branch", "high", "branch", "high", ["--concurrence", "0.5"]),
     ("verify", "--max-n", "8", "max_n", 8, []),
     ("verify", "--seed", "7", "seed", 7, []),
 ]
@@ -822,7 +880,8 @@ class TestParseArgs:
             ORACLE_MAX_CAVITIES, 20260810, False
         )
         args = parse_args(["sweep"])
-        assert (args.theta, args.concurrence, args.branch) == (None, None, None)
+        assert (args.theta, args.concurrence) == (None, None)
+        assert not hasattr(args, "branch")
         assert not hasattr(parse_args(["correlation"]), "t")
 
     @pytest.mark.parametrize(
@@ -843,9 +902,8 @@ class TestParseArgs:
                            "x", "--set=c.d=2", "--config=q", "--out", "y"])
         assert args.overrides == ("a.b=1", "c.d=2")
         assert (args.config, args.out) == ("q", "y")
-        args = parse_args(["sweep", "--concurrence", "0.5", "--branch", "high",
-                           "--branch", "low"])
-        assert args.branch == "low"
+        args = parse_args(["sweep", "--concurrence", "0.5", "--concurrence", "1"])
+        assert args.concurrence == [1.0]
 
     @pytest.mark.parametrize(
         "argv",

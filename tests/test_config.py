@@ -3,6 +3,7 @@ import io
 import json
 import re
 import tempfile
+from math import asin
 from pathlib import Path
 
 import numpy as np
@@ -54,13 +55,11 @@ def test_round_trip_theta_form():
 
 def test_round_trip_concurrence_form():
     raw = json.loads(json.dumps(MINIMAL))
-    raw["input"] = {"site_r": 2, "site_s": 3, "concurrence": 0.5, "branch": "high"}
-    raw["sweep"] = {"concurrence": [0.0, 0.5, 1.0], "branch": "low"}
+    raw["input"] = {"site_r": 3, "site_s": 2, "concurrence": 0.5}
+    raw["sweep"] = {"concurrence": [0.0, 0.5, 1.0]}
     cfg = config_from_dict(raw)
     assert through_json(cfg) == cfg
-    assert cfg.input.resolved_theta() == pytest.approx(
-        (3.14159265358979 / 2) - 0.5235987755982988 / 2, rel=1e-12
-    )
+    assert cfg.input.resolved_theta() == asin(0.5) / 2
 
 
 def test_exactly_one_of_theta_or_concurrence():
@@ -74,10 +73,15 @@ def test_exactly_one_of_theta_or_concurrence():
         config_from_dict(raw)
 
 
-def test_branch_requires_concurrence():
+@pytest.mark.parametrize("section", ["input", "sweep"])
+def test_branch_is_an_unknown_key(section):
+    # the other angle of a concurrence is the input with its sites exchanged
     raw = json.loads(json.dumps(MINIMAL))
-    raw["input"]["branch"] = "high"
-    with pytest.raises(ValidationError):
+    raw["input"] = {"site_r": 2, "site_s": 3, "concurrence": 0.5}
+    raw["sweep"] = {"concurrence": [0.5]}
+    raw[section]["branch"] = "high"
+    message = rf"unknown key\(s\) in '{section}': 'branch'"
+    with pytest.raises(ValidationError, match=message):
         config_from_dict(raw)
 
 
@@ -164,10 +168,8 @@ def test_null_optional_section_is_absent():
         ({"theta": []}, "sweep.theta must be a non-empty list"),
         ({"theta": 0.1}, "sweep.theta must be a non-empty list"),
         ({"concurrence": [1.5]}, "sweep.concurrence entry must lie in"),
-        ({"theta": [0.1, 0.2], "branch": "high"}, "only meaningful together"),
         ({"theta": [0.1, 0.1]}, "duplicates"),
         ({"concurrence": [1, 1.0]}, "duplicates"),
-        ({"concurrence": [0.5], "branch": "mid"}, "sweep.branch must be"),
         ({"theta": [0.1], "concurrence": [0.5]}, "exactly one of"),
         ({}, "exactly one of"),
     ],
@@ -177,14 +179,14 @@ def test_sweep_follows_the_input_angle_rule(sweep, message):
         config_from_dict({**MINIMAL, "sweep": sweep})
 
 
-def test_concurrence_branch_defaults_to_low_and_round_trips():
+def test_concurrence_takes_the_low_angle_and_round_trips_as_given():
     raw = {**MINIMAL, "sweep": {"concurrence": [0.0, 0.5]}}
     raw["input"] = {"site_r": 2, "site_s": 3, "concurrence": 0.5}
     cfg = config_from_dict(raw)
-    assert cfg.input.branch == "low" and cfg.sweep.branch == "low"
-    doc = config_to_dict(cfg)
-    assert doc["input"]["branch"] == "low" and doc["sweep"]["branch"] == "low"
-    assert "branch" not in config_to_dict(config_from_dict(MINIMAL))["input"]
+    assert cfg.input.resolved_theta() == asin(0.5) / 2
+    assert cfg.sweep.resolved_thetas() == (0.0, asin(0.5) / 2)
+    doc = json.loads(json.dumps(config_to_dict(cfg)))  # as a header carries it
+    assert doc["input"] == raw["input"] and doc["sweep"] == raw["sweep"]
     assert config_from_dict(doc) == cfg
 
 
@@ -241,13 +243,11 @@ def test_overrides_parse_json_values():
 
 
 def test_override_null_removes_key():
-    raw = apply_overrides(
-        MINIMAL, ["input.theta=null", "input.concurrence=1.0", "input.branch=high"]
-    )
+    raw = apply_overrides(MINIMAL, ["input.theta=null", "input.concurrence=1.0"])
     cfg = config_from_dict(raw)
     assert cfg.input.theta is None
     assert cfg.input.concurrence == 1.0
-    assert cfg.input.branch == "high"
+    assert cfg.input.resolved_theta() == asin(1.0) / 2
 
 
 def test_override_requires_assignment():
@@ -368,7 +368,6 @@ def unique_lists(values):
 # Sections that often load, for the fuzz below to spoil.  num_cavities never
 # exceeds 64, which bounds the memory and time of a run.
 SITES = {"site_r": st.integers(1, 3), "site_s": st.integers(1, 3)}
-BRANCH = {"branch": st.sampled_from(["low", "high"])}
 GOOD_SECTIONS = {
     "lattice": st.fixed_dictionaries(
         {
@@ -378,9 +377,7 @@ GOOD_SECTIONS = {
         }
     ),
     "input": st.fixed_dictionaries({**SITES, "theta": st.floats(0.0, 1.6)})
-    | st.fixed_dictionaries(
-        {**SITES, "concurrence": st.floats(0.0, 1.0)}, optional=BRANCH
-    ),
+    | st.fixed_dictionaries({**SITES, "concurrence": st.floats(0.0, 1.0)}),
     "time": st.fixed_dictionaries(
         {
             "t_max": st.floats(0.0, 100.0),
@@ -392,9 +389,7 @@ GOOD_SECTIONS = {
         {}, optional={"format": st.sampled_from(["csv", "json"]), "path": st.none()}
     ),
     "sweep": st.fixed_dictionaries({"theta": unique_lists(st.floats(0.0, 1.5))})
-    | st.fixed_dictionaries(
-        {"concurrence": unique_lists(st.floats(0.0, 1.0))}, optional=BRANCH
-    ),
+    | st.fixed_dictionaries({"concurrence": unique_lists(st.floats(0.0, 1.0))}),
 }
 SMALL_JSON_VALUES = JSON_VALUES.filter(
     lambda v: not (type(v) is int and 64 < v <= 5000)

@@ -53,21 +53,19 @@ class TestConcurrence:
 
 
 class TestThetaForConcurrence:
-    def test_unit_concurrence_both_branches(self):
-        assert theta_for_concurrence(1.0, "low") == pytest.approx(PI / 4, abs=1e-15)
-        assert theta_for_concurrence(1.0, "high") == pytest.approx(PI / 4, abs=1e-15)
+    def test_unit_concurrence(self):
+        assert theta_for_concurrence(1.0) == pytest.approx(PI / 4, abs=1e-15)
 
     def test_zero_concurrence(self):
-        assert theta_for_concurrence(0.0, "low") == 0.0
-        assert theta_for_concurrence(0.0, "high") == pytest.approx(PI / 2, abs=1e-15)
+        assert theta_for_concurrence(0.0) == 0.0
 
-    def test_half_concurrence_low(self):
-        assert theta_for_concurrence(0.5, "low") == pytest.approx(PI / 12, abs=1e-15)
+    def test_half_concurrence(self):
+        assert theta_for_concurrence(0.5) == pytest.approx(PI / 12, abs=1e-15)
 
     @pytest.mark.parametrize("c", [0.0, 0.1, 0.5, 0.9, 1.0])
-    @pytest.mark.parametrize("branch", ["low", "high"])
-    def test_round_trip(self, c, branch):
-        theta = theta_for_concurrence(c, branch)
+    def test_round_trip(self, c):
+        theta = theta_for_concurrence(c)
+        assert 0.0 <= theta <= PI / 4
         noon = NoonInput(theta=theta, site_r=1, site_s=2)
         assert abs(concurrence(noon) - c) < 1e-14
 
@@ -76,8 +74,6 @@ class TestThetaForConcurrence:
             theta_for_concurrence(1.2)
         with pytest.raises(ValidationError):
             theta_for_concurrence(-0.1)
-        with pytest.raises(ValidationError):
-            theta_for_concurrence(0.5, "middle")
 
 
 class TestNoonInput:
@@ -239,6 +235,32 @@ class TestCorrelationMatrix:
         outside[inside, inside] = False
         assert np.all(p[outside] == 0.0)
         assert abs(float(p.sum()) - 2.0) <= 1e-14
+
+
+class TestExchangedSites:
+    """pi/2 - theta on (r, s) is theta on (s, r), up to rounding the weights."""
+
+    # the light cone of these sites by J t = 83.57 cuts the 1000-cavity chain
+    LATTICE = LatticeSpec(num_cavities=1000, omega=1.0, hopping=1.0)
+    TIMES = np.linspace(0.0, 83.57, 41)
+    FEW_ULPS = 4 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("theta", [0.0, PI / 12, 0.4, PI / 4, 1.3, PI / 2])
+    @pytest.mark.parametrize("sites", [(500, 501), (500, 502), (502, 500)])
+    def test_complementary_angle_on_a_windowed_chain(self, theta, sites):
+        r, s = sites
+        first, last = light_cone(self.LATTICE, [r, s], self.TIMES[-1])
+        assert 1 < first and last < self.LATTICE.num_cavities
+        pair = [NoonInput(PI / 2 - theta, r, s), NoonInput(theta, s, r)]
+        basis = TwoPhotonBasis(self.LATTICE.num_cavities)
+        # (the largest value, the two results)
+        for scale, (a, b) in [
+            (1.0, [tpd_family(self.LATTICE, [noon], self.TIMES) for noon in pair]),
+            (2.0, [correlation_matrix(self.LATTICE, noon, self.TIMES[::20])
+                   for noon in pair]),
+            (1.0, [noon_state(basis, noon) for noon in pair]),
+        ]:
+            assert np.abs(a - b).max() <= scale * self.FEW_ULPS
 
 
 class TestTpdDegree:

@@ -51,7 +51,9 @@ def test_group_law_times_stay_in_twice_the_window(monkeypatch, t_max):
     _, sites, times = calls[0]
     # the default max_cavities keeps the shipped 29-cavity chain whole
     assert list(sites) == list(range(1, 30))
-    assert len(times) == 25 + 1 + 5 * 3
+    # the 25 samples, the first at t = 0 for the identity check, then 5 triples
+    assert len(times) == 25 + 5 * 3
+    assert times[0] == 0.0
     assert max(times) <= 2.0 * t_max
     assert min(times) >= 0.0
     # and one closed-form call covers every sample time
