@@ -5,7 +5,7 @@ Subcommands
 spectrum     mode index k and frequency Omega_k, one row per mode
 correlation  coincidence matrix P[m, n] at time.t_max, as (m, n, value) triples
 tpd          delocalization degree eta over the configured time grid
-sweep        eta series for a family of superposition angles
+sweep        eta series for the angles of --theta or the config's sweep block
 verify       cross-check the closed form against the brute-force reference
 
 Every command takes ``--config PATH`` (JSON scenario, see config module),
@@ -38,7 +38,7 @@ from .config import (
 )
 from .errors import ValidationError
 from .lattice import mode_frequencies
-from .observables import NoonInput, concurrence, correlation_matrix, tpd_family
+from .observables import concurrence, correlation_matrix, tpd_family
 from .oracle import ORACLE_MAX_CAVITIES
 from .output import provenance, render, write_text
 from .verify import run_verification
@@ -55,8 +55,8 @@ def _float_list(text: str) -> list[float]:
 
 # Every flag as (dest, converter, default, help); a switch has no converter.
 # parse_args and the --help text both read these tables.  A converter only
-# parses: SweepConfig checks the sweep flags, as it checks the config's own
-# block, and run_verification the verify flags.
+# parses: SweepConfig checks --theta, as it checks the config's own block,
+# and run_verification the verify flags.
 _COMMON = {
     "--config": ("config", str, None, "PATH: scenario JSON file"),
     "--out": ("out", str, None, "PATH: output file, '-' stdout; overrides output.path"),
@@ -68,8 +68,6 @@ _COMMANDS = {
     "tpd": ("write the delocalization-degree time series", {}),
     "sweep": ("eta series for several superposition angles", {
         "--theta": ("theta", _float_list, None, "LIST: comma-separated angles"),
-        "--concurrence": ("concurrence", _float_list, None, "LIST: at theta = "
-                          "asin(C)/2; exchange r and s for pi/2 - theta"),
     }),
     "verify": ("run the reference cross-check suite", {
         "--max-n": ("max_n", int, ORACLE_MAX_CAVITIES, "N: shrink the chain to at most "
@@ -149,10 +147,10 @@ def _load_scenario(args) -> ScenarioConfig:
     else:
         raw = default_config_dict()
     cfg = config_from_dict(apply_overrides(raw, args.overrides))
-    if args.theta is None and args.concurrence is None:
+    if args.theta is None:
         return cfg
-    # sweep flags replace the validated sweep block, so the header re-runs them
-    return replace(cfg, sweep=SweepConfig(args.theta, args.concurrence))
+    # --theta replaces the validated sweep block, so the header re-runs it
+    return replace(cfg, sweep=SweepConfig(args.theta))
 
 
 def cmd_spectrum(cfg: ScenarioConfig):
@@ -163,7 +161,7 @@ def cmd_spectrum(cfg: ScenarioConfig):
 
 def cmd_correlation(cfg: ScenarioConfig):
     t = cfg.absolute_time()
-    noon = cfg.input.to_noon()
+    noon = cfg.input
     (p,) = correlation_matrix(cfg.lattice, noon, [t])
     sites = np.arange(1, cfg.lattice.num_cavities + 1)
     extra = {
@@ -177,7 +175,7 @@ def cmd_correlation(cfg: ScenarioConfig):
 
 
 def cmd_tpd(cfg: ScenarioConfig):
-    noon = cfg.input.to_noon()
+    noon = cfg.input
     t = cfg.time_grid()
     eta = tpd_family(cfg.lattice, [noon], t)
     times = [t, t * cfg.lattice.omega, t * cfg.lattice.hopping]
@@ -188,10 +186,9 @@ def cmd_tpd(cfg: ScenarioConfig):
 def cmd_sweep(cfg: ScenarioConfig):
     if cfg.sweep is None:
         raise ValidationError(
-            "no sweep values: pass --theta or --concurrence, or add a 'sweep' "
-            "block to the config"
+            "no sweep values: pass --theta, or add a 'sweep' block to the config"
         )
-    thetas = list(cfg.sweep.resolved_thetas())
+    thetas = list(cfg.sweep.theta)
     points = len(thetas) * (cfg.time.steps + 1)
     if points > MAX_SWEEP_POINTS:
         raise ValidationError(
@@ -199,8 +196,7 @@ def cmd_sweep(cfg: ScenarioConfig):
             f"{points} points, above the limit of {MAX_SWEEP_POINTS}"
         )
 
-    site_r, site_s = cfg.input.site_r, cfg.input.site_s
-    noons = [NoonInput(theta=theta, site_r=site_r, site_s=site_s) for theta in thetas]
+    noons = [replace(cfg.input, theta=theta) for theta in thetas]
     t = cfg.time_grid()
     eta = tpd_family(cfg.lattice, noons, t)
     angles = [thetas, [concurrence(noon) for noon in noons]]
@@ -208,10 +204,9 @@ def cmd_sweep(cfg: ScenarioConfig):
 
 
 def cmd_verify(cfg: ScenarioConfig, args) -> tuple[str, int]:
-    noon = cfg.input.to_noon()
     report = run_verification(
         cfg.lattice,
-        noon,
+        cfg.input,
         cfg.absolute_time(),
         seed=args.seed,
         swap_weights=args.swap_weights,

@@ -10,16 +10,16 @@ A scenario is a single JSON document:
       "sweep":   {"theta": [0.0, 0.2617..., 0.7853...]}          # optional
     }
 
-``input`` carries exactly one of ``theta`` or ``concurrence``.  A
-concurrence C resolves to theta = arcsin(C)/2; its other angle,
+``input`` is the ``NoonInput`` itself: theta in [0, pi/2] and two distinct
+sites of the chain.  A concurrence C = |sin 2 theta| is reached at
+theta = arcsin(C)/2 (``theta_for_concurrence``), and its other angle,
 pi/2 - theta, is the same input with ``site_r`` and ``site_s`` exchanged.
 ``time.scale`` says which energy sets the grid unit: "omega" means t_max is
 omega*t, "hopping" means t_max is J*t; absolute times are t_max divided by
 the corresponding rate.  ``output.path`` of null means stdout.  The
-optional ``sweep`` block provides default angle families for the sweep
-command, under the same rule as ``input``: a non-empty theta list or a
-concurrence list, in range and free of duplicates.  A null ``output`` or
-``sweep`` section is the same as an absent one.
+optional ``sweep`` block provides the default angles of the sweep
+command: a non-empty theta list, in [0, pi/2] and free of duplicates.  A
+null ``output`` or ``sweep`` section is the same as an absent one.
 
 CLI ``--set key=value`` overrides use dotted paths into this document and
 JSON-parsed values (bare words fall back to strings, ``null`` deletes).
@@ -41,43 +41,12 @@ from .errors import (
     checked_real,
 )
 from .lattice import LatticeSpec, mode_phase
-from .observables import NoonInput, theta_for_concurrence
+from .observables import NoonInput
 
 MAX_STEPS = 10**6  # time_grid() is an array of steps + 1 floats
 # A sweep writes K x (steps + 1) rows for K angles and holds their eta as
 # one K x (steps + 1) array: 16 full-length series at most, 128 MB of eta.
 MAX_SWEEP_POINTS = 16 * (MAX_STEPS + 1)
-
-
-def _one_angle(section: str, theta, concurrence) -> None:
-    """The angle rule that ``input`` and ``sweep`` share: theta or concurrence."""
-    if (theta is None) == (concurrence is None):
-        raise ValidationError(
-            f"{section} must specify exactly one of 'theta' or 'concurrence'"
-        )
-
-
-@dataclass(frozen=True)
-class InputConfig:
-    """NOON input selection: sites plus either theta or concurrence."""
-
-    site_r: int
-    site_s: int
-    theta: float | None = None
-    concurrence: float | None = None
-
-    def __post_init__(self) -> None:
-        _one_angle("input", self.theta, self.concurrence)
-
-    def resolved_theta(self) -> float:
-        if self.theta is not None:
-            return self.theta  # NoonInput checks it
-        return theta_for_concurrence(self.concurrence)
-
-    def to_noon(self) -> NoonInput:
-        return NoonInput(
-            theta=self.resolved_theta(), site_r=self.site_r, site_s=self.site_s
-        )
 
 
 @dataclass(frozen=True)
@@ -108,45 +77,34 @@ class OutputConfig:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Angle family for the sweep command: a theta or a concurrence list."""
+    """Angle family for the sweep command: distinct thetas in [0, pi/2]."""
 
-    theta: tuple[float, ...] | None = None
-    concurrence: tuple[float, ...] | None = None
+    theta: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        _one_angle("sweep", self.theta, self.concurrence)
-        name, high = ("concurrence", 1.0) if self.theta is None else ("theta", pi / 2)
-        values = getattr(self, name)
-        if not isinstance(values, (list, tuple)) or not values:
-            raise ValidationError(f"sweep.{name} must be a non-empty list")
-        entries = tuple(
-            checked_real(v, f"sweep.{name} entry", 0.0, high) for v in values
+        if not isinstance(self.theta, (list, tuple)) or not self.theta:
+            raise ValidationError("sweep.theta must be a non-empty list")
+        thetas = tuple(
+            checked_real(v, "sweep.theta entry", 0.0, pi / 2) for v in self.theta
         )
-        object.__setattr__(self, name, entries)
-        thetas = self.resolved_thetas()
         if len(set(thetas)) != len(thetas):
             raise ValidationError("sweep values contain duplicates")
-
-    def resolved_thetas(self) -> tuple[float, ...]:
-        if self.theta is not None:
-            return self.theta
-        return tuple(theta_for_concurrence(c) for c in self.concurrence)
+        object.__setattr__(self, "theta", thetas)
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
     lattice: LatticeSpec
-    input: InputConfig
+    input: NoonInput
     time: TimeConfig
     output: OutputConfig = OutputConfig()
     sweep: SweepConfig | None = None
 
     def __post_init__(self) -> None:
+        # NoonInput has checked theta, the sites' type and their distinctness
         for name in ("site_r", "site_s"):
             site = getattr(self.input, name)
             checked_int(site, f"input.{name}", 1, self.lattice.num_cavities)
-        # NoonInput checks theta (or the concurrence) and site distinctness.
-        self.input.to_noon()
         if self.time.scale == "hopping" and self.lattice.hopping == 0.0:
             raise ValidationError(
                 "time.scale='hopping' requires a nonzero hopping strength"
@@ -190,7 +148,7 @@ class ScenarioConfig:
 # an absent or null optional section takes the ScenarioConfig default.
 _SECTIONS = {
     "lattice": (LatticeSpec, True),
-    "input": (InputConfig, True),
+    "input": (NoonInput, True),
     "time": (TimeConfig, True),
     "output": (OutputConfig, False),
     "sweep": (SweepConfig, False),
@@ -251,16 +209,12 @@ def read_config_document(path: str) -> dict:
 def config_to_dict(cfg: ScenarioConfig) -> dict:
     """Plain-dict form of a config, which ``config_from_dict`` maps back to it.
 
-    Unset keys and an absent ``sweep`` are left out; ``output.path`` stays
-    explicit, null meaning stdout.
+    An absent ``sweep`` is left out; ``output.path`` stays explicit, null
+    meaning stdout.
     """
-    doc = {
-        name: {key: value for key, value in section.items() if value is not None}
-        for name, section in asdict(cfg).items()
-        if section is not None
+    return {
+        name: section for name, section in asdict(cfg).items() if section is not None
     }
-    doc["output"]["path"] = cfg.output.path
-    return doc
 
 
 def apply_overrides(raw: dict, assignments: list[str]) -> dict:

@@ -95,7 +95,7 @@ def theta_for_concurrence(c: float) -> float:
 
 def _window(
     lattice: LatticeSpec, sites: list[int], t_max: float
-) -> tuple[int, LatticeSpec, list[int]]:
+) -> tuple[int, LatticeSpec, tuple[int, ...]]:
     """The ``light_cone`` window of ``sites`` up to |t| = t_max, as a chain of its own.
 
     Returns (first, window, relabelled): the window's first cavity on the
@@ -105,15 +105,16 @@ def _window(
     """
     first, last = light_cone(lattice, sites, t_max)
     window = LatticeSpec(last - first + 1, lattice.omega, lattice.hopping)
-    return first, window, [site - first + 1 for site in sites]
+    return first, window, tuple(site - first + 1 for site in sites)
 
 
 def correlation_matrix(lattice: LatticeSpec, noon: NoonInput, times) -> np.ndarray:
     """Coincidence matrices P[m, n](t) = 2 A[m, n]^2 for the NOON-type input.
 
     Each time runs on the ``light_cone`` window of W cavities that the
-    photons reach by its own |t|: one kernel call reads the real columns
-    x = R_r and y = R_s there, and A comes from two outer products, O(W^2).
+    photons reach by its own |t|: one kernel call per distinct window reads
+    the real columns x = R_r and y = R_s there at each of its times, and A
+    comes from two outer products, O(W^2) per time.
     P is written into that block of a zeroed (len(times), N, N) array and
     is exactly 0 outside it, where the true P is below 3e-36; a window that
     spans the chain gives the whole chain's P.  Every product x_m x_n is
@@ -127,20 +128,23 @@ def correlation_matrix(lattice: LatticeSpec, noon: NoonInput, times) -> np.ndarr
     times = checked_array(times, "time")
     n = lattice.num_cavities
     p = np.zeros((times.size, n, n))
-    for t, matrix in zip(times, p):
-        first, window, sites = _window(lattice, [r, s], t)
-        x, y = propagator_block(window, sites, [t])[:, 0]
-        cavities = np.arange(first, first + x.size)
-        y = y * (-1.0) ** ((r + s) * cavities)  # y'
-        cut = slice(first - 1, first - 1 + x.size)
-        block = matrix[cut, cut]
-        np.multiply(x[:, None], x, out=block)
-        block *= w_r
-        yy = y[:, None] * y
-        yy *= w_s
-        block += yy
-        np.square(block, out=block)
-        block *= 2.0
+    windows: dict[tuple, list[int]] = {}
+    for index, t in enumerate(times):
+        windows.setdefault(_window(lattice, [r, s], t), []).append(index)
+    for (first, window, sites), indices in windows.items():
+        cavities = np.arange(first, first + window.num_cavities)
+        sign = (-1.0) ** ((r + s) * cavities)
+        cut = slice(first - 1, first - 1 + cavities.size)
+        for index, x, y in zip(indices, *propagator_block(window, sites, times[indices])):
+            y = y * sign  # y'
+            block = p[index, cut, cut]
+            np.multiply(x[:, None], x, out=block)
+            block *= w_r
+            yy = y[:, None] * y
+            yy *= w_s
+            block += yy
+            np.square(block, out=block)
+            block *= 2.0
     p.setflags(write=False)
     return p
 

@@ -2,6 +2,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from ccawalk import propagator_block, tpd_family
 from ccawalk.oracle import HamiltonianEntries
@@ -12,6 +13,12 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 @pytest.fixture(scope="session")
 def scenarios_dir() -> Path:
     return REPO_ROOT / "scenarios"
+
+
+def sometimes(strategy, otherwise):
+    """``strategy`` one time in eight, else ``otherwise``."""
+    pick = st.sampled_from([False] * 7 + [True])
+    return pick.flatmap(lambda chosen: strategy if chosen else otherwise)
 
 
 def read_csv(path):

@@ -1,20 +1,31 @@
+import contextlib
+import io
 import json
 import os
 import re
 import stat
 import subprocess
 import sys
+import tempfile
 import warnings
 from math import asin
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import REPO_ROOT, read_csv
+from conftest import REPO_ROOT, read_csv, sometimes
 
-from ccawalk import LatticeSpec, NoonInput, cli, correlation_matrix, mode_frequencies
+from ccawalk import (
+    LatticeSpec,
+    NoonInput,
+    cli,
+    correlation_matrix,
+    mode_frequencies,
+    theta_for_concurrence,
+)
 from ccawalk.cli import main, parse_args
-from ccawalk.config import MAX_STEPS, default_config_dict
+from ccawalk.config import _SECTION_KEYS, MAX_STEPS, default_config_dict
 from ccawalk.lattice import light_cone
 from ccawalk.oracle import ORACLE_MAX_CAVITIES
 
@@ -26,6 +37,8 @@ SMALL_CHAIN = [
 ]
 COMMANDS = ("spectrum", "correlation", "tpd", "sweep", "verify")
 STEPS_10 = ["--set", "time.steps=10"]
+# theta = arcsin(C)/2 at C = 0, 0.5 and 1: the shipped scenarios' sweep blocks
+CONCURRENCE_THETAS = "0.0,0.2617993877991494,0.7853981633974483"
 # the shipped site pair exchanged: pi/2 - theta for every angle
 EXCHANGED = ["--set", "input.site_r=16", "--set", "input.site_s=15"]
 # a 12-cavity chain over 21 times, off the shipped site pair
@@ -308,29 +321,36 @@ class TestSweep:
         concurrences = sorted({round(float(r[1]), 12) for r in rows})
         assert concurrences == pytest.approx([0.0, 0.5, 1.0])
 
-    def test_concurrence_list(self, tmp_path, scenarios_dir):
+    def test_theta_for_concurrence_list(self, tmp_path, scenarios_dir):
+        # C = 0, 0.5, 1 are theta = 0, pi/12, pi/4: the shipped sweep blocks
         out = tmp_path / "sweep.csv"
+        thetas = [theta_for_concurrence(c) for c in (0.0, 0.5, 1.0)]
         assert run("sweep", "--config", str(scenarios_dir / "fig2.json"),
-                   "--concurrence", "0,0.5,1", "--out", str(out)) == 0
+                   "--theta", ",".join(map(repr, thetas)), "--out", str(out)) == 0
         _, _, rows = read_csv(out)
-        thetas = sorted({float(r[0]) for r in rows})
-        assert thetas == pytest.approx([0.0, PI / 12, PI / 4])
+        assert sorted({float(r[0]) for r in rows}) == thetas
+        assert thetas == pytest.approx([0.0, PI / 12, PI / 4], abs=1e-16)
+        concurrences = sorted({float(r[1]) for r in rows})
+        assert concurrences == pytest.approx([0.0, 0.5, 1.0], abs=2e-16)
 
-    # (flags, what the one error line names): a concurrence has one angle, so
-    # no branch flag or key exists, and SweepConfig alone checks the flags
+    # (flags, what the one error line names): theta alone names the angle,
+    # so no branch or concurrence flag or key exists
     @pytest.mark.parametrize(
         "flags, names",
         [
             (["--theta", "0.1", "--branch", "high"], "'--branch'"),
             (["--branch", "high"], "'--branch'"),
-            (["--concurrence", "0.5", "--branch", "low"], "'--branch'"),
-            (["--concurrence", "0.5", "--set", "input.branch=high"], "'branch'"),
-            (["--concurrence", "0.5", "--set", "sweep.branch=high"], "'branch'"),
-            (["--theta", "0.1", "--concurrence", "0.5"],
-             "sweep must specify exactly one of 'theta' or 'concurrence'"),
+            (["--theta", "0.1", "--set", "input.branch=high"], "'branch'"),
+            (["--theta", "0.1", "--set", "sweep.branch=high"], "'branch'"),
+            (["--concurrence", "0.5"], "'--concurrence'"),
+            (["--theta", "0.1", "--concurrence", "0.5"], "'--concurrence'"),
+            (["--set", "input.concurrence=0.5"],
+             "unknown key(s) in 'input': 'concurrence'"),
+            (["--set", "sweep.theta=null", "--set", "sweep.concurrence=[0.5]"],
+             "unknown key(s) in 'sweep': 'concurrence'"),
         ],
-        ids=["with-theta", "high-alone", "with-concurrence", "input-key", "sweep-key",
-             "theta-and-concurrence"],
+        ids=["with-theta", "high-alone", "input-key", "sweep-key", "concurrence-flag",
+             "theta-and-concurrence", "input-concurrence", "sweep-concurrence"],
     )
     def test_refused_angle_flags_reach_no_kernel(
         self, tmp_path, capsys, monkeypatch, scenarios_dir, flags, names
@@ -347,15 +367,15 @@ class TestSweep:
         assert names in err
         assert not out.exists()
 
-    def test_concurrence_takes_the_low_angle_and_exchanged_sites_the_other(
+    def test_exchanged_sites_give_the_other_angle_of_a_concurrence(
         self, tmp_path, scenarios_dir
     ):
         # theta = asin(C)/2 on sites (16, 15) is pi/2 - theta on (15, 16)
         scenario = str(scenarios_dir / "fig2.json")
         low, high = tmp_path / "low.csv", tmp_path / "high.csv"
-        assert run("sweep", "--config", scenario, "--concurrence", "0,0.5,1",
-                   *EXCHANGED, *STEPS_10, "--out", str(low)) == 0
         thetas = [asin(c) / 2 for c in (0.0, 0.5, 1.0)]
+        assert run("sweep", "--config", scenario, "--theta", ",".join(map(repr, thetas)),
+                   *EXCHANGED, *STEPS_10, "--out", str(low)) == 0
         assert run("sweep", "--config", scenario,
                    "--theta", ",".join(repr(PI / 2 - t) for t in thetas),
                    *STEPS_10, "--out", str(high)) == 0
@@ -374,9 +394,8 @@ class TestSweep:
         code = run("sweep", *SMALL_CHAIN, "--out", str(tmp_path / "x.csv"))
         assert code == 1
 
-    @pytest.mark.parametrize("flag", ["--theta", "--concurrence"])
     def test_angles_times_steps_beyond_limit_is_one_line_error(
-        self, capsys, monkeypatch, scenarios_dir, flag
+        self, capsys, monkeypatch, scenarios_dir
     ):
         def no_kernel(*args):
             raise AssertionError("the limit must be checked before any eta exists")
@@ -385,7 +404,7 @@ class TestSweep:
         values = ",".join(str(k / 40) for k in range(17))  # 17 x (MAX_STEPS + 1)
         assert_one_line_error(
             capsys, "sweep", "--config", str(scenarios_dir / "fig1.json"),
-            "--set", f"time.steps={MAX_STEPS}", flag, values, "--out", "-",
+            "--set", f"time.steps={MAX_STEPS}", "--theta", values, "--out", "-",
         )
 
     def test_points_limit_is_inclusive(
@@ -402,19 +421,22 @@ class TestSweep:
         "argv, block",
         [
             (["sweep", "--theta", "0.1,0.2", *STEPS_10], {"theta": [0.1, 0.2]}),
-            (["sweep", "--concurrence", "0,0.5,1", *STEPS_10],
-             {"concurrence": [0.0, 0.5, 1.0]}),
-            (["sweep", "--concurrence", "0,0.5,1", *EXCHANGED, *STEPS_10],
-             {"concurrence": [0.0, 0.5, 1.0]}),
+            (["sweep", "--theta", CONCURRENCE_THETAS, *STEPS_10],
+             {"theta": [0.0, PI / 12, PI / 4]}),
+            (["sweep", "--theta", CONCURRENCE_THETAS, *EXCHANGED, *STEPS_10],
+             {"theta": [0.0, PI / 12, PI / 4]}),
             (["spectrum", *SHORT_RUN], None),
             (["correlation", *SHORT_RUN], None),
             (["tpd", *SHORT_RUN], None),
             (["sweep", "--theta", "0.1,0.2", *SHORT_RUN], {"theta": [0.1, 0.2]}),
-            (["sweep", "--concurrence", "0,0.5", *SHORT_RUN, "--set", "input.site_r=4",
-              "--set", "input.site_s=3"], {"concurrence": [0.0, 0.5]}),
+            (["sweep", "--theta", CONCURRENCE_THETAS, *SHORT_RUN, "--set",
+              "input.site_r=4", "--set", "input.site_s=3"],
+             {"theta": [0.0, PI / 12, PI / 4]}),
+            (["tpd", *SHORT_RUN, "--set", "input.theta=0"], None),
         ],
         ids=["theta", "concurrence", "concurrence-exchanged", "spectrum-n12",
-             "correlation-n12", "tpd-n12", "theta-n12", "concurrence-exchanged-n12"],
+             "correlation-n12", "tpd-n12", "theta-n12", "concurrence-exchanged-n12",
+             "integer-theta-n12"],
     )
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_header_config_reruns_a_flag_driven_sweep(
@@ -759,10 +781,6 @@ class TestFailureModes:
         assert_one_line_error(capsys, *argv)
 
     @pytest.mark.parametrize(
-        "flags", [["--theta", "0.1,0.2"], ["--concurrence", "0.5"]],
-        ids=["theta", "concurrence"],
-    )
-    @pytest.mark.parametrize(
         "overrides",
         [
             ["sweep.theta=[5.0]"],
@@ -772,12 +790,12 @@ class TestFailureModes:
         ids=lambda value: ",".join(value)[:40],
     )
     def test_invalid_sweep_block_rejected_even_when_flags_replace_it(
-        self, capsys, scenarios_dir, flags, overrides
+        self, capsys, scenarios_dir, overrides
     ):
         argv = ["sweep", "--config", str(scenarios_dir / "fig1.json"), "--out", "-"]
         for override in overrides:
             argv += ["--set", override]
-        err = assert_one_line_error(capsys, *argv, *flags)
+        err = assert_one_line_error(capsys, *argv, "--theta", "0.1,0.2")
         assert "sweep" in err
 
     def test_null_output_section_is_absent(self, tmp_path):
@@ -845,7 +863,6 @@ VALUED_FLAGS = [
     ]
 ] + [
     ("sweep", "--theta", "0.1,0.2", "theta", [0.1, 0.2], []),
-    ("sweep", "--concurrence", "0, 0.5", "concurrence", [0.0, 0.5], []),
     ("verify", "--max-n", "8", "max_n", 8, []),
     ("verify", "--seed", "7", "seed", 7, []),
 ]
@@ -880,8 +897,9 @@ class TestParseArgs:
             ORACLE_MAX_CAVITIES, 20260810, False
         )
         args = parse_args(["sweep"])
-        assert (args.theta, args.concurrence) == (None, None)
+        assert args.theta is None
         assert not hasattr(args, "branch")
+        assert not hasattr(args, "concurrence")
         assert not hasattr(parse_args(["correlation"]), "t")
 
     @pytest.mark.parametrize(
@@ -902,8 +920,8 @@ class TestParseArgs:
                            "x", "--set=c.d=2", "--config=q", "--out", "y"])
         assert args.overrides == ("a.b=1", "c.d=2")
         assert (args.config, args.out) == ("q", "y")
-        args = parse_args(["sweep", "--concurrence", "0.5", "--concurrence", "1"])
-        assert args.concurrence == [1.0]
+        args = parse_args(["sweep", "--theta", "0.5", "--theta", "1"])
+        assert args.theta == [1.0]
 
     @pytest.mark.parametrize(
         "argv",
@@ -1047,3 +1065,144 @@ class TestDeterminism:
         run("tpd", "--config", cfg, "--set", "output.format=json", "--out", str(a))
         run("tpd", "--config", cfg, "--set", "output.format=json", "--out", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+
+# The input contract: any argv, override or config document ends in exit
+# 0-3, never a traceback.  Sizes stay at N <= 12 and time.steps <= 50, so an
+# example that loads runs in milliseconds.
+CONTRACT_JSON = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 12)
+    | st.integers(2**1024, 2**1100)  # valid JSON, beyond the double range
+    | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=2),
+    max_leaves=5,
+)
+CONTRACT_ANGLES = st.lists(st.floats(0.0, 1.6), min_size=1, max_size=3)
+# plausible values of the schema keys and of the removed angle keys, or any
+# JSON value in their place, at any other schema key or at no key at all
+CONTRACT_VALUES = {
+    f"{section}.{key}": CONTRACT_JSON for section, keys in _SECTION_KEYS.items()
+    for key in keys
+} | {
+    "lattice.num_cavities": st.integers(2, 12),
+    "lattice.omega": st.floats(0.1, 3.0),
+    "lattice.hopping": st.floats(0.0, 2.0),
+    "input.site_r": st.integers(1, 8),
+    "input.site_s": st.integers(1, 8),
+    "input.theta": st.floats(0.0, 1.6),
+    "input.concurrence": st.floats(0.0, 1.0),
+    "input.branch": st.just("high"),
+    "time.t_max": st.floats(0.0, 1e3),
+    "time.steps": st.integers(1, 50),
+    "time.scale": st.sampled_from(["omega", "hopping"]),
+    "output.format": st.sampled_from(["csv", "json"]),
+    "sweep.theta": CONTRACT_ANGLES,
+    "sweep.concurrence": CONTRACT_ANGLES,
+    "sweep": st.none(),
+    "x.y": CONTRACT_JSON,
+}
+CONTRACT_SET = st.sampled_from(sorted(CONTRACT_VALUES)).flatmap(
+    lambda key: st.builds(
+        lambda value: f"{key}={json.dumps(value)}",
+        sometimes(CONTRACT_JSON, CONTRACT_VALUES[key]),
+    )
+) | st.text(max_size=8)
+# a small config document, with removed keys and spoiled sections at times
+CONTRACT_DOCUMENT = sometimes(CONTRACT_JSON, st.fixed_dictionaries(
+    {
+        "lattice": st.fixed_dictionaries({
+            "num_cavities": st.integers(4, 12),
+            "omega": st.floats(0.1, 3.0),
+            "hopping": st.floats(0.0, 2.0),
+        }),
+        "input": st.fixed_dictionaries(
+            {"site_r": st.integers(1, 2), "site_s": st.integers(3, 4),
+             "theta": st.floats(0.0, 1.6)},
+        ),
+        "time": st.fixed_dictionaries({
+            "t_max": st.floats(0.0, 100.0),
+            "steps": st.integers(1, 50),
+            "scale": st.sampled_from(["omega", "hopping"]),
+        }),
+    },
+    optional={
+        "output": st.fixed_dictionaries({}, optional={
+            "format": st.sampled_from(["csv", "json", "xml"]),
+        }),
+        "sweep": st.fixed_dictionaries({"theta": st.just([0.1, 0.2])}, optional={
+            "concurrence": CONTRACT_ANGLES,
+        }),
+        "extra": CONTRACT_JSON,
+    },
+))
+STRAY_TOKENS = ["--concurrence", "--branch", "--conf", "-x", "--", "extra", "--version",
+                "-h", "--set="]
+# without --config: the built-in scenario, cut to 8 cavities and 20 steps
+SMALL_DEFAULT = [
+    "--set", "lattice.num_cavities=8", "--set", "input.site_r=3",
+    "--set", "input.site_s=4", "--set", "time.steps=20", "--set", "sweep.theta=[0.1]",
+]
+
+
+def _flag_tokens(draw, flag):
+    """``flag`` and a drawn value, as one or two argv tokens."""
+    if flag == "--set":
+        value = draw(CONTRACT_SET)
+    elif flag in ("--theta", "--concurrence"):
+        value = ",".join(map(repr, draw(CONTRACT_ANGLES)))
+    elif flag in ("--max-n", "--seed"):
+        value = str(draw(st.integers(-2, 20)))
+    elif flag in cli._COMMON or flag == "--branch":
+        value = draw(st.sampled_from(["-", "", "low", "x.json"]))
+    else:
+        return [flag]
+    return draw(st.sampled_from([[flag, value], [f"{flag}={value}"]]))
+
+
+@st.composite
+def contract_argv(draw):
+    """(argv before --out, how the config comes, a document, a stray --config).
+
+    The config comes built in ("none"), as the drawn document or as a
+    missing file; "{config}" in argv stands for the document's path.
+    """
+    command = draw(sometimes(st.sampled_from(["nonsense", "--help", ""]),
+                             st.sampled_from(COMMANDS)))
+    own = list(cli._COMMANDS.get(command, ("", {}))[1]) + ["--set"]
+    every = sorted({f for _, flags in cli._COMMANDS.values() for f in flags}
+                   | set(cli._COMMON) | set(STRAY_TOKENS))
+    argv, stray = [command], False
+    config = draw(st.sampled_from(["none"] * 4 + ["document"] * 3 + ["missing"]))
+    argv += SMALL_DEFAULT if config == "none" else ["--config", "{config}"]
+    for _ in range(draw(st.integers(0, 3))):
+        flag = draw(sometimes(st.sampled_from(every), st.sampled_from(own)))
+        argv += _flag_tokens(draw, flag)
+        stray = stray or flag == "--config"
+    return argv, config, draw(CONTRACT_DOCUMENT), stray
+
+
+@settings(max_examples=150, deadline=None)
+@given(contract_argv(), st.sampled_from(["file"] * 5 + ["stdout", "no-dir", "a-dir"]))
+def test_any_argv_keeps_the_exit_code_contract(drawn, out_kind):
+    argv, config, document, stray = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        if config == "document":
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(document, fh)
+        argv = [path if token == "{config}" else token for token in argv]
+        out = {"file": os.path.join(tmp, "out"), "stdout": "-",
+               "no-dir": os.path.join(tmp, "absent", "out"), "a-dir": tmp}[out_kind]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv + ["--out", out])
+    assert code in (0, 1, 2, 3)
+    if code == 1:
+        assert len(stderr.getvalue().splitlines()) == 1
+        assert stderr.getvalue().startswith("error: ")
+    if code == 3:  # a drawn --config value names no file
+        assert config == "missing" or stray or out_kind in ("no-dir", "a-dir")

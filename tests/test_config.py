@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ccawalk import ValidationError
+from ccawalk import NoonInput, ValidationError
 from ccawalk.cli import main
 from ccawalk.config import (
     _SECTION_KEYS,
@@ -22,6 +22,7 @@ from ccawalk.config import (
     default_config_dict,
     read_config_document,
 )
+from conftest import sometimes
 
 
 def load_config(path):
@@ -45,7 +46,7 @@ def test_parse_minimal_applies_output_defaults():
     assert cfg.output.format == "csv"
     assert cfg.output.path is None
     assert cfg.sweep is None
-    assert cfg.input.resolved_theta() == 0.4
+    assert cfg.input == NoonInput(theta=0.4, site_r=2, site_s=3)
 
 
 def test_round_trip_theta_form():
@@ -53,35 +54,51 @@ def test_round_trip_theta_form():
     assert through_json(cfg) == cfg
 
 
-def test_round_trip_concurrence_form():
+def test_round_trip_integer_angles_as_floats():
+    # NoonInput and SweepConfig store floats, so a header prints theta 0 as 0.0
     raw = json.loads(json.dumps(MINIMAL))
-    raw["input"] = {"site_r": 3, "site_s": 2, "concurrence": 0.5}
-    raw["sweep"] = {"concurrence": [0.0, 0.5, 1.0]}
+    raw["input"] = {"site_r": 3, "site_s": 2, "theta": 0}
+    raw["sweep"] = {"theta": [0, asin(0.5) / 2, 1]}
     cfg = config_from_dict(raw)
     assert through_json(cfg) == cfg
-    assert cfg.input.resolved_theta() == asin(0.5) / 2
+    doc = config_to_dict(cfg)
+    assert type(doc["input"]["theta"]) is float and doc["input"]["theta"] == 0.0
+    assert [type(theta) for theta in doc["sweep"]["theta"]] == [float] * 3
+    assert '"theta":0.0' in json.dumps(doc, separators=(",", ":"))
 
 
-def test_exactly_one_of_theta_or_concurrence():
+def test_theta_is_the_one_input_angle():
     raw = json.loads(json.dumps(MINIMAL))
     raw["input"]["concurrence"] = 0.5
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match=r"unknown key\(s\) in 'input'"):
         config_from_dict(raw)
     del raw["input"]["concurrence"]
     del raw["input"]["theta"]
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError, match="config is missing input.theta"):
         config_from_dict(raw)
 
 
+@pytest.mark.parametrize("key", ["branch", "concurrence"])
 @pytest.mark.parametrize("section", ["input", "sweep"])
-def test_branch_is_an_unknown_key(section):
-    # the other angle of a concurrence is the input with its sites exchanged
-    raw = json.loads(json.dumps(MINIMAL))
-    raw["input"] = {"site_r": 2, "site_s": 3, "concurrence": 0.5}
-    raw["sweep"] = {"concurrence": [0.5]}
-    raw[section]["branch"] = "high"
-    message = rf"unknown key\(s\) in '{section}': 'branch'"
+def test_old_angle_keys_are_unknown(section, key):
+    # theta alone names the angle: a concurrence C is theta = asin(C)/2, and
+    # its other angle is the input with its sites exchanged
+    raw = {**json.loads(json.dumps(MINIMAL)), "sweep": {"theta": [0.5]}}
+    raw[section][key] = 0.5
+    message = rf"unknown key\(s\) in '{section}': '{key}'"
     with pytest.raises(ValidationError, match=message):
+        config_from_dict(raw)
+
+
+@pytest.mark.parametrize(
+    "site_r, message",
+    [(0, "site_r must be >= 1, got 0"), (6, "input.site_r must lie in [1, 5], got 6"),
+     (2.0, "site_r must be an integer, got 2.0")],
+)
+def test_input_sites_are_checked_by_noon_input_then_the_chain(site_r, message):
+    raw = json.loads(json.dumps(MINIMAL))
+    raw["input"]["site_r"] = site_r
+    with pytest.raises(ValidationError, match=re.escape(message)):
         config_from_dict(raw)
 
 
@@ -167,27 +184,16 @@ def test_null_optional_section_is_absent():
         ({"theta": [5.0]}, "sweep.theta entry must lie in"),
         ({"theta": []}, "sweep.theta must be a non-empty list"),
         ({"theta": 0.1}, "sweep.theta must be a non-empty list"),
-        ({"concurrence": [1.5]}, "sweep.concurrence entry must lie in"),
+        ({"concurrence": [1.5]}, r"unknown key\(s\) in 'sweep': 'concurrence'"),
         ({"theta": [0.1, 0.1]}, "duplicates"),
-        ({"concurrence": [1, 1.0]}, "duplicates"),
-        ({"theta": [0.1], "concurrence": [0.5]}, "exactly one of"),
-        ({}, "exactly one of"),
+        ({"theta": [1, 1.0]}, "duplicates"),
+        ({"theta": [0.1], "concurrence": [0.5]}, r"unknown key\(s\) in 'sweep'"),
+        ({}, "config is missing sweep.theta"),
     ],
 )
 def test_sweep_follows_the_input_angle_rule(sweep, message):
     with pytest.raises(ValidationError, match=message):
         config_from_dict({**MINIMAL, "sweep": sweep})
-
-
-def test_concurrence_takes_the_low_angle_and_round_trips_as_given():
-    raw = {**MINIMAL, "sweep": {"concurrence": [0.0, 0.5]}}
-    raw["input"] = {"site_r": 2, "site_s": 3, "concurrence": 0.5}
-    cfg = config_from_dict(raw)
-    assert cfg.input.resolved_theta() == asin(0.5) / 2
-    assert cfg.sweep.resolved_thetas() == (0.0, asin(0.5) / 2)
-    doc = json.loads(json.dumps(config_to_dict(cfg)))  # as a header carries it
-    assert doc["input"] == raw["input"] and doc["sweep"] == raw["sweep"]
-    assert config_from_dict(doc) == cfg
 
 
 def test_time_grid_endpoints_and_scaling():
@@ -243,11 +249,13 @@ def test_overrides_parse_json_values():
 
 
 def test_override_null_removes_key():
-    raw = apply_overrides(MINIMAL, ["input.theta=null", "input.concurrence=1.0"])
-    cfg = config_from_dict(raw)
-    assert cfg.input.theta is None
-    assert cfg.input.concurrence == 1.0
-    assert cfg.input.resolved_theta() == asin(1.0) / 2
+    raw = apply_overrides(MINIMAL, ["input.theta=null", "sweep.theta=[0.5]"])
+    assert raw["input"] == {"site_r": 2, "site_s": 3}
+    with pytest.raises(ValidationError, match="config is missing input.theta"):
+        config_from_dict(raw)
+    raw = apply_overrides(raw, ["input.theta=1.0", "sweep=null"])
+    assert config_from_dict(raw) == config_from_dict({**MINIMAL, "input": raw["input"]})
+    assert config_from_dict(raw).input.theta == 1.0
 
 
 def test_override_requires_assignment():
@@ -290,7 +298,7 @@ def test_shipped_scenarios_parse(scenarios_dir):
         cfg = load_config(str(scenarios_dir / name))
         assert cfg.lattice.num_cavities == 29
         assert cfg.sweep is not None
-        assert len(cfg.sweep.resolved_thetas()) == 3
+        assert len(cfg.sweep.theta) == 3
     fig2 = load_config(str(scenarios_dir / "fig2.json"))
     assert fig2.lattice.hopping == pytest.approx(0.01)
     assert fig2.time.scale == "hopping"
@@ -339,7 +347,7 @@ DOTTED_KEYS = sorted(
 )
 
 
-# Lists that can make a valid theta or concurrence family, so the round
+# Lists that can make a valid theta family, so the round
 # trip also meets sweep blocks.
 ANGLE_LISTS = st.lists(st.floats(0.0, 1.6), min_size=1, max_size=3)
 
@@ -376,8 +384,7 @@ GOOD_SECTIONS = {
             "hopping": st.floats(0.0, 2.0),
         }
     ),
-    "input": st.fixed_dictionaries({**SITES, "theta": st.floats(0.0, 1.6)})
-    | st.fixed_dictionaries({**SITES, "concurrence": st.floats(0.0, 1.0)}),
+    "input": st.fixed_dictionaries({**SITES, "theta": st.floats(0.0, 1.6)}),
     "time": st.fixed_dictionaries(
         {
             "t_max": st.floats(0.0, 100.0),
@@ -388,21 +395,14 @@ GOOD_SECTIONS = {
     "output": st.fixed_dictionaries(
         {}, optional={"format": st.sampled_from(["csv", "json"]), "path": st.none()}
     ),
-    "sweep": st.fixed_dictionaries({"theta": unique_lists(st.floats(0.0, 1.5))})
-    | st.fixed_dictionaries({"concurrence": unique_lists(st.floats(0.0, 1.0))}),
+    "sweep": st.fixed_dictionaries({"theta": unique_lists(st.floats(0.0, 1.5))}),
 }
 SMALL_JSON_VALUES = JSON_VALUES.filter(
     lambda v: not (type(v) is int and 64 < v <= 5000)
 )
 
 
-def _sometimes(strategy, otherwise):
-    """``strategy`` one time in eight, else ``otherwise``."""
-    pick = st.sampled_from([False] * 7 + [True])
-    return pick.flatmap(lambda chosen: strategy if chosen else otherwise)
-
-
-JUNK_KEYS = _sometimes(
+JUNK_KEYS = sometimes(
     st.dictionaries(st.text(max_size=6), JSON_VALUES, min_size=1, max_size=2),
     st.just({}),
 )
@@ -429,14 +429,14 @@ def _section(name):
     mixed = st.builds(
         _mixed,
         GOOD_SECTIONS[name],
-        _sometimes(st.sets(st.sampled_from(keys), min_size=1, max_size=2), st.just(())),
-        _sometimes(st.lists(spoiled, min_size=1, max_size=2).map(dict), st.just({})),
+        sometimes(st.sets(st.sampled_from(keys), min_size=1, max_size=2), st.just(())),
+        sometimes(st.lists(spoiled, min_size=1, max_size=2).map(dict), st.just({})),
         JUNK_KEYS,
     )
-    return _sometimes(JSON_VALUES, mixed)
+    return sometimes(JSON_VALUES, mixed)
 
 
-DOCUMENTS = _sometimes(
+DOCUMENTS = sometimes(
     JSON_VALUES,
     st.builds(
         lambda sections, junk: {**junk, **sections},

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
@@ -19,9 +21,17 @@ from ccawalk import (
     theta_for_concurrence,
     tpd_family,
 )
+from ccawalk import observables
+from ccawalk.config import config_from_dict, read_config_document
 from ccawalk.lattice import MAX_CAVITIES, light_cone
 from ccawalk.observables import _BLOCK_ELEMENTS, _MIN_BLOCK_TIMES
-from conftest import complex_propagator, diagonal_mass, sine_transform, tpd_degree
+from conftest import (
+    REPO_ROOT,
+    complex_propagator,
+    diagonal_mass,
+    sine_transform,
+    tpd_degree,
+)
 
 PI = np.pi
 
@@ -211,6 +221,29 @@ class TestCorrelationMatrix:
         assert not batch.flags.writeable
         singles = np.stack([correlation_matrix(lattice, noon, [t])[0] for t in times])
         assert batch.tobytes() == singles.tobytes()
+
+    @pytest.mark.parametrize("seed", [20260810, 1])
+    def test_one_kernel_call_per_distinct_window(self, monkeypatch, seed):
+        # verify's N = 50 shape: t = 0 and 24 uniform samples of fig1's window,
+        # most of which span the chain
+        lattice = LatticeSpec(num_cavities=50, omega=1.0, hopping=1.0)
+        noon = NoonInput(theta=0.3927, site_r=25, site_s=26)
+        rng = np.random.default_rng(seed)
+        times = np.concatenate(([0.0], np.sort(rng.uniform(0.0, 83.57, size=24))))
+        windows = {light_cone(lattice, [25, 26], t) for t in times}
+        assert 1 < len(windows) < times.size
+        calls = []
+
+        def counted(window, sites, call_times):
+            calls.append(list(call_times))
+            return propagator_block(window, sites, call_times)
+
+        monkeypatch.setattr(observables, "propagator_block", counted)
+        correlation_matrix(lattice, noon, times)
+        assert len(calls) == len(windows)
+        assert sorted(t for call in calls for t in call) == times.tolist()
+        for call in calls:
+            assert len({light_cone(lattice, [25, 26], t) for t in call}) == 1
 
     def test_long_chain_window_matches_tridiagonal_eigensolver(self):
         # fig1's J t_max on a 1000-cavity chain: P inside the light cone
@@ -615,6 +648,27 @@ class TestTpdKernelAccuracy:
         eta = tpd_family(lattice, noons, times)
         reference = long_double_eta(29, 0.01, 15, 16, self.THETAS, times)
         assert float(np.abs(eta - reference).max()) <= 1e-14
+
+    # Frozen once against tests/reference/fig_reference.json, a 50-digit mode
+    # sum: the worst errors over its times read 16.5 eps in eta (fig3 at
+    # theta = pi/4) and 5.5 eps in P.  A 6e-17 phase rate on an odd chain's
+    # middle mode (cos(pi/2) in place of 0) reads 20.5-23 eps in eta.
+    ETA_TOLERANCE = 19 * np.finfo(float).eps
+    P_TOLERANCE = 8 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("name", ["fig1", "fig2", "fig3"])
+    def test_shipped_figures_match_the_committed_reference(self, scenarios_dir, name):
+        path = REPO_ROOT / "tests" / "reference" / "fig_reference.json"
+        document = json.loads(path.read_text(encoding="utf-8"))
+        reference = document["scenarios"][name]
+        cfg = config_from_dict(read_config_document(str(scenarios_dir / f"{name}.json")))
+        assert list(cfg.sweep.theta) == reference["thetas"]
+        site_r, site_s = cfg.input.site_r, cfg.input.site_s
+        noons = [NoonInput(theta, site_r, site_s) for theta in cfg.sweep.theta]
+        eta = tpd_family(cfg.lattice, noons, cfg.time_grid())[:, :: document["every"]]
+        assert np.abs(eta - reference["eta"]).max() <= self.ETA_TOLERANCE
+        (p,) = correlation_matrix(cfg.lattice, cfg.input, [cfg.absolute_time()])
+        assert np.abs(p - reference["p"]).max() <= self.P_TOLERANCE
 
 
 @pytest.mark.filterwarnings("error")  # refused before any overflowing operation

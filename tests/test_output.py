@@ -55,7 +55,7 @@ def rendered(fmt, prov, columns, outer, inner, values):
 def reference_artifact(command, cfg):
     """The artifact as the row-tuple command code and the loops wrote it."""
     lattice = cfg.lattice
-    noon = cfg.input.to_noon()
+    noon = cfg.input
     t_end, steps = cfg.absolute_time(), cfg.time.steps
     grid = [t_end * i / steps for i in range(steps + 1)]
     omega, hopping = cfg.lattice.omega, cfg.lattice.hopping
@@ -86,7 +86,7 @@ def reference_artifact(command, cfg):
             for t, eta in zip(grid, series)
         ]
     else:
-        thetas = list(cfg.sweep.resolved_thetas())
+        thetas = list(cfg.sweep.theta)
         noons = [NoonInput(theta=theta, site_r=noon.site_r, site_s=noon.site_s)
                  for theta in thetas]
         family = tpd_family(lattice, noons, grid)
