@@ -9,8 +9,8 @@ sweep        eta series for the angles of --theta or the config's sweep block
 verify       cross-check the closed form against the brute-force reference
 
 Every command takes ``--config PATH`` (JSON scenario, see config module),
-``--out PATH`` ('-' or omitted with no configured path means stdout) and
-repeated ``--set key.path=value`` overrides.  One table lists every flag;
+``--out PATH`` ('-' or omitted means stdout) and repeated
+``--set key.path=value`` overrides.  One table lists every flag;
 ``parse_args`` reads argv from it and ``--help`` prints it.  The config in a
 table's header re-runs that table, and ``verify`` writes its report where a
 table would go.  Exit codes: 0 success, 1 validation error, 2 verification
@@ -59,7 +59,7 @@ def _float_list(text: str) -> list[float]:
 # and run_verification the verify flags.
 _COMMON = {
     "--config": ("config", str, None, "PATH: scenario JSON file"),
-    "--out": ("out", str, None, "PATH: output file, '-' stdout; overrides output.path"),
+    "--out": ("out", str, None, "PATH: output file; stdout if '-' or absent"),
     "--set": ("overrides", str, (), "KEY=VALUE: override a config field; repeatable"),
 }
 _COMMANDS = {
@@ -238,7 +238,7 @@ def main(argv=None) -> int:
             prov = provenance(args.command, __version__, config_to_dict(cfg), extra)
             text = render(cfg.output.format, prov, columns, outer, inner, values)
             code = EXIT_OK
-        write_text(text, args.out if args.out is not None else cfg.output.path)
+        write_text(text, args.out)
         return code
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,7 +6,7 @@ A scenario is a single JSON document:
       "lattice": {"num_cavities": 29, "omega": 1.0, "hopping": 1.0},
       "input":   {"site_r": 15, "site_s": 16, "theta": 0.785398...},
       "time":    {"t_max": 83.57, "steps": 2000, "scale": "omega"},
-      "output":  {"format": "csv", "path": null},
+      "output":  {"format": "csv"},
       "sweep":   {"theta": [0.0, 0.2617..., 0.7853...]}          # optional
     }
 
@@ -16,8 +16,9 @@ theta = arcsin(C)/2 (``theta_for_concurrence``), and its other angle,
 pi/2 - theta, is the same input with ``site_r`` and ``site_s`` exchanged.
 ``time.scale`` says which energy sets the grid unit: "omega" means t_max is
 omega*t, "hopping" means t_max is J*t; absolute times are t_max divided by
-the corresponding rate.  ``output.path`` of null means stdout.  The
-optional ``sweep`` block provides the default angles of the sweep
+the corresponding rate.  ``output`` names only the format; the file is
+the CLI's ``--out``, so a recorded config re-runs wherever it was written.
+The optional ``sweep`` block provides the default angles of the sweep
 command: a non-empty theta list, in [0, pi/2] and free of duplicates.  A
 null ``output`` or ``sweep`` section is the same as an absent one.
 
@@ -67,12 +68,9 @@ class TimeConfig:
 @dataclass(frozen=True)
 class OutputConfig:
     format: str = "csv"
-    path: str | None = None
 
     def __post_init__(self) -> None:
         checked_choice(self.format, "output.format", ("csv", "json"))
-        if self.path is not None and not (isinstance(self.path, str) and self.path):
-            raise ValidationError("output.path must be a non-empty string or null")
 
 
 @dataclass(frozen=True)
@@ -209,8 +207,7 @@ def read_config_document(path: str) -> dict:
 def config_to_dict(cfg: ScenarioConfig) -> dict:
     """Plain-dict form of a config, which ``config_from_dict`` maps back to it.
 
-    An absent ``sweep`` is left out; ``output.path`` stays explicit, null
-    meaning stdout.
+    An absent ``sweep`` is left out; ``output.format`` stays explicit.
     """
     return {
         name: section for name, section in asdict(cfg).items() if section is not None
@@ -263,5 +260,5 @@ def default_config_dict() -> dict:
         "lattice": {"num_cavities": 29, "omega": 1.0, "hopping": 1.0},
         "input": {"site_r": 15, "site_s": 16, "theta": 0.7853981633974483},
         "time": {"t_max": 83.57, "steps": 2000, "scale": "omega"},
-        "output": {"format": "csv", "path": None},
+        "output": {"format": "csv"},
     }

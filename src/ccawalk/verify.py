@@ -112,7 +112,7 @@ def shrink_scenario(
     spacing when it fits (capped at N'-1 otherwise) and is re-centered on
     the short chain.
     """
-    n = checked_int(max_cavities, "max_cavities", 2)
+    n = checked_int(max_cavities, "max_cavities (--max-n)", 2)
     if lattice.num_cavities <= n:
         return lattice, noon
     small = LatticeSpec(num_cavities=n, omega=lattice.omega, hopping=lattice.hopping)

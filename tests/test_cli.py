@@ -547,16 +547,6 @@ class TestVerify:
         assert capsys.readouterr().out == ""
         assert out.read_text().splitlines()[-1] == "overall: FAIL"
 
-    def test_config_output_path_takes_the_report(self, tmp_path, capsys):
-        target = tmp_path / "from_config.txt"
-        document = default_config_dict()
-        document["output"]["path"] = str(target)
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(document))
-        assert run("verify", "--config", str(cfg_path)) == 0
-        assert capsys.readouterr().out == ""
-        assert target.read_text().splitlines()[-1] == "overall: PASS"
-
     @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kB on Linux")
     def test_refused_dense_chain_stays_small(self, tmp_path):
         code, peak_kb, proc = launched(
@@ -625,18 +615,6 @@ class TestOutputModes:
         assert captured.startswith("# tool = ccawalk")
         assert "k,Omega_k" in captured
 
-    def test_config_output_path_respected(self, tmp_path):
-        target = tmp_path / "from_config.csv"
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({
-            "lattice": {"num_cavities": 3, "omega": 1.0, "hopping": 1.0},
-            "input": {"site_r": 1, "site_s": 2, "theta": 0.4},
-            "time": {"t_max": 1.0, "steps": 2, "scale": "omega"},
-            "output": {"format": "csv", "path": str(target)},
-        }))
-        assert run("spectrum", "--config", str(cfg_path)) == 0
-        assert target.exists()
-
 
 class TestFailureModes:
     def test_missing_config_file_is_io_error(self, tmp_path):
@@ -702,10 +680,14 @@ class TestFailureModes:
         assert_one_line_error(capsys, *argv)
 
     @pytest.mark.parametrize(
-        "flag", [["--seed", "-1"], ["--max-n", "0"], ["--max-n", "-5"]], ids=" ".join
+        "flag",
+        [["--seed", "-1"], ["--max-n", "1"], ["--max-n", "0"], ["--max-n", "-5"]],
+        ids=" ".join,
     )
     def test_bad_verify_flag_is_one_line_error(self, capsys, flag):
-        assert_one_line_error(capsys, "verify", *flag)
+        err = assert_one_line_error(capsys, "verify", *flag)
+        if flag[0] == "--max-n":
+            assert "--max-n" in err
 
     @pytest.mark.parametrize(
         "num_cavities", ["5001", "9" * 401], ids=["5001", "401-digits"]
@@ -809,7 +791,7 @@ class TestFailureModes:
         }))
         out = tmp_path / "spec.csv"
         assert run("spectrum", "--config", str(cfg_path), "--out", str(out)) == 0
-        assert '"output":{"format":"csv","path":null}' in out.read_text()
+        assert '"output":{"format":"csv"}' in out.read_text()
 
 
 def deep_json(depth):
@@ -822,7 +804,11 @@ REFUSED_INPUTS = {
     "empty-out": (["--out="], None, "--out"),
     "empty-out-value": (["--out", ""], None, "--out"),
     "empty-config": (["--config="], None, "--config"),
-    "empty-output-path": ([], {"output": {"format": "csv", "path": ""}}, "output.path"),
+    # where output goes is --out alone, never a config key
+    "config-output-path": (
+        [], {"output": {"format": "csv", "path": "x.csv"}}, "in 'output': 'path'"
+    ),
+    "set-output-path": (["--set", "output.path=x.csv"], None, "in 'output': 'path'"),
     "deep-set": (["--set", f"lattice.omega={deep_json(3000)}"], None, "lattice.omega"),
     "deep-config": ([], deep_json(5000), "not valid JSON"),
     "missing-keys": (
@@ -850,6 +836,7 @@ def test_refused_input_is_one_error_line(tmp_path, argv, document, names):
     assert proc.stderr.startswith("error: ")
     assert names in proc.stderr
     assert proc.stdout == ""
+    assert not (tmp_path / "x.csv").exists()
 
 
 # every flag that takes a value: (command, flag, value, dest, parsed, other argv)
@@ -1082,8 +1069,8 @@ CONTRACT_JSON = st.recursive(
     max_leaves=5,
 )
 CONTRACT_ANGLES = st.lists(st.floats(0.0, 1.6), min_size=1, max_size=3)
-# plausible values of the schema keys and of the removed angle keys, or any
-# JSON value in their place, at any other schema key or at no key at all
+# plausible values of the schema keys and of the removed angle and path keys,
+# or any JSON value in their place, at any other schema key or at no key at all
 CONTRACT_VALUES = {
     f"{section}.{key}": CONTRACT_JSON for section, keys in _SECTION_KEYS.items()
     for key in keys
@@ -1100,6 +1087,7 @@ CONTRACT_VALUES = {
     "time.steps": st.integers(1, 50),
     "time.scale": st.sampled_from(["omega", "hopping"]),
     "output.format": st.sampled_from(["csv", "json"]),
+    "output.path": st.just("x.csv"),
     "sweep.theta": CONTRACT_ANGLES,
     "sweep.concurrence": CONTRACT_ANGLES,
     "sweep": st.none(),

@@ -44,7 +44,7 @@ MINIMAL = {
 def test_parse_minimal_applies_output_defaults():
     cfg = config_from_dict(MINIMAL)
     assert cfg.output.format == "csv"
-    assert cfg.output.path is None
+    assert config_to_dict(cfg)["output"] == {"format": "csv"}
     assert cfg.sweep is None
     assert cfg.input == NoonInput(theta=0.4, site_r=2, site_s=3)
 
@@ -393,7 +393,7 @@ GOOD_SECTIONS = {
         }
     ),
     "output": st.fixed_dictionaries(
-        {}, optional={"format": st.sampled_from(["csv", "json"]), "path": st.none()}
+        {}, optional={"format": st.sampled_from(["csv", "json"])}
     ),
     "sweep": st.fixed_dictionaries({"theta": unique_lists(st.floats(0.0, 1.5))}),
 }
