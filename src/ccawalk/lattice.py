@@ -96,11 +96,16 @@ class LatticeSpec:
 
 
 def band_frequencies(lattice: LatticeSpec) -> np.ndarray:
-    """Omega_k - omega = J (2 cos theta_k), read-only; inf past the double range."""
+    """Omega_k - omega = J (2 cos theta_k), read-only; inf past the double range.
+
+    Antisymmetric bit for bit, from ``_half_mode_cosines`` and its mirror
+    cos theta_(N+1-k) = -cos theta_k; an odd chain's middle mode is exactly 0.
+    """
     n = lattice.num_cavities
-    k = np.arange(1, n + 1, dtype=float)
+    _, half = _half_mode_cosines(n)
+    cos_theta = np.concatenate((half, -half[n // 2 - 1 :: -1]))
     with np.errstate(over="ignore"):
-        return _readonly(lattice.hopping * (2.0 * np.cos(k * (np.pi / (n + 1)))))
+        return _readonly(lattice.hopping * (2.0 * cos_theta))
 
 
 def mode_frequencies(lattice: LatticeSpec) -> np.ndarray:
@@ -244,6 +249,19 @@ def _log_cut_bound(z: float, d: int) -> float:
     return log(2.0 * z) + d * (log(z) - log(d) + r - log1p(r)) - log1p(-q)
 
 
+def _half_mode_cosines(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """theta_k = pi k/(N+1) and cos theta_k for the first ceil(N/2) modes.
+
+    The one table of mode cosines: the mirror mode N+1-k has
+    cos theta_(N+1-k) = -cos theta_k, and an odd chain's middle mode is set
+    to exactly 0, where cos(pi/2) reads 6e-17.
+    """
+    theta = np.arange(1, (n + 1) // 2 + 1) * (np.pi / (n + 1))
+    cos_theta = np.cos(theta)
+    cos_theta[n // 2 :] = 0.0
+    return theta, cos_theta
+
+
 def _mode_sums(
     lattice: LatticeSpec, times: np.ndarray, block_times: int
 ) -> Iterator[np.ndarray]:
@@ -279,9 +297,7 @@ def _mode_sums(
     n = lattice.num_cavities
     m = n + 1
     half, mirrored = m // 2, n // 2
-    theta = np.arange(1, half + 1) * (np.pi / m)
-    cos_theta = np.cos(theta)
-    cos_theta[mirrored:] = 0.0  # an odd chain's middle mode: cos(pi/2) reads 6e-17
+    theta, cos_theta = _half_mode_cosines(n)
     two_sin_theta = 2.0 * np.sin(theta)
     size = min(block_times, times.size)
     phases, cos_a, sin_a = np.empty((3, size, half))

@@ -47,14 +47,13 @@ vectors themselves.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 from math import isqrt, sqrt
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ValidationError, checked_int, checked_products, checked_real
+from .errors import ValidationError, checked_array, checked_int, checked_products
 from .lattice import LatticeSpec
 from .observables import NoonInput
 
@@ -464,10 +463,10 @@ def evolve(amplitudes, solution: TwoPhotonSolution, times) -> np.ndarray:
     ``amplitudes`` is one state over the solved basis, complex (D,) and of
     unit norm within 1e-12, as ``noon_state`` makes it; any other shape or
     norm is refused.  ``solution`` comes from ``solve_by_symmetry``; solve
-    once and evolve every time in one call; ``times`` is a 1-d sequence of
-    real numbers, possibly empty, and a scalar is refused.  The state is
-    projected onto the two mirror blocks once, each block advances all
-    times with one real product per sublattice side, and the carrier
+    once and evolve every time in one call; ``times`` is a non-empty 1-d
+    sequence of finite real numbers, checked by ``checked_array``.  The
+    state is projected onto the two mirror blocks once, each block advances
+    all times with one real product per sublattice side, and the carrier
     exp(-i d t) is one factor per time.  Returns a read-only (len(times),
     D) complex array, one state per row, whose norms are checked once to
     lie within 1e-12 of 1.  A time whose carrier phase d t or largest block
@@ -481,10 +480,8 @@ def evolve(amplitudes, solution: TwoPhotonSolution, times) -> np.ndarray:
             f"got shape {amps.shape}"
         )
     _check_unit_norm(amps)
-    if not isinstance(times, Iterable) or getattr(times, "ndim", 1) != 1:
-        raise ValidationError("times must be a 1-d sequence of real numbers")
-    times = np.array([checked_real(t, "time") for t in times], dtype=float)
-    reach = float(np.abs(times).max(initial=0.0))
+    times = checked_array(times, "time")
+    reach = float(np.abs(times).max())
     sigma = max(float(block.sigma.max(initial=0.0)) for block in solution.blocks)
     phases = (("diagonal * t", solution.diagonal * reach), ("sigma * t", sigma * reach))
     checked_products(f"time {reach}", phases)

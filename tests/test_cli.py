@@ -176,7 +176,7 @@ class TestCorrelation:
         assert diag_mass < 0.088
 
     def test_windowed_long_chain_reruns_byte_for_byte(self, tmp_path):
-        # CI's N=2000 rerun, whose light-cone window cuts the chain at both ends
+        # an N=2000 chain whose light-cone window cuts it at both ends
         first, last = light_cone(LatticeSpec(2000, 1.0, 1.0), [1000, 1001], 83.57)
         assert 1 < first and last < 2000
         a, b = rerun_bytes(tmp_path, "correlation", "--set", "lattice.num_cavities=2000",
@@ -185,7 +185,7 @@ class TestCorrelation:
 
     @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kB on Linux")
     def test_largest_chain_matrix_stays_under_600_mb(self, tmp_path):
-        # CI's N=5000 bound: only the light-cone block of the zeroed array is written
+        # N=5000 at one time: only the light-cone block of the zeroed array is written
         code, peak_kb, proc = launched(
             tmp_path, "-c",
             "from ccawalk import LatticeSpec, NoonInput, correlation_matrix; "
@@ -236,7 +236,7 @@ class TestTpd:
         assert np.isfinite(np.array(rows, dtype=float)).all()
 
     def test_prime_length_chain_reruns_byte_for_byte(self, tmp_path):
-        # CI's N=4000 rerun: the kernel's length-(N+1) transform has prime
+        # at N=4000 the kernel's length-(N+1) transform has prime
         # length, and J t_max = 2000 puts the light cone past both ends
         assert light_cone(LatticeSpec(4000, 1.0, 1.0), [15, 16], 2000.0) == (1, 4000)
         a, b = rerun_bytes(tmp_path, "tpd", "--set", "lattice.num_cavities=4000",
@@ -244,7 +244,7 @@ class TestTpd:
         assert a == b
 
     def test_long_chain_raises_no_runtime_warning(self, tmp_path):
-        # CI's N=5000 run: the default J t_max = 83.57 cuts the chain to a window
+        # at N=5000 the default J t_max = 83.57 cuts the chain to a window
         out = tmp_path / "big.csv"
         code, _, proc = launched(
             tmp_path, "-W", "error::RuntimeWarning", "-m", "ccawalk.cli", "tpd",
@@ -384,6 +384,21 @@ class TestSweep:
         assert list(low_rows[::11, 0]) == thetas
         ulp = np.finfo(float).eps
         assert np.abs(low_rows[:, 1:] - high_rows[:, 1:]).max() <= 2 * ulp
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kB on Linux")
+    def test_long_sweep_streams_its_rows(self, tmp_path, scenarios_dir):
+        # 3 angles x 100001 times: rows are formed and written a block at a
+        # time, so the run peaks far below the whole table held as rows
+        out = tmp_path / "long.csv"
+        code, peak_kb, proc = launched(
+            tmp_path, "-m", "ccawalk.cli", "sweep",
+            "--config", str(scenarios_dir / "fig1.json"),
+            "--set", "time.steps=100000", "--out", str(out),
+        )
+        assert code == 0, proc.stderr
+        lines = out.read_bytes().splitlines()
+        assert len([line for line in lines if not line.startswith(b"#")]) == 1 + 300003
+        assert peak_kb < 100 * 1024
 
     def test_duplicates_rejected(self, tmp_path, scenarios_dir):
         code = run("sweep", "--config", str(scenarios_dir / "fig2.json"),
@@ -1038,20 +1053,37 @@ class TestAtomicOut:
         assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
 
 
-class TestDeterminism:
-    def test_repeat_runs_identical_bytes(self, tmp_path, scenarios_dir):
-        cfg = str(scenarios_dir / "fig1.json")
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        run("correlation", "--config", cfg, "--out", str(a))
-        run("correlation", "--config", cfg, "--out", str(b))
-        assert a.read_bytes() == b.read_bytes()
+SCENARIOS = REPO_ROOT / "scenarios"
+# every table command on fig1 in both formats, and every verify report:
+# fig1-fig3 at the default --max-n and on a 50-cavity chain at --max-n 50
+# (--max-n 50 keeps the shipped 29-cavity chain whole: the default's run)
+RERUNS = {
+    f"{command}-{fmt}": [command, "--config", str(SCENARIOS / "fig1.json"),
+                         "--set", f"output.format={fmt}"]
+    for command in ("spectrum", "correlation", "tpd", "sweep")
+    for fmt in ("csv", "json")
+} | {
+    f"verify-{scenario}-{size}": [
+        "verify", "--config", str(SCENARIOS / f"{scenario}.json"), *flags
+    ]
+    for scenario in ("fig1", "fig2", "fig3")
+    for size, flags in [
+        ("default", []),
+        ("n50", ["--set", "lattice.num_cavities=50", "--max-n", "50"]),
+    ]
+}
 
-    def test_repeat_json_runs_identical_bytes(self, tmp_path, scenarios_dir):
-        cfg = str(scenarios_dir / "fig3.json")
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        run("tpd", "--config", cfg, "--set", "output.format=json", "--out", str(a))
-        run("tpd", "--config", cfg, "--set", "output.format=json", "--out", str(b))
-        assert a.read_bytes() == b.read_bytes()
+
+class TestDeterminism:
+    @pytest.mark.parametrize("argv", RERUNS.values(), ids=RERUNS)
+    def test_repeat_runs_identical_bytes(self, tmp_path, argv):
+        # the second run writes to another directory: the recorded config
+        # never names the file, and exit 0 is a verify report's PASS
+        here, there = tmp_path / "here.out", tmp_path / "elsewhere" / "there.out"
+        there.parent.mkdir()
+        assert run(*argv, "--out", str(here)) == 0
+        assert run(*argv, "--out", str(there)) == 0
+        assert here.read_bytes() == there.read_bytes()
 
 
 # The input contract: any argv, override or config document ends in exit

@@ -15,6 +15,7 @@ from ccawalk.lattice import (
     MAX_CAVITIES,
     _log_cut_bound,
     _mode_sums,
+    band_frequencies,
     light_cone,
     propagator_blocks,
 )
@@ -57,6 +58,17 @@ class TestDecompose:
         # cosine vanishes at the band centre of an odd chain
         lattice = LatticeSpec(num_cavities=3, omega=1.0, hopping=0.5)
         assert mode_frequencies(lattice)[1] == 1.0
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 29, 30, 999, MAX_CAVITIES])
+    def test_band_is_antisymmetric_with_an_exact_centre(self, n):
+        # cos theta_(N+1-k) = -cos theta_k, and an odd chain's middle mode sits
+        # at omega itself
+        lattice = LatticeSpec(num_cavities=n, omega=1.0, hopping=1.0)
+        band = band_frequencies(lattice)
+        assert np.array_equal(band, -band[::-1])
+        if n % 2:
+            assert band[n // 2] == 0.0
+            assert mode_frequencies(lattice)[n // 2] == lattice.omega
 
     def test_band_edges_29_cavities(self):
         freqs = mode_frequencies(LatticeSpec(num_cavities=29, omega=1.0, hopping=1.0))

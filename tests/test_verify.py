@@ -210,7 +210,9 @@ FAR_CARRIERS["n20-omega-1e6"] = [
 
 @pytest.mark.parametrize("argv", FAR_CARRIERS.values(), ids=FAR_CARRIERS)
 def test_carrier_far_above_the_band_passes_every_check(capsys, argv):
-    assert main(["verify", *argv]) == 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["verify", *argv]) == 0
     assert capsys.readouterr().out.count("[PASS]") == 8
 
 
